@@ -207,11 +207,11 @@ func BenchmarkFig14WidthArea(b *testing.B) {
 // BenchmarkFig15WireEffect regenerates the wire-delay ablation.
 func BenchmarkFig15WireEffect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		wet, err := core.ALUDepthSweep(core.SiliconTech(), 30, true)
+		wet, err := core.ALUDepthSweep(context.Background(), core.SiliconTech(), 30, true, core.EvalPool)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dry, err := core.ALUDepthSweep(core.SiliconTech(), 30, false)
+		dry, err := core.ALUDepthSweep(context.Background(), core.SiliconTech(), 30, false, core.EvalPool)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,21 +280,16 @@ func BenchmarkWorkloadSimulation(b *testing.B) {
 // ALU optimum deeper.
 func BenchmarkAblationWireStrength(b *testing.B) {
 	tech := core.SiliconTech()
+	alu, err := core.ALUResult(tech, true)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		res := map[float64]int{}
 		for _, k := range []float64{1, 2, 4} {
-			pts, err := core.ALUDepthSweepK(tech, 30, true, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f, _ := core.NormalizePoints(pts)
-			opt := 0
-			for j := range f {
-				if f[j] > f[opt] {
-					opt = j
-				}
-			}
-			res[k] = opt + 1
+			cfg := pipeline.Config{RankBits: core.ALURankBits, Wire: tech.Wire, UseWire: true, FeedbackK: k}
+			pts := pipeline.SweepDepth(context.Background(), alu, tech.DFF(), cfg, 30)
+			res[k] = pipeline.OptimalDepth(pts).Stages
 		}
 		b.ReportMetric(float64(res[1]), "opt-at-k1")
 		b.ReportMetric(float64(res[2]), "opt-at-k2")
@@ -330,11 +325,6 @@ func BenchmarkAblationPredictorSize(b *testing.B) {
 // against naive equal-count chunking for the 22-stage organic ALU.
 func BenchmarkAblationPartitioning(b *testing.B) {
 	tech := core.OrganicTech()
-	pts, err := core.ALUDepthSweep(tech, 1, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = pts
 	res, err := core.ALUResult(tech, true)
 	if err != nil {
 		b.Fatal(err)
@@ -369,7 +359,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 func BenchmarkExtEnergyPerOp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, tech := range []*biodeg.Technology{biodeg.Silicon(), biodeg.Organic()} {
-			pts, err := core.EnergySweep(tech, 9, 15)
+			pts, err := core.EnergySweep(context.Background(), tech, 9, 15)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,9 +1,7 @@
 package biodeg
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/cells"
 	"repro/internal/core"
@@ -50,53 +48,6 @@ func VariationTrim(vdd, vss float64, vtShifts []float64) ([]cells.VariationPoint
 	return cells.VariationTrim(vdd, vss, vtShifts, 121)
 }
 
-// ALUDepth pipelines the 32-bit complex ALU from 1 to maxStages,
-// reproducing Figure 12.
-//
-// Deprecated: Use Session.ALUDepth, which is context-first and carries
-// the session's worker pool. This wrapper runs on the package-default
-// session with a background context.
-func ALUDepth(t *Technology, maxStages int) ([]ALUPoint, error) {
-	return defaultSession.ALUDepth(context.Background(), t, maxStages)
-}
-
-// ALUDepthCtx is ALUDepth with cancellation.
-//
-// Deprecated: Use Session.ALUDepth.
-func ALUDepthCtx(ctx context.Context, t *Technology, maxStages int) ([]ALUPoint, error) {
-	return defaultSession.ALUDepth(ctx, t, maxStages)
-}
-
-// CoreDepth sweeps the 9-stage baseline core to maxDepth by repeatedly
-// cutting the critical stage, reproducing Figure 11.
-//
-// Deprecated: Use Session.CoreDepth.
-func CoreDepth(t *Technology, minDepth, maxDepth int) ([]DepthPoint, error) {
-	return defaultSession.CoreDepth(context.Background(), t, minDepth, maxDepth)
-}
-
-// CoreDepthCtx is CoreDepth with cancellation.
-//
-// Deprecated: Use Session.CoreDepth.
-func CoreDepthCtx(ctx context.Context, t *Technology, minDepth, maxDepth int) ([]DepthPoint, error) {
-	return defaultSession.CoreDepth(ctx, t, minDepth, maxDepth)
-}
-
-// Widths sweeps the thirty superscalar width configurations
-// (front-end 1-6 x back-end 3-7), reproducing Figures 13-14.
-//
-// Deprecated: Use Session.Widths.
-func Widths(t *Technology) ([]WidthPoint, error) {
-	return defaultSession.Widths(context.Background(), t)
-}
-
-// WidthsCtx is Widths with cancellation.
-//
-// Deprecated: Use Session.Widths.
-func WidthsCtx(ctx context.Context, t *Technology) ([]WidthPoint, error) {
-	return defaultSession.Widths(ctx, t)
-}
-
 // Benchmarks lists the seven workloads (Dhrystone-like plus six
 // SPEC-CPU2000-inspired kernels).
 func Benchmarks() []string { return core.Benchmarks() }
@@ -106,24 +57,6 @@ type CoreConfig = uarch.Config
 
 // DefaultCore returns the paper's 9-stage baseline core configuration.
 func DefaultCore() CoreConfig { return uarch.DefaultConfig() }
-
-// SimulateIPC runs one benchmark through the cycle-level core model,
-// verifying the workload's architectural result, and returns timing
-// statistics (IPC, mispredicts, cache misses).
-//
-// Deprecated: Use Session.SimulateIPC.
-func SimulateIPC(bench string, cfg CoreConfig) (Stats, error) {
-	return defaultSession.SimulateIPC(context.Background(), bench, cfg)
-}
-
-// SimulateIPCCtx is SimulateIPC with span parenting: a tracing run's
-// root span (from internal/cli) becomes the parent of the simulation
-// span.
-//
-// Deprecated: Use Session.SimulateIPC.
-func SimulateIPCCtx(ctx context.Context, bench string, cfg CoreConfig) (Stats, error) {
-	return defaultSession.SimulateIPC(ctx, bench, cfg)
-}
 
 // RunWorkload executes a benchmark functionally and checks its result
 // checksum against the Go reference implementation.
@@ -150,32 +83,6 @@ type (
 // the absolute-frequency comparison).
 func Experiments() []*Experiment { return core.Experiments() }
 
-// RunExperiment runs one experiment by ID ("fig3", "fig11", ...).
-//
-// Deprecated: Use Session.RunExperiment, which honors its context —
-// this wrapper cannot be cancelled.
-func RunExperiment(id string) ([]*Table, error) {
-	return defaultSession.RunExperiment(context.Background(), id)
-}
-
-// RunExperiments runs the named experiments concurrently on the worker
-// pool (independent figures in parallel; shared heavy intermediates are
-// deduplicated by the process-wide caches) and returns their results in
-// the order the IDs were given. The first failure cancels the
-// not-yet-started experiments.
-//
-// Deprecated: Use Session.RunExperiments.
-func RunExperiments(ctx context.Context, ids ...string) ([]ExperimentResult, error) {
-	return defaultSession.RunExperiments(ctx, ids...)
-}
-
-// RunAll runs the whole registry concurrently, in registry order.
-//
-// Deprecated: Use Session.RunAll.
-func RunAll(ctx context.Context) ([]ExperimentResult, error) {
-	return defaultSession.RunAll(ctx)
-}
-
 // RecordResults appends each result's provenance — experiment ID,
 // title, wall time, and a SHA-256 digest of every rendered table — to
 // a run manifest (internal/cli fills in the environment half).
@@ -187,34 +94,4 @@ func RecordResults(m *obs.Manifest, results []ExperimentResult) {
 		}
 		m.AddExperiment(r.Experiment.ID, r.Experiment.Title, r.Wall, digests)
 	}
-}
-
-// Parallelism reports the worker-pool size of the package-default
-// session: the -workers flag / process default when set, else
-// GOMAXPROCS.
-//
-// Deprecated: Use Session.Workers.
-func Parallelism() int { return defaultSession.Workers() }
-
-// MetricsEnabled reports whether the process-default configuration
-// asks for the per-stage wall-time report.
-//
-// Deprecated: Use Session.MetricsEnabled.
-func MetricsEnabled() bool { return defaultSession.MetricsEnabled() }
-
-// MetricsReport renders the per-stage counters and wall-time histograms
-// (characterize / sta / pipeline / ipc / experiment) recorded so far.
-//
-// Deprecated: Use Session.MetricsReport.
-func MetricsReport() string { return defaultSession.MetricsReport() }
-
-// OnProgress installs fn as a process-wide progress hook, invoked after
-// every completed unit of instrumented work with the stage name, the
-// stage's cumulative count, and the unit's duration. Pass nil to remove
-// the hook. The callback runs on worker goroutines: keep it fast and
-// concurrency-safe.
-//
-// Deprecated: Use Session.OnProgress.
-func OnProgress(fn func(stage string, count int64, d time.Duration)) {
-	defaultSession.OnProgress(fn)
 }

@@ -34,8 +34,7 @@ import (
 //
 // Options left unset inherit the process default configuration
 // (installed by internal/cli from the command-line flags) at call
-// time, so the package-default session behind the deprecated
-// top-level functions still follows the flags.
+// time, so an optionless session follows the flags.
 type Session struct {
 	workers   *int
 	metrics   *bool
@@ -238,10 +237,6 @@ func New(opts ...Option) *Session {
 	return s
 }
 
-// defaultSession backs the deprecated top-level functions. It sets no
-// options, so it follows the process default configuration.
-var defaultSession = New()
-
 // config resolves the session's effective configuration: explicit
 // options over the process default, read at call time.
 func (s *Session) config() config.Config {
@@ -391,17 +386,14 @@ func (s *Session) Logger() *slog.Logger { return s.logger }
 
 // ALUDepth pipelines the 32-bit complex ALU (CSA multiplier + stallable
 // divider datapath) from 1 to maxStages, reproducing Figure 12. The
-// sweep fans out on the session's worker pool and stops early when ctx
-// is cancelled.
+// sweep fans out on the session's worker pool (or its shard coordinator
+// under WithCoordinator) and stops early when ctx is cancelled.
 func (s *Session) ALUDepth(ctx context.Context, t *Technology, maxStages int) ([]ALUPoint, error) {
 	ctx, err := s.bind(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if config.Get(ctx).Coordinator {
-		return core.ALUDepthSharded(ctx, t, maxStages, s.sharder().Evaluate)
-	}
-	return core.ALUDepthSweepCtx(ctx, t, maxStages, true)
+	return core.ALUDepthSweep(ctx, t, maxStages, true, s.evaluator(ctx))
 }
 
 // CoreDepth sweeps the 9-stage baseline core to maxDepth by repeatedly
@@ -412,10 +404,7 @@ func (s *Session) CoreDepth(ctx context.Context, t *Technology, minDepth, maxDep
 	if err != nil {
 		return nil, err
 	}
-	if config.Get(ctx).Coordinator {
-		return core.CoreDepthSharded(ctx, t, minDepth, maxDepth, s.sharder().Evaluate)
-	}
-	return core.CoreDepthSweepCtx(ctx, t, minDepth, maxDepth, true)
+	return core.CoreDepthSweep(ctx, t, minDepth, maxDepth, true, s.evaluator(ctx))
 }
 
 // Widths sweeps the thirty superscalar width configurations
@@ -425,10 +414,16 @@ func (s *Session) Widths(ctx context.Context, t *Technology) ([]WidthPoint, erro
 	if err != nil {
 		return nil, err
 	}
+	return core.WidthSweep(ctx, t, s.evaluator(ctx))
+}
+
+// evaluator picks where a bound context's sweep points run: the shard
+// coordinator when the configuration asks for one, else the worker pool.
+func (s *Session) evaluator(ctx context.Context) core.Evaluator {
 	if config.Get(ctx).Coordinator {
-		return core.WidthSharded(ctx, t, s.sharder().Evaluate)
+		return s.sharder().Evaluate
 	}
-	return core.WidthSweepCtx(ctx, t)
+	return core.EvalPool
 }
 
 // sharder lazily builds the session's shard coordinator: the loopback
@@ -486,9 +481,7 @@ func (s *Session) SimulateIPC(ctx context.Context, bench string, cfg CoreConfig)
 }
 
 // RunExperiment runs one experiment by ID ("fig3", "fig11", ...) under
-// ctx: cancelling the context stops in-flight grid points, unlike the
-// deprecated top-level RunExperiment, which ignored its caller's
-// lifetime.
+// ctx: cancelling the context stops in-flight grid points.
 func (s *Session) RunExperiment(ctx context.Context, id string) ([]*Table, error) {
 	results, err := s.RunExperiments(ctx, id)
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 func poolPeak(t *testing.T, ctx context.Context, n int) int {
 	t.Helper()
 	var cur, peak atomic.Int64
-	err := runner.ForEach(ctx, n, func(context.Context, int) error {
+	_, err := runner.Map(ctx, n, func(context.Context, int) (struct{}, error) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -29,7 +29,7 @@ func poolPeak(t *testing.T, ctx context.Context, n int) int {
 		}
 		time.Sleep(10 * time.Millisecond)
 		cur.Add(-1)
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@
 // default. This package is the only place the BIODEG_* environment is
 // read: Options.Start installs the effective values as the process
 // default configuration (internal/config) and as the metrics-report
-// flag, so the internal packages — and the package-default
+// flag, so the internal packages — and an optionless
 // biodeg.Session — observe the flags without ever touching the
 // environment themselves. Commands that want non-default behavior
 // build an explicit biodeg.Session from the parsed Options instead.
@@ -249,7 +249,7 @@ func splitPeers(s string) []string {
 func (o *Options) Start(tool string) (*Run, context.Context, error) {
 	// Install the effective configuration as the process default so
 	// code paths without a context (lazy technology characterization,
-	// the package-default session) observe the flags too.
+	// an optionless session) observe the flags too.
 	if err := o.setupLogging(); err != nil {
 		return nil, nil, err
 	}

@@ -9,7 +9,7 @@
 // every context it hands the internal packages, so two sessions with
 // different worker counts coexist in one process. Process-wide defaults
 // (SetDefault/Default) back the code paths that have no context — lazy
-// technology characterization, the package-default session — and are
+// technology characterization, an optionless Session — and are
 // set once at startup by internal/cli from the parsed flags.
 //
 // Lookup order everywhere is: context value, else process default,

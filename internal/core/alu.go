@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/checkpoint"
-	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -16,9 +15,9 @@ import (
 	"repro/internal/sta"
 )
 
-// aluRankBits is the register width per pipeline cut of the complex ALU
-// (carry-save partial sums plus operand/control forwarding).
-const aluRankBits = 128
+// ALURankBits is the register width per pipeline cut of the complex
+// ALU (carry-save partial sums plus operand/control forwarding).
+const ALURankBits = 128
 
 var (
 	aluNetOnce sync.Once
@@ -42,82 +41,58 @@ func aluResult(ctx context.Context, t *Tech, wire bool) (*sta.Result, error) {
 	})
 }
 
-// ALUDepthSweep reproduces Figure 12: pipeline the complex ALU
-// (multiplier + stallable-divider datapath) from 1 to maxStages and
-// report frequency and area at each depth.
-func ALUDepthSweep(t *Tech, maxStages int, wire bool) ([]pipeline.Point, error) {
-	return ALUDepthSweepK(t, maxStages, wire, 0)
-}
-
-// ALUDepthSweepCtx is ALUDepthSweep with cancellation.
-func ALUDepthSweepCtx(ctx context.Context, t *Tech, maxStages int, wire bool) ([]pipeline.Point, error) {
-	return aluDepthSweep(ctx, t, maxStages, wire, 0)
-}
-
-// ALUDepthSweepK is ALUDepthSweep with an explicit feedback-wire
-// constant (0 selects the pipeline package default) — the ablation knob
-// for the paper's causal mechanism.
-func ALUDepthSweepK(t *Tech, maxStages int, wire bool, feedbackK float64) ([]pipeline.Point, error) {
-	return aluDepthSweep(context.Background(), t, maxStages, wire, feedbackK)
-}
-
-// aluDepthSweep analyzes the ALU once (cached) and partitions each
-// depth independently on the worker pool; per-depth points depend only
-// on their stage count, so the parallel sweep is bit-identical to the
-// serial one. The whole sweep runs under one "sweep:aludepth" span,
-// with one grid-point span per depth. Each point is a fault-injection
-// site ("alu-point:tech:wire:nK"); under config.PartialResults a failed
-// point is returned with its Err annotation instead of aborting the
-// sweep.
-func aluDepthSweep(ctx context.Context, t *Tech, maxStages int, wire bool, feedbackK float64) ([]pipeline.Point, error) {
+// ALUDepthSweep reproduces Figure 12 (and, with wire off, Figure 15a):
+// pipeline the complex ALU (multiplier + stallable-divider datapath)
+// from 1 to maxStages and report frequency and area at each depth. The
+// ALU is analyzed once (cached) and eval computes the independent
+// depths; the whole sweep runs under one "sweep:aludepth" span. Each
+// point is a fault-injection site ("alu-point:tech:wire:nK"); under
+// config.PartialResults a failed point comes back with its Err
+// annotation instead of aborting the sweep.
+func ALUDepthSweep(ctx context.Context, t *Tech, maxStages int, wire bool, eval Evaluator) ([]pipeline.Point, error) {
 	ctx, sp := obs.Start(ctx, "sweep:aludepth",
 		obs.KV("tech", t.Name), obs.Bool("wire", wire), obs.Int("max_stages", maxStages))
 	defer sp.End()
-	key, point := aluParts(t, wire, feedbackK)
-	chunk := runner.Chunk(ctx, maxStages)
-	if !config.Get(ctx).PartialResults {
-		return runner.MapKeyedChunked(ctx, maxStages, chunk, key, point)
-	}
-	pts, errs, err := runner.MapPartialKeyedChunked(ctx, maxStages, chunk, key, point)
+	g, err := SweepGrid(ctx, GridALUDepth, t, maxStages, 0, 0, wire)
 	if err != nil {
 		return nil, err
 	}
-	for _, te := range errs {
-		pts[te.Index] = pipeline.Point{Stages: te.Index + 1, Err: runner.ErrLabel(te.Err)}
-	}
-	return pts, nil
+	return assemble(ctx, g, eval, func(i int, msg string) pipeline.Point {
+		return pipeline.Point{Stages: i + 1, Err: msg}
+	})
 }
 
-// aluParts returns the Figure 12 lattice parts shared by the local
-// sweep and the shard grid: the per-point checkpoint keys and the typed
-// evaluator (each depth is one checkpoint record, so a resumed or
-// remotely-evaluated sweep replays journaled depths bit-identically).
-// The shared ALU analysis is resolved lazily inside the evaluator, so
-// building the parts costs nothing.
-func aluParts(t *Tech, wire bool, feedbackK float64) (runner.KeyFunc, func(context.Context, int) (pipeline.Point, error)) {
+// aluGrid is the Figure 12 lattice: one point, and one checkpoint
+// record, per depth, so a resumed or remotely-evaluated sweep replays
+// journaled depths bit-identically. The shared ALU analysis is resolved
+// lazily inside Eval, so building the grid costs nothing.
+func aluGrid(t *Tech, maxStages int, wire bool) *Grid {
 	cfg := pipeline.Config{
-		RankBits:  aluRankBits,
-		Wire:      t.Wire,
-		UseWire:   wire,
-		FeedbackK: feedbackK,
+		RankBits: ALURankBits,
+		Wire:     t.Wire,
+		UseWire:  wire,
 	}
-	point := func(ctx context.Context, i int) (pipeline.Point, error) {
-		res, err := aluResult(ctx, t, wire)
-		if err != nil {
-			return pipeline.Point{}, err
-		}
-		ctx, sp := obs.Start(ctx, "alu-point", obs.Int("stages", i+1))
-		defer sp.End()
-		if err := fault.Inject(ctx, fmt.Sprintf("alu-point:%s:%s:n%d", t.Name, wireTag(wire), i+1)); err != nil {
-			return pipeline.Point{}, err
-		}
-		return pipeline.PointAt(ctx, res, t.DFF(), cfg, i+1), nil
+	return &Grid{
+		Kind: GridALUDepth, Tech: t.Name, MaxStages: maxStages, N: maxStages,
+		// The "k0" segment names the default feedback-wire constant; it
+		// stays so journals written when the constant was a sweep
+		// parameter still replay.
+		Key: func(i int) string {
+			return checkpoint.PointID("alu", t.Name, wireTag(wire), "k0", "n"+strconv.Itoa(i+1))
+		},
+		Eval: func(ctx context.Context, i int) (any, error) {
+			res, err := aluResult(ctx, t, wire)
+			if err != nil {
+				return nil, err
+			}
+			ctx, sp := obs.Start(ctx, "alu-point", obs.Int("stages", i+1))
+			defer sp.End()
+			if err := fault.Inject(ctx, fmt.Sprintf("alu-point:%s:%s:n%d", t.Name, wireTag(wire), i+1)); err != nil {
+				return nil, err
+			}
+			return pipeline.PointAt(ctx, res, t.DFF(), cfg, i+1), nil
+		},
 	}
-	key := func(i int) string {
-		return checkpoint.PointID("alu", t.Name, wireTag(wire),
-			"k"+strconv.FormatFloat(feedbackK, 'g', -1, 64), "n"+strconv.Itoa(i+1))
-	}
-	return key, point
 }
 
 // wireTag names the wire mode inside fault-site identities.

@@ -24,11 +24,11 @@ func TestFig12Shape(t *testing.T) {
 		t.Skip("design-space sweeps are expensive")
 	}
 	sil, org := SiliconTech(), OrganicTech()
-	silPts, err := ALUDepthSweep(sil, 30, true)
+	silPts, err := ALUDepthSweep(context.Background(), sil, 30, true, EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgPts, err := ALUDepthSweep(org, 30, true)
+	orgPts, err := ALUDepthSweep(context.Background(), org, 30, true, EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +67,19 @@ func TestFig15WireAblation(t *testing.T) {
 		t.Skip("design-space sweeps are expensive")
 	}
 	sil, org := SiliconTech(), OrganicTech()
-	silWire, err := ALUDepthSweep(sil, 30, true)
+	silWire, err := ALUDepthSweep(context.Background(), sil, 30, true, EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	silDry, err := ALUDepthSweep(sil, 30, false)
+	silDry, err := ALUDepthSweep(context.Background(), sil, 30, false, EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgWire, err := ALUDepthSweep(org, 30, true)
+	orgWire, err := ALUDepthSweep(context.Background(), org, 30, true, EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgDry, err := ALUDepthSweep(org, 30, false)
+	orgDry, err := ALUDepthSweep(context.Background(), org, 30, false, EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFig11Shape(t *testing.T) {
 	}
 	out := map[string]res{}
 	for _, tech := range BothTechs() {
-		pts, err := CoreDepthSweep(tech, 9, 15, true)
+		pts, err := CoreDepthSweep(context.Background(), tech, 9, 15, true, EvalPool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestFig13And14Shape(t *testing.T) {
 	areas := map[string][][]float64{}
 	opts := map[string][2]int{}
 	for _, tech := range BothTechs() {
-		pts, err := WidthSweep(tech)
+		pts, err := WidthSweep(context.Background(), tech, EvalPool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +209,11 @@ func TestAbsoluteFrequencies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("design-space sweeps are expensive")
 	}
-	sil, err := CoreDepthSweep(SiliconTech(), 9, 9, true)
+	sil, err := CoreDepthSweep(context.Background(), SiliconTech(), 9, 9, true, EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	org, err := CoreDepthSweep(OrganicTech(), 9, 9, true)
+	org, err := CoreDepthSweep(context.Background(), OrganicTech(), 9, 9, true, EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +337,11 @@ func TestEnergySweepExtension(t *testing.T) {
 	if testing.Short() {
 		t.Skip("design-space sweeps are expensive")
 	}
-	org, err := EnergySweep(OrganicTech(), 9, 15)
+	org, err := EnergySweep(context.Background(), OrganicTech(), 9, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sil, err := EnergySweep(SiliconTech(), 9, 15)
+	sil, err := EnergySweep(context.Background(), SiliconTech(), 9, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/checkpoint"
-	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 	"repro/internal/uarch"
 )
 
@@ -33,67 +32,44 @@ type DepthPoint struct {
 	Errors map[string]string
 }
 
-// CoreDepthSweep reproduces the paper's depth procedure: start from the
-// 9-stage baseline (front-end width 1, three execution pipes) and
-// repeatedly cut the stage on the critical path, re-simulating IPC for
-// each resulting design (the cut placement differs between technologies
-// because their critical stages differ — Section 5.5).
-func CoreDepthSweep(t *Tech, minDepth, maxDepth int, wire bool) ([]DepthPoint, error) {
-	return CoreDepthSweepCtx(context.Background(), t, minDepth, maxDepth, wire)
-}
-
-// CoreDepthSweepCtx is CoreDepthSweep with cancellation. The cut
-// placement is inherently serial (each depth's cuts depend on the
-// previous critical path), so the cheap timing walk stays sequential;
-// the expensive part — seven benchmark IPC simulations per depth — fans
-// out over the worker pool as depth x benchmark tasks. Results are
-// assembled by index and are bit-identical to the serial sweep.
-func CoreDepthSweepCtx(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool) ([]DepthPoint, error) {
-	ctx, sweepSpan := obs.Start(ctx, "sweep:coredepth",
+// CoreDepthSweep reproduces the paper's depth procedure (Figure 11,
+// and with wire off Figure 15b): start from the 9-stage baseline
+// (front-end width 1, three execution pipes) and repeatedly cut the
+// stage on the critical path, re-simulating IPC for each resulting
+// design (the cut placement differs between technologies because their
+// critical stages differ — Section 5.5). The cut placement is
+// inherently serial, so the cheap timing walk runs once, locally; the
+// expensive part — seven benchmark IPC simulations per depth — is the
+// grid eval computes, one (depth, benchmark) point and fault site
+// ("depth-point:tech:wire:dN:bench") each.
+func CoreDepthSweep(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool, eval Evaluator) ([]DepthPoint, error) {
+	ctx, sp := obs.Start(ctx, "sweep:coredepth",
 		obs.KV("tech", t.Name), obs.Bool("wire", wire),
 		obs.Int("min_depth", minDepth), obs.Int("max_depth", maxDepth))
-	defer sweepSpan.End()
-	pts, err := depthSkeleton(ctx, t, minDepth, maxDepth, wire)
+	defer sp.End()
+	g, err := SweepGrid(ctx, GridCoreDepth, t, 0, minDepth, maxDepth, wire)
 	if err != nil {
 		return nil, err
 	}
-	// Simulate every (depth, benchmark) pair concurrently, then fill the
-	// per-point maps in order. Each pair is one grid-point span and a
-	// fault-injection site ("depth-point:tech:wire:dN:bench").
+	pts, err := g.skeleton(ctx)
+	if err != nil {
+		return nil, err
+	}
 	benches := Benchmarks()
-	point := func(ctx context.Context, i int) (uarch.Stats, error) {
-		return depthPairEval(ctx, t, wire, pts[i/len(benches)], benches[i%len(benches)])
-	}
-	// One checkpoint record per (depth, benchmark) pair; the cheap
-	// serial timing walk above recomputes deterministically on resume.
-	key := func(i int) string {
-		return depthPairKey(t, wire, pts[i/len(benches)].Depth, benches[i%len(benches)])
-	}
-	var stats []uarch.Stats
-	n := len(pts) * len(benches)
-	chunk := runner.Chunk(ctx, n)
-	if config.Get(ctx).PartialResults {
-		var errs []*runner.TaskError
-		stats, errs, err = runner.MapPartialKeyedChunked(ctx, n, chunk, key, point)
-		if err != nil {
-			return nil, err
+	stats, err := assemble(ctx, g, eval, func(i int, msg string) uarch.Stats {
+		pt := &pts[i/len(benches)]
+		if pt.Errors == nil {
+			pt.Errors = map[string]string{}
 		}
-		for _, te := range errs {
-			pt, b := &pts[te.Index/len(benches)], benches[te.Index%len(benches)]
-			if pt.Errors == nil {
-				pt.Errors = map[string]string{}
-			}
-			pt.Errors[b] = runner.ErrLabel(te.Err)
-		}
-	} else {
-		stats, err = runner.MapKeyedChunked(ctx, n, chunk, key, point)
-		if err != nil {
-			return nil, err
-		}
+		pt.Errors[benches[i%len(benches)]] = msg
+		return uarch.Stats{}
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i, st := range stats {
 		pt, b := &pts[i/len(benches)], benches[i%len(benches)]
-		if pt.Errors[b] != "" {
+		if _, failed := pt.Errors[b]; failed {
 			continue
 		}
 		pt.IPC[b] = st.IPC
@@ -102,12 +78,53 @@ func CoreDepthSweepCtx(ctx context.Context, t *Tech, minDepth, maxDepth int, wir
 	return pts, nil
 }
 
+// depthGrid is the Figure 11 lattice: one point, and one checkpoint
+// record, per (depth, benchmark) pair in depth-major order. The serial
+// cut-placement walk runs once per grid, on first use, and is shared by
+// every Eval and by the assembly; keys need only arithmetic.
+func depthGrid(t *Tech, minDepth, maxDepth int, wire bool) *Grid {
+	benches := Benchmarks()
+	first := minDepth
+	if first < int(numStages) {
+		// The walk cannot go shallower than the uncut baseline.
+		first = int(numStages)
+	}
+	n := (maxDepth - first + 1) * len(benches)
+	if n < 0 {
+		n = 0
+	}
+	var (
+		once sync.Once
+		pts  []DepthPoint
+		err  error
+	)
+	skeleton := func(ctx context.Context) ([]DepthPoint, error) {
+		once.Do(func() { pts, err = depthSkeleton(ctx, t, minDepth, maxDepth, wire) })
+		return pts, err
+	}
+	return &Grid{
+		Kind: GridCoreDepth, Tech: t.Name, MinDepth: minDepth, MaxDepth: maxDepth, N: n,
+		Key: func(i int) string {
+			return checkpoint.PointID("depth", t.Name, wireTag(wire),
+				"d"+strconv.Itoa(first+i/len(benches)), benches[i%len(benches)])
+		},
+		Eval: func(ctx context.Context, i int) (any, error) {
+			pts, err := skeleton(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return depthPairEval(ctx, t, wire, pts[i/len(benches)], benches[i%len(benches)])
+		},
+		skeleton: skeleton,
+	}
+}
+
 // depthSkeleton runs the paper's serial cut-placement walk: starting
 // from the 9-stage baseline (front-end width 1, three execution pipes),
 // repeatedly cut the critical stage up to maxDepth, recording timing,
 // area, and cut placement for every depth >= minDepth. The walk is
-// cheap (no IPC simulation) and deterministic; both the local sweep and
-// the sharded assembly start from it. IPC/Perf maps come back empty.
+// cheap (no IPC simulation) and deterministic; the core-depth grid
+// memoizes it. IPC/Perf maps come back empty.
 func depthSkeleton(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool) ([]DepthPoint, error) {
 	const fe, be = 1, 3
 	blocks, err := coreBlocks(ctx, t, fe, be, wire)
@@ -145,8 +162,7 @@ func depthSkeleton(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bo
 }
 
 // depthPairEval simulates one (depth, benchmark) pair of the Figure 11
-// grid — the expensive unit both the local sweep and the shard worker
-// evaluate.
+// grid — the expensive unit every evaluator computes.
 func depthPairEval(ctx context.Context, t *Tech, wire bool, pt DepthPoint, bench string) (uarch.Stats, error) {
 	const fe, be = 1, 3
 	ctx, sp := obs.Start(ctx, "depth-point",
@@ -157,13 +173,6 @@ func depthPairEval(ctx context.Context, t *Tech, wire bool, pt DepthPoint, bench
 		return uarch.Stats{}, err
 	}
 	return BenchIPCCtx(ctx, bench, uarchConfig(fe, be, pt.Cuts))
-}
-
-// depthPairKey names the (depth, benchmark) checkpoint record; local
-// and sharded sweeps share it, so journals replay across both styles.
-func depthPairKey(t *Tech, wire bool, depth int, bench string) string {
-	return checkpoint.PointID("depth", t.Name, wireTag(wire),
-		"d"+strconv.Itoa(depth), bench)
 }
 
 // NormalizeDepth scales a sweep's Freq/Area/Perf to its first point

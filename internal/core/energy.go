@@ -32,15 +32,10 @@ type EnergyPoint struct {
 // pseudo-E logic burns microwatts per cell at millisecond cycle times),
 // so higher frequency directly reduces energy per op — deep pipelines
 // help organic energy as well as performance. Silicon is
-// dynamic-dominated and far less depth-sensitive.
-func EnergySweep(t *Tech, minDepth, maxDepth int) ([]EnergyPoint, error) {
-	return EnergySweepCtx(context.Background(), t, minDepth, maxDepth)
-}
-
-// EnergySweepCtx is EnergySweep with cancellation and span parenting
-// for the underlying depth sweep.
-func EnergySweepCtx(ctx context.Context, t *Tech, minDepth, maxDepth int) ([]EnergyPoint, error) {
-	pts, err := CoreDepthSweepCtx(ctx, t, minDepth, maxDepth, true)
+// dynamic-dominated and far less depth-sensitive. The underlying depth
+// sweep runs on the worker pool under ctx.
+func EnergySweep(ctx context.Context, t *Tech, minDepth, maxDepth int) ([]EnergyPoint, error) {
+	pts, err := CoreDepthSweep(ctx, t, minDepth, maxDepth, true, EvalPool)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,9 @@
 // Golden-conformance suite: committed renderings of the cheap
 // experiments (testdata/golden/*.tbl) pin the exact bytes every
 // execution style must produce, and the style matrix proves the
-// serial reference evaluator, the parallel sweeps, the batched kernel
-// (EvalPointsBatch), the shard-merged coordinator, and a
-// checkpoint-resumed run agree byte for byte. The suite is the safety
+// serial reference evaluator (EvalLocal), the worker pool (EvalPool),
+// the shard-merged coordinator, and a checkpoint-resumed run agree byte
+// for byte. The suite is the safety
 // net under hot-path kernel changes: an optimization that perturbs
 // float evaluation order or point enumeration fails here, not in a
 // downstream diff.
@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -94,8 +95,8 @@ func TestGoldenTables(t *testing.T) {
 }
 
 // execPeer is an in-process worker: leases evaluate through the real
-// shard.Exec path (grid rebuild, bounds normalization, batched
-// kernel), exactly like a remote biodegd would.
+// shard.Exec path (grid rebuild, bounds defaults, worker pool), exactly
+// like a remote biodegd would.
 type execPeer struct{ name string }
 
 func (p execPeer) Name() string { return p.name }
@@ -103,44 +104,45 @@ func (p execPeer) Exec(ctx context.Context, req *shard.Request) (*shard.Result, 
 	return shard.Exec(ctx, req)
 }
 
-// styleGrid is one conformance subject: a grid plus the high-level
-// sweep assemblies whose outputs must agree across evaluators.
+// styleGrid is one conformance subject: a grid plus the sweep assembly
+// whose output must agree across evaluators.
 type styleGrid struct {
+	name                          string
 	kind                          string
 	maxStages, minDepth, maxDepth int
-	// sweep runs the ordinary parallel sweep (the production local
-	// path) and returns its result in wire-neutral JSON.
-	sweep func(ctx context.Context, tech *core.Tech) (any, error)
-	// sharded runs the sharded assembly through eval.
-	sharded func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error)
+	wire                          bool
+	sweep                         func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error)
 }
 
 var styleGrids = []styleGrid{
 	{
-		kind: core.GridALUDepth, maxStages: 30,
-		sweep: func(ctx context.Context, tech *core.Tech) (any, error) {
-			return core.ALUDepthSweepCtx(ctx, tech, 30, true)
-		},
-		sharded: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.ALUDepthSharded(ctx, tech, 30, eval)
+		name: "alu-depth", kind: core.GridALUDepth, maxStages: 30, wire: true,
+		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
+			return core.ALUDepthSweep(ctx, tech, 30, true, eval)
 		},
 	},
 	{
-		kind: core.GridWidth,
-		sweep: func(ctx context.Context, tech *core.Tech) (any, error) {
-			return core.WidthSweepCtx(ctx, tech)
-		},
-		sharded: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.WidthSharded(ctx, tech, eval)
+		name: "alu-depth-nowire", kind: core.GridALUDepth, maxStages: 30,
+		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
+			return core.ALUDepthSweep(ctx, tech, 30, false, eval)
 		},
 	},
 	{
-		kind: core.GridCoreDepth, minDepth: 9, maxDepth: 11,
-		sweep: func(ctx context.Context, tech *core.Tech) (any, error) {
-			return core.CoreDepthSweepCtx(ctx, tech, 9, 11, true)
+		name: "width", kind: core.GridWidth, wire: true,
+		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
+			return core.WidthSweep(ctx, tech, eval)
 		},
-		sharded: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.CoreDepthSharded(ctx, tech, 9, 11, eval)
+	},
+	{
+		name: "core-depth", kind: core.GridCoreDepth, minDepth: 9, maxDepth: 11, wire: true,
+		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
+			return core.CoreDepthSweep(ctx, tech, 9, 11, true, eval)
+		},
+	},
+	{
+		name: "core-depth-nowire", kind: core.GridCoreDepth, minDepth: 9, maxDepth: 11,
+		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
+			return core.CoreDepthSweep(ctx, tech, 9, 11, false, eval)
 		},
 	},
 }
@@ -158,10 +160,11 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestGoldenExecutionStyles is the conformance matrix: for each sweep
-// grid, the serial reference evaluator, the batched kernel, and the
+// grid, the serial reference evaluator, the worker pool, and the
 // shard-merged coordinator must return identical point sets, and the
-// parallel local sweep must assemble to the same bytes as the sharded
-// assemblies over each of them.
+// sweep assembly must produce the same bytes over each of them. Shard
+// leases always name the with-wire grid, so over a no-wire grid the
+// coordinator must refuse the workers' answers rather than merge them.
 func TestGoldenExecutionStyles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("design-space sweeps are expensive")
@@ -169,8 +172,8 @@ func TestGoldenExecutionStyles(t *testing.T) {
 	ctx := context.Background()
 	tech := core.SiliconTech()
 	for _, sg := range styleGrids {
-		t.Run(sg.kind, func(t *testing.T) {
-			g, err := core.SweepGrid(ctx, sg.kind, tech, sg.maxStages, sg.minDepth, sg.maxDepth)
+		t.Run(sg.name, func(t *testing.T) {
+			g, err := core.SweepGrid(ctx, sg.kind, tech, sg.maxStages, sg.minDepth, sg.maxDepth, sg.wire)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,53 +181,85 @@ func TestGoldenExecutionStyles(t *testing.T) {
 			for i := range indices {
 				indices[i] = i
 			}
+			coord := shard.New(shard.Options{Batch: 5, HedgeAfter: -1},
+				execPeer{"w1"}, execPeer{"w2"})
 
-			// Point level: serial vs batched vs shard-merged.
+			// Point level: serial vs pool vs shard-merged (with-wire grids
+			// only; the assembly level below covers the no-wire refusal).
 			serial, err := core.EvalLocal(ctx, g, indices)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := core.EvalPointsBatch(ctx, g, indices)
+			pooled, err := core.EvalPool(ctx, g, indices)
 			if err != nil {
 				t.Fatal(err)
 			}
-			coord := shard.New(shard.Options{Batch: 5, HedgeAfter: -1},
-				execPeer{"w1"}, execPeer{"w2"})
-			merged, err := coord.Evaluate(ctx, g, indices)
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(serial, pooled) {
+				t.Errorf("pool evaluation diverged from serial reference")
 			}
-			if !reflect.DeepEqual(serial, batched) {
-				t.Errorf("batched kernel diverged from serial reference")
-			}
-			if !reflect.DeepEqual(serial, merged) {
-				t.Errorf("shard-merged evaluation diverged from serial reference")
+			if sg.wire {
+				merged, err := coord.Evaluate(ctx, g, indices)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(serial, merged) {
+					t.Errorf("shard-merged evaluation diverged from serial reference")
+				}
 			}
 
-			// Assembly level: the parallel local sweep and the sharded
-			// assemblies over each evaluator marshal to the same bytes.
-			local, err := sg.sweep(ctx, tech)
+			// Assembly level: the same bytes over every evaluator.
+			want, err := sg.sweep(ctx, tech, core.EvalLocal)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := mustJSON(t, local)
-			for _, style := range []struct {
+			styles := []struct {
 				name string
 				eval core.Evaluator
-			}{
-				{"serial", core.EvalLocal},
-				{"batched", core.EvalPointsBatch},
-				{"sharded", coord.Evaluate},
-			} {
-				got, err := sg.sharded(ctx, tech, style.eval)
+			}{{"pool", core.EvalPool}, {"sharded", coord.Evaluate}}
+			for _, style := range styles {
+				got, err := sg.sweep(ctx, tech, style.eval)
+				if style.name == "sharded" && !sg.wire {
+					if !errors.Is(err, shard.ErrConfigMismatch) {
+						t.Errorf("sharded no-wire assembly: err = %v, want ErrConfigMismatch", err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s assembly: %v", style.name, err)
 				}
-				if !bytes.Equal(mustJSON(t, got), want) {
-					t.Errorf("%s assembly bytes diverged from the parallel local sweep", style.name)
+				if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+					t.Errorf("%s assembly bytes diverged from the serial reference", style.name)
 				}
 			}
 		})
+	}
+}
+
+// TestGridCheckpointKeys pins one checkpoint key per sweep kind: a
+// journal written by any earlier build replays only while these bytes
+// hold.
+func TestGridCheckpointKeys(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		kind                          string
+		tech                          string
+		maxStages, minDepth, maxDepth int
+		wire                          bool
+		index                         int
+		want                          string
+	}{
+		{core.GridALUDepth, "silicon45", 30, 0, 0, true, 4, "alu/silicon45/wire/k0/n5"},
+		{core.GridALUDepth, "organic", 30, 0, 0, false, 0, "alu/organic/nowire/k0/n1"},
+		{core.GridCoreDepth, "organic", 0, 9, 15, false, 8, "depth/organic/nowire/d10/gap"},
+		{core.GridWidth, "silicon45", 0, 0, 0, true, 7, "width/silicon45/fe2/be4"},
+	} {
+		g, err := core.SweepGrid(ctx, tc.kind, &core.Tech{Name: tc.tech}, tc.maxStages, tc.minDepth, tc.maxDepth, tc.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Key(tc.index); got != tc.want {
+			t.Errorf("%s grid key %d = %q, want %q", tc.kind, tc.index, got, tc.want)
+		}
 	}
 }
 
@@ -237,7 +272,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	}
 	tech := core.SiliconTech()
 	base := config.WithContext(context.Background(), config.Config{Workers: 4})
-	cold, err := core.ALUDepthSweepCtx(base, tech, 12, true)
+	cold, err := core.ALUDepthSweep(base, tech, 12, true, core.EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +283,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := core.ALUDepthSweepCtx(runner.WithCheckpoint(base, jnl), tech, 12, true)
+	first, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl), tech, 12, true, core.EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +297,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	if rec.Records != 12 {
 		t.Fatalf("recovered %d journal records, want 12", rec.Records)
 	}
-	resumed, err := core.ALUDepthSweepCtx(runner.WithCheckpoint(base, jnl2), tech, 12, true)
+	resumed, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl2), tech, 12, true, core.EvalPool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/config"
-	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/runner"
-	"repro/internal/uarch"
 )
 
 // Grid kinds, matching both the /v1/sweeps/{kind} URL segment and the
@@ -38,11 +34,12 @@ func TechByName(name string) (*Tech, error) {
 
 // Grid is one design-space sweep viewed as a flat point lattice: N
 // points, each with a stable checkpoint key (Key) and an evaluator
-// (Eval) returning the point's JSON-clean value. The enumeration order
-// and keys are the single source of truth shared by the local sweeps,
-// the shard worker (which evaluates index subsets), and the coordinator
-// (which merges them back) — that sharing is what makes a sharded sweep
-// byte-identical to a local one.
+// (Eval) returning the point's JSON-clean value. Every sweep is
+// assembled from its grid through an Evaluator — the in-process pool
+// (EvalPool), the serial reference (EvalLocal), or the shard
+// coordinator — and the shard worker evaluates index subsets of the
+// same grid. That one enumeration order and key set is what makes a
+// sharded sweep byte-identical to a local one.
 type Grid struct {
 	Kind string
 	// Tech is the technology's wire name.
@@ -52,74 +49,59 @@ type Grid struct {
 	MinDepth, MaxDepth int
 	// N is the point count; valid indices are 0..N-1.
 	N int
-	// Key names point i for checkpointing — identical to the key the
-	// local sweep would use, so worker-side journals replay across the
-	// two execution styles.
+	// Key names point i for checkpointing. Every evaluator journals
+	// under it, and a coordinator checks worker answers against it.
 	Key func(i int) string
 	// Eval computes point i. The concrete value type depends on Kind
 	// (pipeline.Point, uarch.Stats, or WidthPoint); it marshals to the
 	// same JSON either way.
 	Eval func(ctx context.Context, i int) (any, error)
+
+	// skeleton is the core-depth grid's memoized serial cut-placement
+	// walk, shared by its Eval and its assembly (nil for other kinds).
+	skeleton func(ctx context.Context) ([]DepthPoint, error)
 }
 
-// SweepGrid builds the point lattice for one sweep kind over t.
-// Bounds of kinds that do not read them are ignored. Building a grid is
-// cheap — expensive prep (netlist analysis, the serial cut-placement
+// SweepDefaults fills the sweep-request bounds left unset (<= 0): a
+// 12-stage ALU sweep and core depths 9-15. The HTTP sweep handlers and
+// the shard worker both apply it, so a coordinator and its workers
+// agree on the grid whichever bounds a request spells out.
+func SweepDefaults(maxStages, minDepth, maxDepth int) (int, int, int) {
+	if maxStages <= 0 {
+		maxStages = 12
+	}
+	if minDepth <= 0 {
+		minDepth = 9
+	}
+	if maxDepth <= 0 {
+		maxDepth = 15
+	}
+	return maxStages, minDepth, maxDepth
+}
+
+// SweepGrid builds the point lattice for one sweep kind over t, with
+// or without wire delay. Bounds of kinds that do not read them are
+// ignored; the width sweep exists only with wire delay. Building a grid
+// is cheap — expensive prep (netlist analysis, the serial cut-placement
 // walk) is deferred into the first Eval call, so a coordinator that
 // only needs keys never pays it.
-func SweepGrid(ctx context.Context, kind string, t *Tech, maxStages, minDepth, maxDepth int) (*Grid, error) {
+func SweepGrid(ctx context.Context, kind string, t *Tech, maxStages, minDepth, maxDepth int, wire bool) (*Grid, error) {
 	switch kind {
 	case GridALUDepth:
 		if maxStages <= 0 {
 			return nil, fmt.Errorf("alu-depth grid: max_stages %d out of range", maxStages)
 		}
-		key, point := aluParts(t, true, 0)
-		return &Grid{
-			Kind: kind, Tech: t.Name, MaxStages: maxStages, N: maxStages,
-			Key:  key,
-			Eval: func(ctx context.Context, i int) (any, error) { return point(ctx, i) },
-		}, nil
+		return aluGrid(t, maxStages, wire), nil
 	case GridCoreDepth:
 		if maxDepth < minDepth || minDepth <= 0 {
 			return nil, fmt.Errorf("core-depth grid: depth bounds [%d, %d] out of range", minDepth, maxDepth)
 		}
-		benches := Benchmarks()
-		first := depthFirst(minDepth)
-		n := (maxDepth - first + 1) * len(benches)
-		if n < 0 {
-			n = 0
-		}
-		// The expensive serial cut-placement walk runs once, on first
-		// evaluation; keys need only arithmetic.
-		var (
-			once sync.Once
-			pts  []DepthPoint
-			err  error
-		)
-		skeleton := func(ctx context.Context) ([]DepthPoint, error) {
-			once.Do(func() { pts, err = depthSkeleton(ctx, t, minDepth, maxDepth, true) })
-			return pts, err
-		}
-		return &Grid{
-			Kind: kind, Tech: t.Name, MinDepth: minDepth, MaxDepth: maxDepth, N: n,
-			Key: func(i int) string {
-				return depthPairKey(t, true, first+i/len(benches), benches[i%len(benches)])
-			},
-			Eval: func(ctx context.Context, i int) (any, error) {
-				pts, err := skeleton(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return depthPairEval(ctx, t, true, pts[i/len(benches)], benches[i%len(benches)])
-			},
-		}, nil
+		return depthGrid(t, minDepth, maxDepth, wire), nil
 	case GridWidth:
-		key, point := widthParts(t)
-		return &Grid{
-			Kind: kind, Tech: t.Name, N: widthN,
-			Key:  key,
-			Eval: func(ctx context.Context, i int) (any, error) { return point(ctx, i) },
-		}, nil
+		if !wire {
+			return nil, fmt.Errorf("width grid: no wire-free variant")
+		}
+		return widthGrid(t), nil
 	}
 	return nil, fmt.Errorf("unknown sweep kind %q", kind)
 }
@@ -136,8 +118,9 @@ type PointValue struct {
 
 // Evaluator evaluates a set of grid indices — locally, or fanned out
 // across worker peers — returning one PointValue per index, any order.
-// The shard coordinator's Evaluate method is one; EvalLocal is the
-// degenerate in-process one the tests use.
+// EvalPool (the worker pool), the shard coordinator's Evaluate, and
+// EvalLocal (the serial reference the tests compare against) are the
+// three in use.
 type Evaluator func(ctx context.Context, g *Grid, indices []int) ([]PointValue, error)
 
 // allIndices is 0..n-1.
@@ -149,13 +132,18 @@ func allIndices(n int) []int {
 	return idx
 }
 
-// gather runs eval over the whole grid and validates coverage: every
-// index exactly once, every value either annotated or non-empty.
-func gather(ctx context.Context, g *Grid, eval Evaluator) ([]PointValue, error) {
+// assemble runs eval over the whole grid and decodes each point into
+// its slot of the result, in index order. It validates coverage (every
+// index exactly once, every value either annotated or non-empty); an
+// annotated failure aborts the sweep, or under config.PartialResults
+// takes the slot failed(i, annotation) returns.
+func assemble[T any](ctx context.Context, g *Grid, eval Evaluator, failed func(i int, msg string) T) ([]T, error) {
 	vals, err := eval(ctx, g, allIndices(g.N))
 	if err != nil {
 		return nil, err
 	}
+	partial := config.Get(ctx).PartialResults
+	out := make([]T, g.N)
 	seen := make([]bool, g.N)
 	for _, v := range vals {
 		if v.Index < 0 || v.Index >= g.N {
@@ -165,8 +153,17 @@ func gather(ctx context.Context, g *Grid, eval Evaluator) ([]PointValue, error) 
 			return nil, fmt.Errorf("%s sweep: evaluator returned index %d twice", g.Kind, v.Index)
 		}
 		seen[v.Index] = true
-		if v.Err == "" && len(v.Value) == 0 {
+		switch {
+		case v.Err != "" && !partial:
+			return nil, fmt.Errorf("point %s: %s", g.Key(v.Index), v.Err)
+		case v.Err != "":
+			out[v.Index] = failed(v.Index, v.Err)
+		case len(v.Value) == 0:
 			return nil, fmt.Errorf("%s sweep: evaluator returned empty value for index %d", g.Kind, v.Index)
+		default:
+			if err := json.Unmarshal(v.Value, &out[v.Index]); err != nil {
+				return nil, fmt.Errorf("point %s: decoding value: %w", g.Key(v.Index), err)
+			}
 		}
 	}
 	for i, ok := range seen {
@@ -174,149 +171,39 @@ func gather(ctx context.Context, g *Grid, eval Evaluator) ([]PointValue, error) 
 			return nil, fmt.Errorf("%s sweep: evaluator left index %d (%s) unevaluated", g.Kind, i, g.Key(i))
 		}
 	}
-	return vals, nil
+	return out, nil
 }
 
-// ALUDepthSharded reproduces Figure 12 through an external evaluator:
-// the grid's points are computed by eval (the shard coordinator fans
-// them out to worker peers) and merged back in index order, so the
-// result is byte-identical to ALUDepthSweepCtx under the same knobs.
-func ALUDepthSharded(ctx context.Context, t *Tech, maxStages int, eval Evaluator) ([]pipeline.Point, error) {
-	ctx, sp := obs.Start(ctx, "sweep:aludepth", obs.KV("tech", t.Name),
-		obs.Int("max_stages", maxStages), obs.Bool("sharded", true))
-	defer sp.End()
-	g, err := SweepGrid(ctx, GridALUDepth, t, maxStages, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := gather(ctx, g, eval)
-	if err != nil {
-		return nil, err
-	}
-	partial := config.Get(ctx).PartialResults
-	pts := make([]pipeline.Point, g.N)
-	for _, v := range vals {
-		if v.Err != "" {
-			if !partial {
-				return nil, fmt.Errorf("point %s: %s", g.Key(v.Index), v.Err)
-			}
-			pts[v.Index] = pipeline.Point{Stages: v.Index + 1, Err: v.Err}
-			continue
-		}
-		if err := json.Unmarshal(v.Value, &pts[v.Index]); err != nil {
-			return nil, fmt.Errorf("point %s: decoding value: %w", g.Key(v.Index), err)
-		}
-	}
-	return pts, nil
-}
-
-// CoreDepthSharded reproduces Figure 11 through an external evaluator.
-// The cheap serial cut-placement walk still runs locally (the depth
-// skeleton fixes Freq/Area/Cuts); only the expensive depth x benchmark
-// IPC simulations come from eval.
-func CoreDepthSharded(ctx context.Context, t *Tech, minDepth, maxDepth int, eval Evaluator) ([]DepthPoint, error) {
-	ctx, sp := obs.Start(ctx, "sweep:coredepth", obs.KV("tech", t.Name),
-		obs.Int("min_depth", minDepth), obs.Int("max_depth", maxDepth), obs.Bool("sharded", true))
-	defer sp.End()
-	g, err := SweepGrid(ctx, GridCoreDepth, t, 0, minDepth, maxDepth)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := depthSkeleton(ctx, t, minDepth, maxDepth, true)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := gather(ctx, g, eval)
-	if err != nil {
-		return nil, err
-	}
-	partial := config.Get(ctx).PartialResults
-	benches := Benchmarks()
-	for _, v := range vals {
-		pt, b := &pts[v.Index/len(benches)], benches[v.Index%len(benches)]
-		if v.Err != "" {
-			if !partial {
-				return nil, fmt.Errorf("point %s: %s", g.Key(v.Index), v.Err)
-			}
-			if pt.Errors == nil {
-				pt.Errors = map[string]string{}
-			}
-			pt.Errors[b] = v.Err
-			continue
-		}
-		var st uarch.Stats
-		if err := json.Unmarshal(v.Value, &st); err != nil {
-			return nil, fmt.Errorf("point %s: decoding value: %w", g.Key(v.Index), err)
-		}
-		pt.IPC[b] = st.IPC
-		pt.Perf[b] = st.IPC * pt.Freq
-	}
-	return pts, nil
-}
-
-// WidthSharded reproduces Figures 13-14 through an external evaluator.
-func WidthSharded(ctx context.Context, t *Tech, eval Evaluator) ([]WidthPoint, error) {
-	ctx, sp := obs.Start(ctx, "sweep:width", obs.KV("tech", t.Name), obs.Bool("sharded", true))
-	defer sp.End()
-	g, err := SweepGrid(ctx, GridWidth, t, 0, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := gather(ctx, g, eval)
-	if err != nil {
-		return nil, err
-	}
-	partial := config.Get(ctx).PartialResults
-	pts := make([]WidthPoint, g.N)
-	for _, v := range vals {
-		if v.Err != "" {
-			if !partial {
-				return nil, fmt.Errorf("point %s: %s", g.Key(v.Index), v.Err)
-			}
-			fe, be := widthAt(v.Index)
-			pts[v.Index] = WidthPoint{Front: fe, Back: be, Err: v.Err}
-			continue
-		}
-		if err := json.Unmarshal(v.Value, &pts[v.Index]); err != nil {
-			return nil, fmt.Errorf("point %s: decoding value: %w", g.Key(v.Index), err)
-		}
-	}
-	return pts, nil
-}
-
-// EvalPointsBatch evaluates a contiguous lease of grid indices on the
-// worker pool in chunked batches — the batched kernel entry point shared
-// by the shard worker (Exec) and the sharded sweep assemblies. Each
-// point keeps its own checkpoint key, fault-injection site, span, and
-// retry budget (chunking changes only which worker runs which index),
-// and the partial-results posture annotates failed points exactly the
-// way EvalLocal does — so the merged output is byte-identical to a
-// serial evaluation. It is itself an Evaluator.
-func EvalPointsBatch(ctx context.Context, g *Grid, indices []int) ([]PointValue, error) {
-	key := func(i int) string { return g.Key(indices[i]) }
+// EvalPool evaluates grid indices on the worker pool — the Evaluator
+// every local sweep and the shard worker (Exec) use. Each point runs
+// under its own checkpoint key (runner.Checkpointed), fault-injection
+// site, span, and retry budget, and the partial-results posture
+// annotates failed points exactly the way EvalLocal does, so the
+// output is byte-identical to a serial evaluation.
+func EvalPool(ctx context.Context, g *Grid, indices []int) ([]PointValue, error) {
 	point := func(ctx context.Context, i int) (json.RawMessage, error) {
-		v, err := g.Eval(ctx, indices[i])
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(v)
+		return runner.Checkpointed(ctx, g.Key(indices[i]), func(ctx context.Context) (json.RawMessage, error) {
+			v, err := g.Eval(ctx, indices[i])
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(v)
+		})
 	}
-	chunk := runner.Chunk(ctx, len(indices))
-	out := make([]PointValue, len(indices))
-	if !config.Get(ctx).PartialResults {
-		vals, err := runner.MapKeyedChunked(ctx, len(indices), chunk, key, point)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range vals {
-			out[i] = PointValue{Index: indices[i], Value: v}
-		}
-		return out, nil
+	var (
+		vals []json.RawMessage
+		errs []*runner.TaskError
+		err  error
+	)
+	if config.Get(ctx).PartialResults {
+		vals, errs, err = runner.MapPartial(ctx, len(indices), point)
+	} else {
+		vals, err = runner.Map(ctx, len(indices), point)
 	}
-	vals, errs, err := runner.MapPartialKeyedChunked(ctx, len(indices), chunk, key, point)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]PointValue, len(indices))
 	for i, v := range vals {
 		out[i] = PointValue{Index: indices[i], Value: v}
 	}
@@ -349,24 +236,4 @@ func EvalLocal(ctx context.Context, g *Grid, indices []int) ([]PointValue, error
 		out = append(out, PointValue{Index: i, Value: b})
 	}
 	return out, nil
-}
-
-// depthFirst is the first depth the skeleton emits: the baseline stage
-// count when minDepth asks for less (the walk cannot go shallower than
-// the uncut baseline).
-func depthFirst(minDepth int) int {
-	if minDepth < int(numStages) {
-		return int(numStages)
-	}
-	return minDepth
-}
-
-// widthN is the width grid's point count (FE 1-6 x BE 3-7).
-const widthN = (MaxBack - MinBack + 1) * (MaxFront - MinFront + 1)
-
-// widthAt maps a flat width-grid index to its (front, back) pair in the
-// serial sweep's back-major order.
-func widthAt(i int) (fe, be int) {
-	const cols = MaxFront - MinFront + 1
-	return MinFront + i%cols, MinBack + i/cols
 }

@@ -56,8 +56,9 @@ func BenchIPCCtx(ctx context.Context, bench string, cfg uarch.Config) (uarch.Sta
 
 // BenchIPCUncachedCtx runs the full cycle-level simulation every call,
 // bypassing the process-wide memo. The sweeps never want this; it
-// exists for benchmarking the simulator itself (benchrun -json), where
-// a memo hit would measure a map lookup instead of the model.
+// exists for benchmarking the simulator itself (the layer ledger of
+// bash bench/run.sh, see bench/README.md), where a memo hit would
+// measure a map lookup instead of the model.
 func BenchIPCUncachedCtx(ctx context.Context, bench string, cfg uarch.Config) (uarch.Stats, error) {
 	_, sp := obs.Start(ctx, "ipc",
 		obs.KV("bench", bench),

@@ -6,11 +6,9 @@ import (
 	"strconv"
 
 	"repro/internal/checkpoint"
-	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 )
 
 // Width ranges of the Figures 13-14 experiment.
@@ -36,76 +34,71 @@ type WidthPoint struct {
 
 // WidthSweep synthesizes the thirty width configurations of the paper
 // (front-end width 1-6 x back-end pipes 3-7) at the 9-stage baseline
-// depth and reports period, area, and benchmark-averaged performance.
-func WidthSweep(t *Tech) ([]WidthPoint, error) {
-	return WidthSweepCtx(context.Background(), t)
-}
-
-// WidthSweepCtx is WidthSweep with cancellation. Every (front, back)
-// configuration is independent, so the whole FE x BE grid fans out over
-// the worker pool; shared stage analyses and benchmark simulations are
-// deduplicated by the per-key memo caches, and results come back in the
-// serial sweep's (back-major) order.
-func WidthSweepCtx(ctx context.Context, t *Tech) ([]WidthPoint, error) {
-	ctx, sweepSpan := obs.Start(ctx, "sweep:width", obs.KV("tech", t.Name))
-	defer sweepSpan.End()
-	key, point := widthParts(t)
-	chunk := runner.Chunk(ctx, widthN)
-	if !config.Get(ctx).PartialResults {
-		return runner.MapKeyedChunked(ctx, widthN, chunk, key, point)
-	}
-	pts, errs, err := runner.MapPartialKeyedChunked(ctx, widthN, chunk, key, point)
+// depth and reports period, area, and benchmark-averaged performance
+// (Figures 13-14). Every configuration is an independent point of the
+// grid eval computes; shared stage analyses and benchmark simulations
+// are deduplicated by the per-key memo caches, and results come back in
+// back-major order.
+func WidthSweep(ctx context.Context, t *Tech, eval Evaluator) ([]WidthPoint, error) {
+	ctx, sp := obs.Start(ctx, "sweep:width", obs.KV("tech", t.Name))
+	defer sp.End()
+	g, err := SweepGrid(ctx, GridWidth, t, 0, 0, 0, true)
 	if err != nil {
 		return nil, err
 	}
-	for _, te := range errs {
-		fe, be := widthAt(te.Index)
-		pts[te.Index] = WidthPoint{
-			Front: fe,
-			Back:  be,
-			Err:   runner.ErrLabel(te.Err),
-		}
-	}
-	return pts, nil
+	return assemble(ctx, g, eval, func(i int, msg string) WidthPoint {
+		fe, be := widthAt(i)
+		return WidthPoint{Front: fe, Back: be, Err: msg}
+	})
 }
 
-// widthParts returns the Figures 13-14 lattice parts shared by the
-// local sweep and the shard grid: one checkpoint record and one typed
-// evaluation per (front, back) configuration, enumerated in the serial
-// sweep's back-major order.
-func widthParts(t *Tech) (runner.KeyFunc, func(context.Context, int) (WidthPoint, error)) {
-	point := func(ctx context.Context, i int) (WidthPoint, error) {
-		fe, be := widthAt(i)
-		ctx, sp := obs.Start(ctx, "width-point", obs.Int("fe", fe), obs.Int("be", be))
-		defer sp.End()
-		if err := fault.Inject(ctx, fmt.Sprintf("width-point:%s:fe%d:be%d", t.Name, fe, be)); err != nil {
-			return WidthPoint{}, err
-		}
-		blocks, err := coreBlocks(ctx, t, fe, be, true)
-		if err != nil {
-			return WidthPoint{}, err
-		}
-		period, tp := pipeline.CoreTiming(ctx, blocks, t.DFF(), pipeline.Config{Wire: t.Wire, UseWire: true})
-		mean, err := MeanIPCCtx(ctx, uarchConfig(fe, be, nil))
-		if err != nil {
-			return WidthPoint{}, err
-		}
-		return WidthPoint{
-			Front:   fe,
-			Back:    be,
-			Period:  period,
-			Freq:    tp.Freq,
-			Area:    tp.Area,
-			MeanIPC: mean,
-			Perf:    mean * tp.Freq,
-		}, nil
+// widthN is the width grid's point count (FE 1-6 x BE 3-7).
+const widthN = (MaxBack - MinBack + 1) * (MaxFront - MinFront + 1)
+
+// widthAt maps a flat width-grid index to its (front, back) pair in
+// back-major order.
+func widthAt(i int) (fe, be int) {
+	const cols = MaxFront - MinFront + 1
+	return MinFront + i%cols, MinBack + i/cols
+}
+
+// widthGrid is the Figures 13-14 lattice: one point, and one checkpoint
+// record, per (front, back) configuration.
+func widthGrid(t *Tech) *Grid {
+	return &Grid{
+		Kind: GridWidth, Tech: t.Name, N: widthN,
+		Key: func(i int) string {
+			fe, be := widthAt(i)
+			return checkpoint.PointID("width", t.Name,
+				"fe"+strconv.Itoa(fe), "be"+strconv.Itoa(be))
+		},
+		Eval: func(ctx context.Context, i int) (any, error) {
+			fe, be := widthAt(i)
+			ctx, sp := obs.Start(ctx, "width-point", obs.Int("fe", fe), obs.Int("be", be))
+			defer sp.End()
+			if err := fault.Inject(ctx, fmt.Sprintf("width-point:%s:fe%d:be%d", t.Name, fe, be)); err != nil {
+				return nil, err
+			}
+			blocks, err := coreBlocks(ctx, t, fe, be, true)
+			if err != nil {
+				return nil, err
+			}
+			period, tp := pipeline.CoreTiming(ctx, blocks, t.DFF(), pipeline.Config{Wire: t.Wire, UseWire: true})
+			mean, err := MeanIPCCtx(ctx, uarchConfig(fe, be, nil))
+			if err != nil {
+				return nil, err
+			}
+			return WidthPoint{
+				Front:   fe,
+				Back:    be,
+				Period:  period,
+				Freq:    tp.Freq,
+				Area:    tp.Area,
+				MeanIPC: mean,
+				Perf:    mean * tp.Freq,
+			}, nil
+		},
 	}
-	key := func(i int) string {
-		fe, be := widthAt(i)
-		return checkpoint.PointID("width", t.Name,
-			"fe"+strconv.Itoa(fe), "be"+strconv.Itoa(be))
-	}
-	return key, point
 }
 
 // Matrix arranges a width sweep into the paper's M[back][front] layout,

@@ -106,6 +106,23 @@ func TestCheckpointedNoSinkIsPlainCompute(t *testing.T) {
 	}
 }
 
+// mapKeyed runs fn over [0, n) with each task journaled under key(i) —
+// the way the sweep evaluator wraps every grid point in Checkpointed.
+func mapKeyed[T any](ctx context.Context, n int, key func(i int) string, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	return Map(ctx, n, keyedTask(key, fn))
+}
+
+// mapPartialKeyed is mapKeyed under MapPartial.
+func mapPartialKeyed[T any](ctx context.Context, n int, key func(i int) string, fn func(ctx context.Context, i int) (T, error)) ([]T, []*TaskError, error) {
+	return MapPartial(ctx, n, keyedTask(key, fn))
+}
+
+func keyedTask[T any](key func(i int) string, fn func(ctx context.Context, i int) (T, error)) func(ctx context.Context, i int) (T, error) {
+	return func(ctx context.Context, i int) (T, error) {
+		return Checkpointed(ctx, key(i), func(ctx context.Context) (T, error) { return fn(ctx, i) })
+	}
+}
+
 func TestMapKeyedSkipsJournaledTasks(t *testing.T) {
 	cp := newFakeCheckpoint()
 	// Pre-journal the even indices; only the odd ones should compute.
@@ -114,7 +131,7 @@ func TestMapKeyedSkipsJournaledTasks(t *testing.T) {
 	}
 	ctx := WithCheckpoint(context.Background(), cp)
 	var computed atomic.Int64
-	out, err := MapKeyed(ctx, 10, func(i int) string { return "t/" + strconv.Itoa(i) },
+	out, err := mapKeyed(ctx, 10, func(i int) string { return "t/" + strconv.Itoa(i) },
 		func(_ context.Context, i int) (int, error) {
 			computed.Add(1)
 			return i * 100, nil
@@ -136,7 +153,7 @@ func TestMapKeyedSkipsJournaledTasks(t *testing.T) {
 
 	// A full re-run replays everything: zero computes, identical output.
 	computed.Store(0)
-	out2, err := MapKeyed(ctx, 10, func(i int) string { return "t/" + strconv.Itoa(i) },
+	out2, err := mapKeyed(ctx, 10, func(i int) string { return "t/" + strconv.Itoa(i) },
 		func(_ context.Context, i int) (int, error) {
 			computed.Add(1)
 			return -1, errors.New("must not run")
@@ -158,7 +175,7 @@ func TestMapPartialKeyedJournalsOnlySuccesses(t *testing.T) {
 	cp := newFakeCheckpoint()
 	ctx := WithCheckpoint(context.Background(), cp)
 	fail := errors.New("boom")
-	_, errs, err := MapPartialKeyed(ctx, 4, func(i int) string { return "p/" + strconv.Itoa(i) },
+	_, errs, err := mapPartialKeyed(ctx, 4, func(i int) string { return "p/" + strconv.Itoa(i) },
 		func(_ context.Context, i int) (int, error) {
 			if i == 2 {
 				return 0, fail
@@ -180,7 +197,7 @@ func TestMapPartialKeyedJournalsOnlySuccesses(t *testing.T) {
 
 	// On resume the failed point computes, the successes replay.
 	var computed atomic.Int64
-	out, errs2, err := MapPartialKeyed(ctx, 4, func(i int) string { return "p/" + strconv.Itoa(i) },
+	out, errs2, err := mapPartialKeyed(ctx, 4, func(i int) string { return "p/" + strconv.Itoa(i) },
 		func(_ context.Context, i int) (int, error) {
 			computed.Add(1)
 			return i, nil
@@ -196,14 +213,14 @@ func TestMapPartialKeyedJournalsOnlySuccesses(t *testing.T) {
 	}
 }
 
-// TestMapKeyedEmptyKeyOptsOut checks a KeyFunc returning "" leaves that
-// task unjournaled: it always computes, never commits.
+// TestMapKeyedEmptyKeyOptsOut checks a key function returning "" leaves
+// that task unjournaled: it always computes, never commits.
 func TestMapKeyedEmptyKeyOptsOut(t *testing.T) {
 	cp := newFakeCheckpoint()
 	ctx := WithCheckpoint(context.Background(), cp)
 	for run := 0; run < 2; run++ {
 		var computed atomic.Int64
-		_, err := MapKeyed(ctx, 3, func(i int) string { return "" },
+		_, err := mapKeyed(ctx, 3, func(i int) string { return "" },
 			func(_ context.Context, i int) (int, error) {
 				computed.Add(1)
 				return i, nil

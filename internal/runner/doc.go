@@ -4,13 +4,16 @@
 // sweeps, and the experiment registry itself — runs through the same
 // two primitives:
 //
-//   - Map / ForEach: a bounded worker pool (sized by the
+//   - Map / MapPartial: a bounded worker pool (sized by the
 //     configuration carried in the context — see internal/config —
 //     falling back to runtime.GOMAXPROCS) that executes
 //     n index-addressed tasks, returns results in index order
-//     regardless of completion order, captures the first error,
-//     cancels the remaining tasks through the context, and converts
-//     per-task panics into errors instead of crashing the process.
+//     regardless of completion order, and converts per-task panics
+//     into errors instead of crashing the process. Map captures the
+//     first error and cancels the remaining tasks through the context;
+//     MapPartial runs every task and reports the failures by index.
+//     A task that should replay from the crash-safe journal wraps its
+//     body in Checkpointed.
 //
 //   - Memo: a per-key singleflight cache. Concurrent callers asking
 //     for the same key share one computation (the others block until

@@ -44,7 +44,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 
 func TestRetryAttemptNumberReachesFault(t *testing.T) {
 	var seen atomic.Int64
-	err := ForEach(retryCtx(2), 1, func(ctx context.Context, i int) error {
+	err := each(retryCtx(2), 1, func(ctx context.Context, i int) error {
 		a := fault.AttemptFromContext(ctx)
 		seen.Add(1)
 		if a < 2 {
@@ -59,7 +59,7 @@ func TestRetryAttemptNumberReachesFault(t *testing.T) {
 
 func TestRetryExhaustionReturnsFinalError(t *testing.T) {
 	var attempts atomic.Int64
-	err := ForEach(retryCtx(2), 1, func(ctx context.Context, i int) error {
+	err := each(retryCtx(2), 1, func(ctx context.Context, i int) error {
 		attempts.Add(1)
 		return errors.New("permanent")
 	})
@@ -73,7 +73,7 @@ func TestRetryExhaustionReturnsFinalError(t *testing.T) {
 
 func TestRetriedPanicRecovered(t *testing.T) {
 	var attempts atomic.Int64
-	err := ForEach(retryCtx(1), 1, func(ctx context.Context, i int) error {
+	err := each(retryCtx(1), 1, func(ctx context.Context, i int) error {
 		if attempts.Add(1) == 1 {
 			panic("chaos")
 		}
@@ -176,7 +176,7 @@ func TestStageTimeoutBoundsAttempts(t *testing.T) {
 		Workers: 2, Retries: 1, RetryBase: time.Millisecond, StageTimeout: 20 * time.Millisecond,
 	})
 	start := time.Now()
-	err := ForEach(ctx, 1, func(ctx context.Context, i int) error {
+	err := each(ctx, 1, func(ctx context.Context, i int) error {
 		select {
 		case <-time.After(10 * time.Second):
 			return nil
@@ -202,7 +202,7 @@ func TestRetryStopsOnParentCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err := ForEach(ctx, 1, func(ctx context.Context, i int) error {
+	err := each(ctx, 1, func(ctx context.Context, i int) error {
 		attempts.Add(1)
 		return errors.New("always failing")
 	})
@@ -237,4 +237,10 @@ func strings200() string {
 		b[i] = 'x'
 	}
 	return string(b)
+}
+
+// each runs an error-only task body through Map.
+func each(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	_, err := Map(ctx, n, func(ctx context.Context, i int) (struct{}, error) { return struct{}{}, fn(ctx, i) })
+	return err
 }

@@ -40,7 +40,7 @@ var (
 // sessions with different worker counts share no pool state.
 func Workers() int { return config.Default().WorkerCount() }
 
-// WorkersFor resolves the worker count ForEach will use for ctx: the
+// WorkersFor resolves the worker count Map will use for ctx: the
 // context-carried config when one is attached (biodeg.Session attaches
 // its own), else the process default.
 func WorkersFor(ctx context.Context) int { return config.Get(ctx).WorkerCount() }
@@ -128,76 +128,13 @@ func ErrLabel(err error) string {
 // converted to *PanicError) cancels the derived context; tasks not yet
 // started are skipped and Map returns that first error. A cancelled
 // parent context stops the pool promptly with ctx.Err().
-func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapChunked(ctx, n, 1, fn)
-}
-
-// MapChunked is Map with a scheduling batch size: workers claim
-// contiguous runs of `chunk` indices instead of one index at a time, so
-// per-task dispatch cost amortizes across a run. Every per-index
-// behavior — retries, checkpoint consults, fault-injection attempts,
-// spans, result order — is unchanged; only which worker runs which
-// index differs, so results are byte-identical to Map's. chunk <= 1
-// means no batching; Chunk picks a reasonable size.
-func MapChunked[T any](ctx context.Context, n, chunk int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	_, err := forEach(ctx, n, chunk, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	}, false)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Chunk returns the scheduling batch size MapChunked should use for n
-// tasks under the context's worker count: small enough that every
-// worker cycles through several chunks (load balance under uneven task
-// cost), large enough to amortize dispatch when n is much larger than
-// the pool.
-func Chunk(ctx context.Context, n int) int {
-	c := n / (4 * WorkersFor(ctx))
-	if c < 1 {
-		return 1
-	}
-	return c
-}
-
-// MapPartial is Map without fail-fast: every task runs to completion
-// (or exhausts its retry budget), successes land in the result slice at
-// their index, and failures come back as TaskErrors sorted by index —
-// the degraded-sweep primitive behind config.PartialResults. The error
-// return is non-nil only when the parent context was cancelled, in
-// which case both slices are incomplete.
-func MapPartial[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []*TaskError, error) {
-	return MapPartialChunked(ctx, n, 1, fn)
-}
-
-// MapPartialChunked is MapPartial with MapChunked's scheduling batch
-// size.
-func MapPartialChunked[T any](ctx context.Context, n, chunk int, fn func(ctx context.Context, i int) (T, error)) ([]T, []*TaskError, error) {
-	out := make([]T, n)
-	errs, err := forEach(ctx, n, chunk, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	}, true)
-	return out, errs, err
-}
-
-// ForEach is Map without collected results: it runs fn(ctx, i) for
-// every i in [0, n) on the bounded pool and returns the first error.
+//
+// Workers claim contiguous chunks of indices (chunkSize) rather than
+// one index at a time, so dispatch cost amortizes when n is much larger
+// than the pool; every per-index behavior below is unchanged by it.
 //
 // When span tracing is enabled (internal/obs), each task runs inside a
-// "runner.task" span parented to the span active in ctx at the ForEach
+// "runner.task" span parented to the span active in ctx at the Map
 // call. The span's duration is the execute time; its queue_wait_us
 // attribute is the time the task spent waiting between batch submission
 // and a worker picking it up, so a trace shows the queue-wait versus
@@ -210,25 +147,57 @@ func MapPartialChunked[T any](ctx context.Context, n, chunk int, fn func(ctx con
 // "retry" metrics stage; with StageTimeout > 0, every attempt runs
 // under its own deadline. Each attempt carries its attempt number via
 // internal/fault's context key, so injected faults re-draw per retry.
-func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := forEach(ctx, n, 1, fn, false)
-	return err
+func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	if _, err := pool(ctx, n, chunkSize(ctx, n), false, into(out, fn)); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// ForEachPartial is ForEach without fail-fast; see MapPartial.
-func ForEachPartial(ctx context.Context, n int, fn func(ctx context.Context, i int) error) ([]*TaskError, error) {
-	return forEach(ctx, n, 1, fn, true)
+// MapPartial is Map without fail-fast: every task runs to completion
+// (or exhausts its retry budget), successes land in the result slice at
+// their index, and failures come back as TaskErrors sorted by index —
+// the degraded-sweep primitive behind config.PartialResults. The error
+// return is non-nil only when the parent context was cancelled, in
+// which case both slices are incomplete.
+func MapPartial[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []*TaskError, error) {
+	out := make([]T, n)
+	errs, err := pool(ctx, n, chunkSize(ctx, n), true, into(out, fn))
+	return out, errs, err
 }
 
-// forEach is the shared pool: partial selects collect-and-continue
-// over first-error cancellation; workers claim contiguous runs of
-// `chunk` indices (1 = one at a time).
-func forEach(ctx context.Context, n, chunk int, fn func(ctx context.Context, i int) error, partial bool) ([]*TaskError, error) {
+// into adapts a result-returning task to the pool's error-only task,
+// storing each success at its index in out.
+func into[T any](out []T, fn func(ctx context.Context, i int) (T, error)) func(ctx context.Context, i int) error {
+	return func(ctx context.Context, i int) error {
+		v, err := fn(ctx, i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		return nil
+	}
+}
+
+// chunkSize is the scheduling batch size for n tasks under the
+// context's worker count: about four chunks per worker, so every worker
+// cycles through several (load balance under uneven task cost) while
+// dispatch amortizes when n is much larger than the pool.
+func chunkSize(ctx context.Context, n int) int {
+	c := n / (4 * WorkersFor(ctx))
+	if c < 1 {
+		return 1
+	}
+	return c
+}
+
+// pool is the shared worker pool behind Map and MapPartial: partial
+// selects collect-and-continue over first-error cancellation; workers
+// claim contiguous runs of chunk >= 1 indices (1 = one at a time).
+func pool(ctx context.Context, n, chunk int, partial bool, fn func(ctx context.Context, i int) error) ([]*TaskError, error) {
 	if n <= 0 {
 		return nil, ctx.Err()
-	}
-	if chunk < 1 {
-		chunk = 1
 	}
 	numChunks := (n + chunk - 1) / chunk
 	cfg := config.Get(ctx)
@@ -412,7 +381,7 @@ func (mm *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 		defer func() {
 			if r := recover(); r != nil {
 				if fault.IsKill(r) {
-					panic(r) // simulated hard crash; see forEach's attempt
+					panic(r) // simulated hard crash; see pool's attempt
 				}
 				stack := make([]byte, 64<<10)
 				stack = stack[:runtime.Stack(stack, false)]

@@ -214,7 +214,7 @@ func TestWorkersFromContextConfig(t *testing.T) {
 func maxConcurrency(t *testing.T, ctx context.Context, n int) int64 {
 	t.Helper()
 	var cur, max atomic.Int64
-	err := ForEach(ctx, n, func(ctx context.Context, i int) error {
+	_, err := Map(ctx, n, func(ctx context.Context, i int) (struct{}, error) {
 		c := cur.Add(1)
 		for {
 			m := max.Load()
@@ -224,7 +224,7 @@ func maxConcurrency(t *testing.T, ctx context.Context, n int) int64 {
 		}
 		time.Sleep(20 * time.Millisecond)
 		cur.Add(-1)
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,35 +252,48 @@ func TestPoolSizeIsPerContext(t *testing.T) {
 	}
 }
 
+// manyTasks is a context whose task counts below are much larger than
+// the pool, so Map and MapPartial schedule in chunks of several indices.
+func manyTasks() context.Context {
+	return config.WithContext(context.Background(), config.Config{Workers: 2})
+}
+
 func TestMapChunkedMatchesMap(t *testing.T) {
 	// Chunked scheduling changes which worker runs which index, never
-	// the results: every index runs exactly once and lands at its slot.
+	// the results: at every chunk size each index runs exactly once and
+	// lands at its slot, exactly as Map's own chunk choice does.
+	want, err := Map(manyTasks(), 1000, func(_ context.Context, i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, chunk := range []int{1, 3, 7, 16, 100, 1000} {
+		out := make([]int, len(want))
 		var ran atomic.Int64
-		out, err := MapChunked(context.Background(), 100, chunk, func(_ context.Context, i int) (int, error) {
+		_, err := pool(manyTasks(), len(want), chunk, false, into(out, func(_ context.Context, i int) (int, error) {
 			ran.Add(1)
 			return i * i, nil
-		})
+		}))
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
-		if ran.Load() != 100 {
-			t.Fatalf("chunk=%d: %d tasks ran, want 100", chunk, ran.Load())
+		if ran.Load() != int64(len(want)) {
+			t.Fatalf("chunk=%d: %d tasks ran, want %d", chunk, ran.Load(), len(want))
 		}
 		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("chunk=%d: out[%d] = %d, want %d", chunk, i, v, i*i)
+			if v != want[i] {
+				t.Fatalf("chunk=%d: out[%d] = %d, want %d", chunk, i, v, want[i])
 			}
 		}
 	}
 }
 
 func TestMapChunkedFailFast(t *testing.T) {
-	// An error cancels the sweep; workers abandon the rest of their
-	// claimed chunk rather than draining it.
+	// With n much larger than the pool, an error still cancels the
+	// sweep: workers abandon the rest of their claimed chunk rather than
+	// draining it.
 	sentinel := errors.New("boom")
 	var ran atomic.Int64
-	_, err := MapChunked(context.Background(), 1000, 50, func(ctx context.Context, i int) (int, error) {
+	_, err := Map(manyTasks(), 1000, func(ctx context.Context, i int) (int, error) {
 		ran.Add(1)
 		if i == 3 {
 			return 0, sentinel
@@ -296,10 +309,10 @@ func TestMapChunkedFailFast(t *testing.T) {
 }
 
 func TestMapPartialChunkedCollectsErrors(t *testing.T) {
-	// Partial-results chunked sweeps annotate failures per index and
-	// still evaluate every other point.
+	// With n much larger than the pool, partial results still annotate
+	// failures per index and evaluate every other point.
 	sentinel := errors.New("bad point")
-	out, errs, err := MapPartialChunked(context.Background(), 97, 8, func(_ context.Context, i int) (int, error) {
+	out, errs, err := MapPartial(manyTasks(), 997, func(_ context.Context, i int) (int, error) {
 		if i%10 == 4 {
 			return 0, sentinel
 		}
@@ -308,12 +321,12 @@ func TestMapPartialChunkedCollectsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(errs) != 10 {
-		t.Fatalf("%d task errors, want 10", len(errs))
+	if len(errs) != 100 {
+		t.Fatalf("%d task errors, want 100", len(errs))
 	}
-	for _, te := range errs {
-		if te.Index%10 != 4 || !errors.Is(te.Err, sentinel) {
-			t.Errorf("unexpected task error %+v", te)
+	for k, te := range errs {
+		if te.Index != 10*k+4 || !errors.Is(te.Err, sentinel) {
+			t.Errorf("task error %d = %+v, want index %d in order", k, te, 10*k+4)
 		}
 	}
 	for i, v := range out {
@@ -327,16 +340,11 @@ func TestMapPartialChunkedCollectsErrors(t *testing.T) {
 }
 
 func TestChunkSizing(t *testing.T) {
-	// Chunk targets ~4 chunks per worker and never returns less than 1.
-	ctx := context.Background()
-	w := WorkersFor(ctx)
-	if got, want := Chunk(ctx, 0), 1; got != want {
-		t.Errorf("Chunk(0) = %d, want %d", got, want)
-	}
-	if got, want := Chunk(ctx, 1), 1; got != want {
-		t.Errorf("Chunk(1) = %d, want %d", got, want)
-	}
-	if got, want := Chunk(ctx, 8*4*w), 8; got != want {
-		t.Errorf("Chunk(%d) = %d, want %d", 8*4*w, got, want)
+	// Chunks target ~4 per worker and are never smaller than 1.
+	ctx := manyTasks()
+	for _, tc := range []struct{ n, want int }{{0, 1}, {1, 1}, {8, 1}, {64, 8}, {1000, 125}} {
+		if got := chunkSize(ctx, tc.n); got != tc.want {
+			t.Errorf("chunkSize(%d) with 2 workers = %d, want %d", tc.n, got, tc.want)
+		}
 	}
 }

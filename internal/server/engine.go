@@ -8,6 +8,7 @@ import (
 
 	"repro/biodeg"
 	"repro/biodeg/api"
+	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -102,17 +103,7 @@ func (e *SessionEngine) Sweep(ctx context.Context, kind string, req api.SweepReq
 	// Validate kind and bounds before resolving the technology:
 	// resolution characterizes the cell library on first use, and a
 	// malformed request must not pay (or trigger) that.
-	maxStages := req.MaxStages
-	if maxStages <= 0 {
-		maxStages = 12
-	}
-	minDepth, maxDepth := req.MinDepth, req.MaxDepth
-	if minDepth <= 0 {
-		minDepth = 9
-	}
-	if maxDepth <= 0 {
-		maxDepth = 15
-	}
+	maxStages, minDepth, maxDepth := core.SweepDefaults(req.MaxStages, req.MinDepth, req.MaxDepth)
 	switch kind {
 	case api.SweepALUDepth, api.SweepWidth:
 	case api.SweepCoreDepth:

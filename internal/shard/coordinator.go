@@ -247,13 +247,11 @@ func (c *Coordinator) lease(ctx context.Context, g *core.Grid, idxs []int) ([]co
 		}
 		res, err := c.dispatch(ctx, req)
 		if err == nil {
-			vals, err := leaseValues(g, idxs, res)
-			if err != nil {
-				lastErr = err
-				continue
+			var vals []core.PointValue
+			if vals, err = leaseValues(g, idxs, res); err == nil {
+				leasesTotal.With("ok").Inc()
+				return vals, nil
 			}
-			leasesTotal.With("ok").Inc()
-			return vals, nil
 		}
 		if errors.Is(err, ErrConfigMismatch) || ctx.Err() != nil {
 			leasesTotal.With("aborted").Inc()
@@ -266,7 +264,11 @@ func (c *Coordinator) lease(ctx context.Context, g *core.Grid, idxs []int) ([]co
 }
 
 // leaseValues validates a worker result against the lease: every
-// leased index answered exactly once, no extras.
+// leased index answered exactly once, no extras, each under the
+// coordinator's own key for that index. A key mismatch means the worker
+// evaluated a different grid (the request does not carry every knob
+// that shapes it, e.g. wire mode), so it is an ErrConfigMismatch: no
+// re-dispatch can fix it.
 func leaseValues(g *core.Grid, idxs []int, res *Result) ([]core.PointValue, error) {
 	if len(res.Points) != len(idxs) {
 		return nil, fmt.Errorf("worker %s returned %d points for a %d-point lease", res.Worker, len(res.Points), len(idxs))
@@ -281,6 +283,9 @@ func leaseValues(g *core.Grid, idxs []int, res *Result) ([]core.PointValue, erro
 			return nil, fmt.Errorf("worker %s returned unleased or duplicate index %d", res.Worker, p.Index)
 		}
 		delete(want, p.Index)
+		if k := g.Key(p.Index); p.Key != k {
+			return nil, fmt.Errorf("%w: worker %s answered index %d as %q, want %q", ErrConfigMismatch, res.Worker, p.Index, p.Key, k)
+		}
 		if p.Err == "" && len(p.Value) == 0 {
 			return nil, fmt.Errorf("worker %s returned empty value for index %d (%s)", res.Worker, p.Index, g.Key(p.Index))
 		}

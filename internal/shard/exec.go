@@ -12,10 +12,13 @@ import (
 
 // Exec evaluates one lease in this process — the worker side of
 // POST /v1/shards/exec. The leased indices fan out over the worker
-// pool with the same per-point checkpoint keys a local sweep uses, so
-// a worker's own journal replays across execution styles. Under
-// config.PartialResults a failed point comes back annotated instead of
-// failing the lease (mirroring the local sweeps' posture).
+// pool (core.EvalPool) with the same per-point checkpoint keys a local
+// sweep uses, so a worker's own journal replays across execution
+// styles. Under config.PartialResults a failed point comes back
+// annotated instead of failing the lease (mirroring the local sweeps'
+// posture). Leases always name the with-wire grid: the wire flag is not
+// on the wire, and each answered point carries its key so a
+// coordinator holding any other grid rejects the answer.
 func Exec(ctx context.Context, req *Request) (*Result, error) {
 	if len(req.Indices) == 0 {
 		return nil, fmt.Errorf("%w: empty index batch", ErrBadRequest)
@@ -30,8 +33,8 @@ func Exec(ctx context.Context, req *Request) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	maxStages, minDepth, maxDepth := normalizeBounds(req.MaxStages, req.MinDepth, req.MaxDepth)
-	g, err := core.SweepGrid(ctx, req.Kind, t, maxStages, minDepth, maxDepth)
+	maxStages, minDepth, maxDepth := core.SweepDefaults(req.MaxStages, req.MinDepth, req.MaxDepth)
+	g, err := core.SweepGrid(ctx, req.Kind, t, maxStages, minDepth, maxDepth, true)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -44,10 +47,7 @@ func Exec(ctx context.Context, req *Request) (*Result, error) {
 		obs.KV("kind", g.Kind), obs.KV("tech", g.Tech), obs.Int("points", len(req.Indices)))
 	defer sp.End()
 
-	// The batched kernel entry point evaluates the lease with the same
-	// per-point checkpoint keys a local sweep uses, so a worker's own
-	// journal replays across execution styles.
-	vals, err := core.EvalPointsBatch(ctx, g, req.Indices)
+	vals, err := core.EvalPool(ctx, g, req.Indices)
 	if err != nil {
 		return nil, err
 	}
@@ -56,22 +56,6 @@ func Exec(ctx context.Context, req *Request) (*Result, error) {
 		res.Points[i] = PointResult{Index: v.Index, Key: g.Key(v.Index), Value: v.Value, Err: v.Err}
 	}
 	return res, nil
-}
-
-// normalizeBounds applies the sweep-request defaults (the same ones the
-// HTTP sweep handlers apply), so coordinator and worker agree on the
-// grid regardless of which bounds a request spells out.
-func normalizeBounds(maxStages, minDepth, maxDepth int) (int, int, int) {
-	if maxStages <= 0 {
-		maxStages = 12
-	}
-	if minDepth <= 0 {
-		minDepth = 9
-	}
-	if maxDepth <= 0 {
-		maxDepth = 15
-	}
-	return maxStages, minDepth, maxDepth
 }
 
 // workerName identifies this process in shard results (diagnostics

@@ -291,12 +291,35 @@ func TestLeaseValuesValidation(t *testing.T) {
 	}
 	// An annotated point (partial-results posture) needs no value.
 	annotated := &Result{Points: []PointResult{
-		{Index: 0, Value: json.RawMessage("1")},
-		{Index: 1, Err: "error:injected"},
-		{Index: 2, Value: json.RawMessage("4")},
+		{Index: 0, Key: "pt/0", Value: json.RawMessage("1")},
+		{Index: 1, Key: "pt/1", Err: "error:injected"},
+		{Index: 2, Key: "pt/2", Value: json.RawMessage("4")},
 	}}
 	if _, err := leaseValues(g, idxs, annotated); err != nil {
 		t.Errorf("annotated point rejected: %v", err)
+	}
+}
+
+// TestCoordinatorForeignKeysAbort: a worker that answers under keys
+// other than the coordinator's evaluated a different grid (the lease
+// does not carry every knob that shapes one, e.g. wire mode). Merging
+// would silently mix configurations, and re-dispatching cannot help, so
+// the lease aborts with ErrConfigMismatch after one dispatch.
+func TestCoordinatorForeignKeysAbort(t *testing.T) {
+	g := fakeGrid()
+	p := &fakePeer{name: "other-grid", fn: func(ctx context.Context, req *Request) (*Result, error) {
+		res := answer(req)
+		for i := range res.Points {
+			res.Points[i].Key = fmt.Sprintf("other/%d", res.Points[i].Index)
+		}
+		return res, nil
+	}}
+	c := New(Options{Batch: 8, HedgeAfter: -1}, p)
+	if _, err := c.Evaluate(context.Background(), g, indices(g.N)); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("err = %v, want ErrConfigMismatch", err)
+	}
+	if p.calls.Load() != 1 {
+		t.Errorf("dispatches = %d, want 1 (a key mismatch must not re-dispatch)", p.calls.Load())
 	}
 }
 
@@ -350,7 +373,7 @@ func TestExecRealGrid(t *testing.T) {
 	if len(res.Points) != 3 || res.Version != Version {
 		t.Fatalf("result = %+v", res)
 	}
-	g, err := core.SweepGrid(ctx, core.GridALUDepth, core.OrganicTech(), 3, 0, 0)
+	g, err := core.SweepGrid(ctx, core.GridALUDepth, core.OrganicTech(), 3, 0, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestInverterDCThroughAPI(t *testing.T) {
@@ -125,16 +127,18 @@ func TestRunExperimentsAPI(t *testing.T) {
 	}
 }
 
+// TestProgressHook checks a session's work drives the process-wide
+// progress hook (obs.OnProgress, what biodegd's /v1/progress streams).
 func TestProgressHook(t *testing.T) {
 	s := New()
 	var mu sync.Mutex
 	stages := map[string]int64{}
-	s.OnProgress(func(stage string, count int64, d time.Duration) {
+	obs.OnProgress(func(stage string, count int64, d time.Duration) {
 		mu.Lock()
 		stages[stage] = count
 		mu.Unlock()
 	})
-	defer s.OnProgress(nil)
+	defer obs.OnProgress(nil)
 	if _, err := s.RunExperiment(context.Background(), "fig3"); err != nil {
 		t.Fatal(err)
 	}

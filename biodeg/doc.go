@@ -20,24 +20,26 @@
 // a global lock.
 //
 // The context-first entry point is Session, built with functional
-// options: New(WithWorkers(8), WithMetrics(true), WithTracer(tr)).
+// options: New(WithWorkers(8), WithMetrics(true), WithLibCache(dir)).
 // Every sweep and experiment is a Session method taking a context for
 // cancellation; the sweep fans out over the session's worker pool
 // (unset options inherit the process defaults the commands install
 // from their flags), and parallel results are ordered by design point
 // — bit-identical to a serial run. Two sessions with different worker
-// counts or tracers coexist in one process; the biodegd daemon serves
-// all its HTTP traffic from one shared Session. Session.RunExperiments
-// executes independent paper figures concurrently;
-// Session.MetricsReport renders the per-stage wall-time report, and
-// Session.OnProgress registers live progress callbacks.
+// counts coexist in one process; the biodegd daemon serves all its
+// HTTP traffic from one shared Session. Session.RunExperiments
+// executes independent paper figures concurrently, and
+// Session.MetricsReport renders the per-stage wall-time report.
 //
 // Observability: Session methods parent their spans (internal/obs) to
 // the span carried by ctx, so a tracing run shows the full
-// run > experiment > sweep > grid-point > sta/ipc tree. The commands
-// expose the sinks as flags (-trace, -jsonl, -manifest, -pprof, each
-// defaulting from the matching BIODEG_* environment variable — the
-// flag layer, internal/cli, is the only environment reader);
+// run > experiment > sweep > grid-point > sta/ipc tree. Spans, stage
+// metrics and logs are process-wide: one trace buffer (obs.Enable),
+// one registry (the /metricsz exposition) and slog.Default(). The
+// commands expose the sinks as flags (-trace, -jsonl, -manifest,
+// -pprof, each defaulting from the matching BIODEG_* environment
+// variable — the flag layer, internal/cli, is the only environment
+// reader);
 // RecordResults fills a run manifest with per-experiment wall times
 // and table digests for reproducibility diffing.
 package biodeg

@@ -3,7 +3,6 @@ package biodeg
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"path/filepath"
 	"sync"
 	"time"
@@ -15,16 +14,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/runner"
-	"repro/internal/runner/metrics"
 	"repro/internal/shard"
-	"repro/internal/telemetry"
 	"repro/internal/uarch"
 )
 
 // Session is the context-first entry point to the reproduction: a
 // bundle of runtime options (worker count, metrics reporting, library
-// cache, tracer) that every method threads through the context it
-// passes down. Two sessions with different options coexist in one
+// cache, resilience, checkpointing, sharding) that every method threads
+// through the context it passes down. Two sessions with different options coexist in one
 // process without touching shared mutable state — Session replaces the
 // BIODEG_* process-environment globals the package grew up with.
 //
@@ -36,12 +33,9 @@ import (
 // (installed by internal/cli from the command-line flags) at call
 // time, so an optionless session follows the flags.
 type Session struct {
-	workers   *int
-	metrics   *bool
-	libCache  *string
-	tracer    *obs.Tracer
-	telemetry *telemetry.Registry
-	logger    *slog.Logger
+	workers  *int
+	metrics  *bool
+	libCache *string
 
 	// Resilience options (see WithFaults, WithPartialResults,
 	// WithRetries, WithStageTimeout).
@@ -92,45 +86,6 @@ func WithMetrics(on bool) Option {
 // first characterization.
 func WithLibCache(dir string) Option {
 	return func(s *Session) { s.libCache = &dir }
-}
-
-// Tracer is an independent span collector (see internal/obs): spans
-// started under a session created WithTracer land in that tracer's
-// buffer instead of the process-wide one.
-type Tracer = obs.Tracer
-
-// NewTracer returns a span collector for WithTracer.
-func NewTracer() *Tracer { return obs.NewTracer() }
-
-// WithTracer routes the session's spans into tr, so per-session traces
-// can be collected (tr.Collect) and exported independently of the
-// process-wide trace sinks.
-func WithTracer(tr *Tracer) Option {
-	return func(s *Session) { s.tracer = tr }
-}
-
-// Telemetry is an independent labeled metric registry (see
-// internal/telemetry): counters, gauges, and histograms keyed by label
-// sets, exposable in Prometheus text format via WritePrometheus.
-type Telemetry = telemetry.Registry
-
-// NewTelemetry returns an empty metric registry for WithTelemetry.
-func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
-
-// WithTelemetry records the session's stage events and durations into
-// reg in addition to the process-default registry, so one session's
-// activity can be scraped or inspected in isolation (a multi-tenant
-// daemon, an A/B sweep comparison).
-func WithTelemetry(reg *Telemetry) Option {
-	return func(s *Session) { s.telemetry = reg }
-}
-
-// WithLogger attaches l to every context the session's methods derive,
-// so instrumented code logs through the session's logger (obs.LoggerFrom)
-// instead of the process default. Lines still carry the span_id of the
-// enclosing span when the handler is wrapped with obs.NewLogHandler.
-func WithLogger(l *slog.Logger) Option {
-	return func(s *Session) { s.logger = l }
 }
 
 // FaultSpec is a parsed fault-injection plan (see ParseFaults and
@@ -307,21 +262,12 @@ func (s *Session) journal(ctx context.Context) (*checkpoint.Journal, error) {
 	return s.cpJournal, s.cpErr
 }
 
-// bind attaches the session's configuration (and tracer, injector,
-// journal, if any) to ctx; every public method funnels through it. A
+// bind attaches the session's configuration (and injector, journal,
+// if any) to ctx; every public method funnels through it. A
 // checkpoint already on ctx (the daemon's per-job journals) wins over
 // the session's own.
 func (s *Session) bind(ctx context.Context) (context.Context, error) {
 	ctx = config.WithContext(ctx, s.config())
-	if s.tracer != nil {
-		ctx = obs.ContextWithTracer(ctx, s.tracer)
-	}
-	if s.telemetry != nil {
-		ctx = telemetry.WithContext(ctx, s.telemetry)
-	}
-	if s.logger != nil {
-		ctx = obs.ContextWithLogger(ctx, s.logger)
-	}
 	if s.inj != nil {
 		ctx = fault.WithInjector(ctx, s.inj)
 	}
@@ -370,19 +316,7 @@ func (s *Session) MetricsEnabled() bool { return s.config().Metrics }
 
 // MetricsReport renders the process-wide per-stage counters and
 // wall-time histograms recorded so far.
-func (s *Session) MetricsReport() string { return metrics.Report() }
-
-// Tracer returns the session's tracer, or nil when the session traces
-// into the process-wide buffer.
-func (s *Session) Tracer() *Tracer { return s.tracer }
-
-// Telemetry returns the session's metric registry, or nil when the
-// session records only into the process default.
-func (s *Session) Telemetry() *Telemetry { return s.telemetry }
-
-// Logger returns the session's logger, or nil when the session logs
-// through the process default.
-func (s *Session) Logger() *slog.Logger { return s.logger }
+func (s *Session) MetricsReport() string { return obs.StageReport() }
 
 // ALUDepth pipelines the 32-bit complex ALU (CSA multiplier + stallable
 // divider datapath) from 1 to maxStages, reproducing Figure 12. The
@@ -516,16 +450,6 @@ func (s *Session) RunAll(ctx context.Context) ([]ExperimentResult, error) {
 		return nil, err
 	}
 	return core.RunExperiments(ctx, core.Experiments())
-}
-
-// OnProgress installs fn as a process-wide progress hook, invoked after
-// every completed unit of instrumented work with the stage name, the
-// stage's cumulative count, and the unit's duration. Pass nil to remove
-// the hook. The callback runs on worker goroutines: keep it fast and
-// concurrency-safe. The hook is process-wide (a metrics-layer
-// property), not per-session.
-func (s *Session) OnProgress(fn func(stage string, count int64, d time.Duration)) {
-	metrics.OnProgress(fn)
 }
 
 // Result point types of the session sweeps, re-exported so consumers

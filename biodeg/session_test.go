@@ -2,6 +2,7 @@ package biodeg
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"strings"
 	"sync"
@@ -85,93 +86,27 @@ func TestSessionOptionResolution(t *testing.T) {
 	}
 }
 
-func TestSessionBindCarriesConfigAndTracer(t *testing.T) {
-	tr := NewTracer()
-	s := New(WithWorkers(4), WithTracer(tr))
+func TestSessionBindCarriesConfig(t *testing.T) {
+	s := New(WithWorkers(4))
 	ctx := mustBind(t, s)
 	if got := runner.WorkersFor(ctx); got != 4 {
 		t.Errorf("bound context worker count = %d, want 4", got)
 	}
-	if obs.TracerFromContext(ctx) != tr {
-		t.Error("bound context should carry the session tracer")
-	}
-	if s.Tracer() != tr {
-		t.Error("Tracer() should return the WithTracer value")
-	}
-	if New().Tracer() != nil {
-		t.Error("untraced session Tracer() should be nil")
-	}
 }
 
-// TestSessionTelemetryIsolation proves a WithTelemetry session records
-// its stage activity into its own registry — in addition to the process
-// default — while a plain session leaves that registry untouched.
-func TestSessionTelemetryIsolation(t *testing.T) {
-	reg := NewTelemetry()
-	s := New(WithTelemetry(reg), WithWorkers(1))
-	if s.Telemetry() != reg {
-		t.Fatal("Telemetry() should return the WithTelemetry value")
-	}
-	if New().Telemetry() != nil {
-		t.Fatal("plain session Telemetry() should be nil")
-	}
-	// An unlikely configuration, so the process-wide IPC memo cannot
-	// have it cached from another test (a memo hit records no stage).
-	cfg0 := DefaultCore()
-	cfg0.FrontStages = 6
-	cfg0.BackWidth = 5
-	if _, err := s.SimulateIPC(context.Background(), "dhrystone", cfg0); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "biodeg_stage_events_total") {
-		t.Errorf("session registry has no stage events after a simulation:\n%s", buf.String())
-	}
-
-	// The plain session must not write into reg. (Its activity still
-	// lands in the process default registry.)
-	fresh := NewTelemetry()
-	plain := New(WithWorkers(1))
-	cfg := DefaultCore()
-	cfg.FrontStages = 7 // distinct key so the IPC memo cannot elide the run
-	cfg.BackWidth = 5
-	if _, err := plain.SimulateIPC(context.Background(), "dhrystone", cfg); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := fresh.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "biodeg_stage_events_total{") {
-		t.Errorf("unrelated registry gained series:\n%s", buf.String())
-	}
-}
-
-// TestSessionLogger proves WithLogger travels through bind and that log
-// lines emitted under a session span carry its span_id.
+// TestSessionLogger proves log lines emitted under a span started from
+// a session-bound context carry that span's span_id when the process
+// logger is wrapped with obs.NewLogHandler.
 func TestSessionLogger(t *testing.T) {
+	obs.EnableCapacity(16)
+	defer obs.Disable()
 	var buf strings.Builder
 	logger := slog.New(obs.NewLogHandler(slog.NewJSONHandler(&buf, nil)))
-	tr := NewTracer()
-	s := New(WithLogger(logger), WithTracer(tr), WithWorkers(1))
-	if s.Logger() != logger {
-		t.Fatal("Logger() should return the WithLogger value")
-	}
-	if New().Logger() != nil {
-		t.Fatal("plain session Logger() should be nil")
-	}
-	ctx := mustBind(t, s)
-	if obs.LoggerFrom(ctx) != logger {
-		t.Fatal("bound context should carry the session logger")
-	}
-	sctx, sp := obs.Start(ctx, "session.work")
-	obs.LoggerFrom(sctx).InfoContext(sctx, "hello")
+	sctx, sp := obs.Start(mustBind(t, New(WithWorkers(1))), "session.work")
+	logger.InfoContext(sctx, "hello")
 	sp.End()
-	if !strings.Contains(buf.String(), `"span_id"`) {
-		t.Errorf("session log line lacks span_id: %s", buf.String())
+	if !strings.Contains(buf.String(), fmt.Sprintf(`"span_id":%d`, sp.ID())) {
+		t.Errorf("session log line lacks span_id %d: %s", sp.ID(), buf.String())
 	}
 }
 
@@ -199,27 +134,6 @@ func TestSessionPoolIsolation(t *testing.T) {
 	}
 	if peaks[1] != 4 {
 		t.Errorf("4-worker session reached concurrency %d, want 4", peaks[1])
-	}
-}
-
-// TestSessionTracerIsolation checks spans land in the session's own
-// tracer, not in the process-wide buffer or a sibling session's.
-func TestSessionTracerIsolation(t *testing.T) {
-	trA, trB := NewTracer(), NewTracer()
-	a := New(WithTracer(trA))
-	b := New(WithTracer(trB))
-
-	_, sp := obs.Start(mustBind(t, a), "work-a")
-	sp.End()
-	_, sp = obs.Start(mustBind(t, b), "work-b")
-	sp.End()
-
-	ta, tb := trA.Collect(), trB.Collect()
-	if len(ta.Spans) != 1 || ta.Spans[0].Name != "work-a" {
-		t.Errorf("tracer A spans = %+v, want exactly work-a", ta.Spans)
-	}
-	if len(tb.Spans) != 1 || tb.Spans[0].Name != "work-b" {
-		t.Errorf("tracer B spans = %+v, want exactly work-b", tb.Spans)
 	}
 }
 

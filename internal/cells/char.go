@@ -11,7 +11,6 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/runner/metrics"
 	"repro/internal/spice"
 )
 
@@ -141,7 +140,7 @@ func CharacterizeCtx(ctx context.Context, t *Technology, cfg CharConfig) (*liber
 	cellsOut, err := runner.Map(ctx, len(t.Protos), func(ctx context.Context, i int) (*liberty.Cell, error) {
 		_, sp := obs.Start(ctx, "characterize",
 			obs.KV("tech", t.Name), obs.KV("cell", t.Protos[i].Name),
-			obs.Stage(metrics.StageCharacterize))
+			obs.Stage(obs.StageCharacterize))
 		defer sp.End()
 		cell, err := characterizeCell(t, t.Protos[i], slews, loads, cfg.Steps)
 		if err != nil {

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/runner/metrics"
 )
 
 // Version is the journal format version written into (and required of)
@@ -254,7 +253,7 @@ func Open(ctx context.Context, path string, meta Meta) (*Journal, Recovery, erro
 	}
 	sp.Set("records", strconv.Itoa(rec.Records))
 	sp.Set("truncated_bytes", strconv.FormatInt(rec.TruncatedBytes, 10))
-	metrics.Add(metrics.StageCheckpointLoad, 1)
+	obs.Add(obs.StageCheckpointLoad, 1)
 	return j, rec, nil
 }
 
@@ -369,7 +368,7 @@ func (j *Journal) Commit(ctx context.Context, key string, value []byte) error {
 	}
 	j.recs[key] = append([]byte(nil), value...)
 	j.committed++
-	metrics.Add(metrics.StageCheckpointCommit, 1)
+	obs.Add(obs.StageCheckpointCommit, 1)
 	return nil
 }
 

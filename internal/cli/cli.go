@@ -3,11 +3,11 @@
 // BIODEG_* environment variable, so precedence is flag > env > built-in
 // default. This package is the only place the BIODEG_* environment is
 // read: Options.Start installs the effective values as the process
-// default configuration (internal/config) and as the metrics-report
-// flag, so the internal packages — and an optionless
-// biodeg.Session — observe the flags without ever touching the
-// environment themselves. Commands that want non-default behavior
-// build an explicit biodeg.Session from the parsed Options instead.
+// default configuration (internal/config), so the internal packages —
+// and an optionless biodeg.Session — observe the flags without ever
+// touching the environment themselves. Commands that want non-default
+// behavior build an explicit biodeg.Session from the parsed Options
+// instead.
 //
 // Start also turns on the observability sinks requested by the flags:
 // span tracing (internal/obs) when a trace, JSONL, or manifest output
@@ -33,7 +33,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/runner/metrics"
 )
 
 // Options is the parsed common flag set.
@@ -71,7 +70,7 @@ type Options struct {
 // 0.1% per-point failure probability — visible but not disruptive).
 const AutoRetries = 2
 
-// envBool mirrors metrics.Enabled's parsing: set and not "0" is true.
+// envBool parses a boolean environment variable: set and not "0" is true.
 func envBool(key string) bool {
 	v := os.Getenv(key)
 	return v != "" && v != "0"
@@ -260,7 +259,6 @@ func (o *Options) Start(tool string) (*Run, context.Context, error) {
 	cfg := o.configWith(spec)
 	config.SetDefault(cfg)
 	fault.SetDefault(fault.New(spec))
-	metrics.SetEnabled(o.Metrics)
 	if o.Trace != "" || o.JSONL != "" || o.Manifest != "" {
 		obs.Enable()
 	}

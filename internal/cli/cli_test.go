@@ -9,7 +9,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/runner/metrics"
 )
 
 // register parses args against a fresh flag set.
@@ -37,10 +36,7 @@ func pinEnv(t *testing.T) {
 		os.Unsetenv(k)
 	}
 	t.Cleanup(obs.Disable)
-	t.Cleanup(func() {
-		config.SetDefault(config.Config{})
-		metrics.SetEnabled(false)
-	})
+	t.Cleanup(func() { config.SetDefault(config.Config{}) })
 }
 
 func TestEnvProvidesDefaults(t *testing.T) {
@@ -72,7 +68,7 @@ func TestFlagsOverrideEnv(t *testing.T) {
 	if got := config.Default().Workers; got != 2 {
 		t.Errorf("default config workers = %d after Start, want 2", got)
 	}
-	if config.Default().Metrics || metrics.Enabled() {
+	if config.Default().Metrics {
 		t.Error("metrics should be off after Start with -metrics=false")
 	}
 	if got := config.Get(ctx).Workers; got != 2 {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/runner/metrics"
 )
 
 // TestALUSweepReplayBitIdentical is the acceptance property at the
@@ -43,7 +43,7 @@ func TestALUSweepReplayBitIdentical(t *testing.T) {
 	// Second run: every point must fault at rate=1 if it computes — so a
 	// clean, identical result proves every point replayed.
 	in := fault.New(mustSpec(t, "seed=7,rate=1,kinds=error,stages=alu-point"))
-	skippedBefore := metrics.Count(metrics.StageCheckpointSkipped)
+	skippedBefore := obs.Count(obs.StageCheckpointSkipped)
 	pts2, err := ALUDepthSweep(fault.WithInjector(ctx, in), tech, 6, true, EvalPool)
 	if err != nil {
 		t.Fatalf("replay run computed instead of replaying: %v", err)
@@ -51,7 +51,7 @@ func TestALUSweepReplayBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(pts1, pts2) {
 		t.Fatalf("replay differs from original:\n%+v\nvs\n%+v", pts1, pts2)
 	}
-	if got := metrics.Count(metrics.StageCheckpointSkipped) - skippedBefore; got != 6 {
+	if got := obs.Count(obs.StageCheckpointSkipped) - skippedBefore; got != 6 {
 		t.Errorf("checkpoint.skipped grew by %d, want 6", got)
 	}
 	if got := in.Snapshot().Total; got != 0 {

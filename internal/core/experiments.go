@@ -11,7 +11,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/runner/metrics"
 )
 
 // Experiment reproduces one paper artifact (table or figure).
@@ -46,7 +45,7 @@ func RunExperiments(ctx context.Context, exps []*Experiment) ([]ExperimentResult
 	return runner.Map(ctx, len(exps), func(ctx context.Context, i int) (ExperimentResult, error) {
 		e := exps[i]
 		ctx, sp := obs.Start(ctx, "experiment",
-			obs.KV("experiment", e.ID), obs.Stage(metrics.StageExperiment))
+			obs.KV("experiment", e.ID), obs.Stage(obs.StageExperiment))
 		defer sp.End()
 		start := time.Now()
 		tables, err := runner.Checkpointed(ctx, checkpoint.PointID("experiment", e.ID),

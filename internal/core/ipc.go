@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/runner/metrics"
 	"repro/internal/uarch"
 	"repro/internal/workload"
 )
@@ -63,7 +62,7 @@ func BenchIPCUncachedCtx(ctx context.Context, bench string, cfg uarch.Config) (u
 	_, sp := obs.Start(ctx, "ipc",
 		obs.KV("bench", bench),
 		obs.Int("fe", cfg.FrontWidth), obs.Int("be", cfg.BackWidth),
-		obs.Stage(metrics.StageIPC))
+		obs.Stage(obs.StageIPC))
 	defer sp.End()
 	w := workload.ByName(bench)
 	if w == nil {

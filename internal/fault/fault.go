@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/runner/metrics"
 )
 
 // ErrInjected marks an error produced by the injector, so callers (and
@@ -260,7 +259,7 @@ func (in *Injector) record(ctx context.Context, site string, kind Kind) {
 	in.mu.Lock()
 	in.stages[stageOf(site)]++
 	in.mu.Unlock()
-	metrics.Add("fault."+kind.String(), 1)
+	obs.Add("fault."+kind.String(), 1)
 	_, sp := obs.Start(ctx, "fault.injected",
 		obs.KV("site", site), obs.KV("kind", kind.String()))
 	sp.End()

@@ -2,7 +2,8 @@
 // lightweight hierarchical span tracer with three sinks — a Chrome
 // trace_event JSON exporter (viewable in chrome://tracing or Perfetto),
 // a JSON Lines event log, and a per-invocation run manifest recording
-// the exact configuration and result digests of a run.
+// the exact configuration and result digests of a run — plus the
+// per-stage metrics every span and counted event feeds.
 //
 // # Span model
 //
@@ -10,23 +11,35 @@
 // carried by ctx (if any) and returns a derived context plus the span;
 // span.End() closes it. Spans record start/end time, parent id,
 // goroutine id, and free-form key=value attributes. The reserved
-// attribute obs.Stage(name) additionally routes the span's duration
-// into runner/metrics via metrics.Observe — the metrics report
-// (counters, histograms, progress hook) is therefore a consumer of the
-// same span stream as the trace exporters, so counters, histograms,
-// traces, and manifests always agree.
+// attribute obs.Stage(name) additionally records the span in two
+// families of the process-default telemetry registry when it ends:
+// biodeg_stage_events_total{stage} and
+// biodeg_stage_duration_seconds{stage}. Stage metrics are therefore a
+// consumer of the same span stream as the trace exporters, so
+// counters, histograms, traces, and manifests always agree.
+//
+// # Stage metrics
+//
+// Add counts untimed events into the same events family
+// (checkpoint.*, fault.<kind>, server.engine_error, and the
+// spice.gmin_step / spice.source_step convergence fallbacks); Count
+// reads one stage back. OnProgress installs the process-wide hook
+// fired after every stage observation — what biodegd's /v1/progress
+// streams. StageReport renders the families as the plain-text table
+// the commands print under -metrics and /metricsz?format=text serves.
+// Recording is lock-free once a stage's series exists and is always
+// on; only printing the report is optional.
 //
 // # Hot path
 //
 // The tracer has no locks. While tracing is disabled (the default),
-// Start costs one atomic load plus one small allocation — the same
-// order as the metrics.Time closure it replaced — and End feeds only
-// the metrics stage. While enabled, each finished span claims a slot in
-// a bounded preallocated buffer with one atomic add and publishes
-// itself with one atomic pointer store; spans beyond the buffer's
-// capacity increment a drop counter that every sink reports. Enabling
-// is process-wide: Enable (or EnableCapacity) starts a fresh buffer,
-// Collect snapshots it, and the Write* functions export it.
+// Start costs one atomic load plus one small allocation, and End feeds
+// only the stage metrics. While enabled, each finished span claims a
+// slot in a bounded preallocated buffer with one atomic add and
+// publishes itself with one atomic pointer store; spans beyond the
+// buffer's capacity increment a drop counter that every sink reports.
+// Enabling is process-wide: Enable (or EnableCapacity) starts a fresh
+// buffer, Collect snapshots it, and the Write* functions export it.
 //
 // # Instrumented flow
 //

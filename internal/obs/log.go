@@ -40,22 +40,3 @@ func (h *logHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 func (h *logHandler) WithGroup(name string) slog.Handler {
 	return &logHandler{inner: h.inner.WithGroup(name)}
 }
-
-// loggerKey carries a per-session *slog.Logger through a context.
-type loggerKey struct{}
-
-// ContextWithLogger returns a context under which LoggerFrom yields l —
-// how biodeg.Session's WithLogger option travels to the internal
-// packages.
-func ContextWithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey{}, l)
-}
-
-// LoggerFrom returns the logger attached to ctx, else slog.Default().
-// The result is never nil.
-func LoggerFrom(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok && l != nil {
-		return l
-	}
-	return slog.Default()
-}

@@ -8,9 +8,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/runner/metrics"
-	"repro/internal/telemetry"
 )
 
 // Attr is one key=value annotation on a span. Values are strings so the
@@ -30,12 +27,13 @@ func Int(key string, v int) Attr { return Attr{Key: key, Value: strconv.Itoa(v)}
 func Bool(key string, v bool) Attr { return Attr{Key: key, Value: strconv.FormatBool(v)} }
 
 // StageKey is the reserved attribute key that routes a span's duration
-// into the runner/metrics report.
+// into the per-stage metric families.
 const StageKey = "stage"
 
 // Stage marks a span as one unit of a metrics stage: when the span
-// ends, its duration is recorded via metrics.Observe under this name,
-// making the metrics report a consumer of the span stream rather than a
+// ends, its duration is recorded under this name in
+// biodeg_stage_events_total and biodeg_stage_duration_seconds, making
+// the metrics report a consumer of the span stream rather than a
 // parallel bookkeeping path.
 func Stage(stage string) Attr { return Attr{Key: StageKey, Value: stage} }
 
@@ -44,8 +42,7 @@ func Stage(stage string) Attr { return Attr{Key: StageKey, Value: stage} }
 // End. All methods are safe on a nil receiver so call sites never need
 // to branch on whether tracing is active.
 type Span struct {
-	st     *state              // buffer captured at Start; nil when tracing was off
-	reg    *telemetry.Registry // session registry captured at Start; may be nil
+	st     *state // buffer captured at Start; nil when tracing was off
 	id     uint64
 	parent uint64
 	gid    int64
@@ -102,28 +99,6 @@ func newState(n int) *state {
 	return &state{begin: time.Now(), slots: make([]atomic.Pointer[Span], n)}
 }
 
-// Tracer is one independent span collector. The package-level
-// Enable/Collect pair operates a single process-wide tracer (what the
-// CLI sinks use); a Tracer created with NewTracer and attached to a
-// context via ContextWithTracer collects only the spans started under
-// that context — so two biodeg.Sessions can trace into separate
-// buffers in one process.
-type Tracer struct {
-	st *state
-}
-
-// NewTracer returns an independent collector with DefaultCapacity.
-func NewTracer() *Tracer { return NewTracerCapacity(DefaultCapacity) }
-
-// NewTracerCapacity is NewTracer with an explicit buffer size. Once the
-// buffer is full, later spans are counted as dropped rather than
-// recorded.
-func NewTracerCapacity(n int) *Tracer { return &Tracer{st: newState(n)} }
-
-// Collect snapshots this tracer's buffer: every span that has ended so
-// far, sorted by start time, plus the overflow drop count.
-func (t *Tracer) Collect() Trace { return collect(t.st) }
-
 // Enable starts collecting spans into a fresh process-wide buffer of
 // DefaultCapacity. Spans started before Enable are not recorded.
 func Enable() { EnableCapacity(DefaultCapacity) }
@@ -134,37 +109,21 @@ func Enable() { EnableCapacity(DefaultCapacity) }
 func EnableCapacity(n int) { cur.Store(newState(n)) }
 
 // Disable stops process-wide collection and discards the current
-// buffer. Context-attached Tracers are unaffected.
+// buffer.
 func Disable() { cur.Store(nil) }
 
 // Enabled reports whether the process-wide collector is active. The
 // check is a single atomic load, so callers may gate optional
-// instrumentation on it in hot loops. Spans under a context-attached
-// Tracer are recorded regardless.
+// instrumentation on it in hot loops.
 func Enabled() bool { return cur.Load() != nil }
 
 // spanKey carries the current span through a context for parenting.
 type spanKey struct{}
 
-// tracerKey carries a context-attached Tracer.
-type tracerKey struct{}
-
 // FromContext returns the span recorded in ctx by Start, or nil.
 func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
-}
-
-// ContextWithTracer returns a context under which Start records spans
-// into tr instead of the process-wide buffer.
-func ContextWithTracer(ctx context.Context, tr *Tracer) context.Context {
-	return context.WithValue(ctx, tracerKey{}, tr)
-}
-
-// TracerFromContext returns the Tracer attached to ctx, or nil.
-func TracerFromContext(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey{}).(*Tracer)
-	return t
 }
 
 // Start begins a span named name, parented to the span in ctx (if any).
@@ -174,7 +133,7 @@ func TracerFromContext(ctx context.Context) *Tracer {
 // When tracing is disabled the span still exists — so a Stage attribute
 // keeps feeding the metrics report — but it is not buffered, carries no
 // id, and the context is returned unchanged (no allocation beyond the
-// span itself, mirroring the cost of the former metrics.Time closure).
+// span itself).
 func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
 	s := &Span{name: name, attrs: attrs}
 	for _, a := range attrs {
@@ -182,16 +141,7 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 			s.stage = a.Value
 		}
 	}
-	if s.stage != "" {
-		// A session registry on ctx receives the stage observation too
-		// (alongside the process default); capture it now so End needs
-		// no context.
-		s.reg = telemetry.FromContext(ctx)
-	}
 	st := cur.Load()
-	if tr := TracerFromContext(ctx); tr != nil {
-		st = tr.st // a context-attached tracer wins over the global one
-	}
 	if st == nil {
 		s.start = time.Now()
 		return ctx, s
@@ -225,7 +175,7 @@ func (s *Span) End() {
 	}
 	s.dur = time.Since(s.start)
 	if s.stage != "" {
-		metrics.ObserveIn(s.reg, s.stage, s.dur)
+		observe(s.stage, s.dur)
 	}
 	if st := s.st; st != nil {
 		if i := st.next.Add(1) - 1; i < int64(len(st.slots)) {
@@ -258,10 +208,8 @@ type Trace struct {
 // Collect snapshots the process-wide buffer: every span that has ended
 // so far, sorted by start time, plus the overflow drop count. Collect
 // does not stop collection; call it after the traced work has finished.
-func Collect() Trace { return collect(cur.Load()) }
-
-// collect snapshots one buffer (nil-safe).
-func collect(st *state) Trace {
+func Collect() Trace {
+	st := cur.Load()
 	if st == nil {
 		return Trace{}
 	}

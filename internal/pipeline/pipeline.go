@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/liberty"
 	"repro/internal/obs"
-	"repro/internal/runner/metrics"
 	"repro/internal/sta"
 )
 
@@ -115,7 +114,7 @@ func PartitionMinMax(profile []float64, k int) float64 {
 // observation) under the span carried by ctx.
 func PointAt(ctx context.Context, r *sta.Result, dff *liberty.Cell, cfg Config, n int) Point {
 	_, sp := obs.Start(ctx, "pipeline",
-		obs.Int("stages", n), obs.Stage(metrics.StagePipeline))
+		obs.Int("stages", n), obs.Stage(obs.StagePipeline))
 	defer sp.End()
 	k := cfg.FeedbackK
 	if k == 0 {
@@ -200,7 +199,7 @@ func CutCritical(blocks []*StagedBlock) *StagedBlock {
 // under the span carried by ctx.
 func CoreTiming(ctx context.Context, blocks []*StagedBlock, dff *liberty.Cell, cfg Config) (period float64, point Point) {
 	_, sp := obs.Start(ctx, "pipeline",
-		obs.Int("blocks", len(blocks)), obs.Stage(metrics.StagePipeline))
+		obs.Int("blocks", len(blocks)), obs.Stage(obs.StagePipeline))
 	defer sp.End()
 	k := cfg.FeedbackK
 	if k == 0 {

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/runner/metrics"
+	"repro/internal/obs"
 )
 
 // Checkpoint is the completion sink + seed Checkpointed consults for a
@@ -60,7 +60,7 @@ func Checkpointed[T any](ctx context.Context, key string, compute func(ctx conte
 	if raw, ok := cp.Lookup(key); ok {
 		var v T
 		if err := json.Unmarshal(raw, &v); err == nil {
-			metrics.Add(metrics.StageCheckpointSkipped, 1)
+			obs.Add(obs.StageCheckpointSkipped, 1)
 			return v, nil
 		}
 	}

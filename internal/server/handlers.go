@@ -9,7 +9,7 @@ import (
 	"strconv"
 
 	"repro/biodeg/api"
-	"repro/internal/runner/metrics"
+	"repro/internal/obs"
 	"repro/internal/shard"
 )
 
@@ -26,7 +26,7 @@ func (s *Server) handleFaultz(w http.ResponseWriter, r *http.Request) {
 		"observed": map[string]int64{
 			"engine_errors": s.engineErrs.Load(),
 			"shed":          s.shed.Load(),
-			"retries":       metrics.Count("retry"),
+			"retries":       obs.Count("retry"),
 		},
 	})
 }

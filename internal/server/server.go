@@ -50,7 +50,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/runner/metrics"
 	"repro/internal/server/breaker"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -140,7 +139,7 @@ func New(eng Engine, opts Options) *Server {
 		inj:      opts.Injector,
 		started:  time.Now(),
 	}
-	metrics.OnProgress(s.progress.hook)
+	obs.OnProgress(s.progress.hook)
 	admCapacity.Set(int64(opts.MaxInflight))
 	s.routes()
 	return s
@@ -273,7 +272,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, metrics.Report()) //nolint:errcheck
+		io.WriteString(w, obs.StageReport()) //nolint:errcheck
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -383,7 +382,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route str
 		if err != nil {
 			if isEngineFailure(err) {
 				s.engineErrs.Add(1)
-				metrics.Add("server.engine_error", 1)
+				obs.Add("server.engine_error", 1)
 			}
 			return nil, err
 		}

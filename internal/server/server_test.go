@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"repro/biodeg/api"
-	"repro/internal/runner/metrics"
+	"repro/internal/obs"
 )
 
 // fakeEngine counts calls and can hold computations open until released.
@@ -98,7 +98,7 @@ func newTestServer(t *testing.T, eng Engine, opts Options) (*Server, *httptest.S
 	s := New(eng, opts)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	t.Cleanup(func() { metrics.OnProgress(nil) })
+	t.Cleanup(func() { obs.OnProgress(nil) })
 	return s, ts
 }
 
@@ -291,7 +291,8 @@ func TestProgressSSEOrdering(t *testing.T) {
 	}
 
 	for i := 1; i <= 3; i++ {
-		metrics.Observe(fmt.Sprintf("stage%d", i), time.Duration(i)*time.Millisecond)
+		_, sp := obs.Start(context.Background(), "emit", obs.Stage(fmt.Sprintf("stage%d", i)))
+		sp.End()
 	}
 
 	var events []ProgressEvent
@@ -325,7 +326,7 @@ func TestProgressSSEOrdering(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	eng := &fakeEngine{release: make(chan struct{})}
 	s := New(eng, Options{})
-	t.Cleanup(func() { metrics.OnProgress(nil) })
+	t.Cleanup(func() { obs.OnProgress(nil) })
 	httpSrv := &http.Server{Handler: s}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -60,7 +60,7 @@ func (b *progressBroker) subscribe() (<-chan ProgressEvent, func()) {
 	}
 }
 
-// hook is the metrics.OnProgress adapter.
+// hook is the obs.OnProgress adapter.
 func (b *progressBroker) hook(stage string, count int64, d time.Duration) {
 	b.publish(ProgressEvent{Stage: stage, Count: count, MS: float64(d.Nanoseconds()) / 1e6})
 }

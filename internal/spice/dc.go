@@ -3,6 +3,8 @@ package spice
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/obs"
 )
 
 // OP is a solved operating point (or one step of a sweep/transient).
@@ -215,13 +217,16 @@ func (c *Circuit) newton(x0 []float64, opt assembleOpts) ([]float64, error) {
 }
 
 // solveDC finds the DC solution at time t, using gmin and source stepping
-// as fallbacks for hard-to-converge bias points.
+// as fallbacks for hard-to-converge bias points. Entering either
+// fallback counts one spice.gmin_step / spice.source_step event, so a
+// run whose convergence degraded shows it in the stage metrics.
 func (c *Circuit) solveDC(t float64, guess []float64) ([]float64, error) {
 	base := assembleOpts{t: t, srcScale: 1}
 	if x, err := c.newton(guess, base); err == nil {
 		return x, nil
 	}
 	// Gmin stepping: relax with a large shunt conductance, then tighten.
+	obs.Add(obs.StageSpiceGmin, 1)
 	var x []float64
 	ok := true
 	for g := 1e-3; g >= 1e-12; g /= 10 {
@@ -240,6 +245,7 @@ func (c *Circuit) solveDC(t float64, guess []float64) ([]float64, error) {
 		}
 	}
 	// Source stepping.
+	obs.Add(obs.StageSpiceSource, 1)
 	x = nil
 	for scale := 0.05; scale <= 1.0001; scale += 0.05 {
 		opt := base

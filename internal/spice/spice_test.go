@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/device"
+	"repro/internal/obs"
 )
 
 func TestSolveDense(t *testing.T) {
@@ -377,6 +378,31 @@ func TestGminSteppingFallback(t *testing.T) {
 	v := op.V(prev)
 	if v <= 0 || v > 1.1 {
 		t.Fatalf("chain output %g outside rails", v)
+	}
+}
+
+// TestConvergenceFallbacksCounted forces both DC fallbacks (one Newton
+// step can never converge) and checks each is counted once, while a
+// solve that converges on plain Newton counts neither.
+func TestConvergenceFallbacksCounted(t *testing.T) {
+	gmin0, src0 := obs.Count(obs.StageSpiceGmin), obs.Count(obs.StageSpiceSource)
+	c, _, _ := siliconInverter(t)
+	if _, err := c.DCOperatingPoint(); err != nil {
+		t.Fatal(err)
+	}
+	if g, s := obs.Count(obs.StageSpiceGmin)-gmin0, obs.Count(obs.StageSpiceSource)-src0; g != 0 || s != 0 {
+		t.Fatalf("converging solve counted fallbacks: gmin %d, source %d", g, s)
+	}
+
+	c.MaxIter = 1
+	if _, err := c.DCOperatingPoint(); err == nil {
+		t.Fatal("a one-step Newton limit should fail the solve")
+	}
+	if got := obs.Count(obs.StageSpiceGmin) - gmin0; got != 1 {
+		t.Errorf("spice.gmin_step grew by %d, want 1", got)
+	}
+	if got := obs.Count(obs.StageSpiceSource) - src0; got != 1 {
+		t.Errorf("spice.source_step grew by %d, want 1", got)
 	}
 }
 

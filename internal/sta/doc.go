@@ -12,7 +12,7 @@
 //
 // Concurrency contract: analysis is a pure function of its inputs and
 // keeps no package state, so any number of analyses may run
-// concurrently; each AnalyzeNetlist call records one "sta" observation
-// with runner/metrics. Callers that reuse Results across goroutines
+// concurrently; each AnalyzeNetlist call records one "sta" stage span
+// (internal/obs). Callers that reuse Results across goroutines
 // must treat them as immutable.
 package sta

@@ -9,7 +9,6 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/logic"
 	"repro/internal/obs"
-	"repro/internal/runner/metrics"
 	"repro/internal/synth"
 )
 
@@ -299,7 +298,7 @@ func AnalyzeNetlist(nl *logic.Netlist, lib *liberty.Library, w Wire, opt Options
 func AnalyzeNetlistCtx(ctx context.Context, nl *logic.Netlist, lib *liberty.Library, w Wire, opt Options) (*Result, error) {
 	_, sp := obs.Start(ctx, "sta",
 		obs.KV("netlist", nl.Name), obs.KV("lib", lib.Name), obs.Bool("wire", opt.UseWire),
-		obs.Stage(metrics.StageSTA))
+		obs.Stage(obs.StageSTA))
 	defer sp.End()
 	d, err := synth.Map(nl, lib)
 	if err != nil {

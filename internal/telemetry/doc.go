@@ -4,10 +4,10 @@
 // rendered on demand in the Prometheus text exposition format.
 //
 // It is the layer below the rest of the observability stack:
-// internal/runner/metrics records its per-stage counters and wall-time
-// histograms here (keeping its classic human-readable report as a view
-// over the same data), the HTTP server registers its RED metrics here,
-// and biodegd serves the whole registry at GET /metricsz.
+// internal/obs records every Stage span's count and wall time here
+// (its human-readable per-stage report is a view over the same data),
+// the HTTP server registers its RED metrics here, and biodegd serves
+// the whole registry at GET /metricsz.
 //
 // # Concurrency contract
 //
@@ -22,12 +22,9 @@
 // recording sees each series at some point during the scrape, which is
 // all Prometheus asks.
 //
-// # Process default and per-session instances
+// # Process default
 //
-// Default() is the process-wide registry. A biodeg.Session built
-// WithTelemetry carries its own *Registry through every context it
-// hands down (WithContext/FromContext); stage observations then record
-// into both the session's registry and the process default, so a
-// multi-tenant daemon keeps one aggregate view while embedding callers
-// can isolate theirs.
+// Default() is the process-wide registry every instrumented package
+// records into. NewRegistry builds an independent one, which tests use
+// to exercise the exposition in isolation.
 package telemetry

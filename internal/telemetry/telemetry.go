@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -12,9 +11,7 @@ import (
 
 // A Registry is one coherent set of labeled metric families: counters,
 // gauges, and fixed-bucket histograms. The process owns one Default()
-// registry (what /metricsz and the CLI reports read); a biodeg.Session
-// built WithTelemetry gets its own instance in addition, attached to
-// every context the session hands down.
+// registry (what /metricsz and the CLI reports read).
 //
 // The hot path is lock-free in the same sense as the internal/obs
 // tracer: a metric handle (*Counter, *Gauge, *Histogram) updates pure
@@ -37,22 +34,6 @@ var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
-
-// ctxKey carries a per-session registry through a context.
-type ctxKey struct{}
-
-// WithContext returns a context carrying r; instrumented call sites
-// that dual-record (internal/runner/metrics stage observations) write
-// to both r and the Default registry.
-func WithContext(ctx context.Context, r *Registry) context.Context {
-	return context.WithValue(ctx, ctxKey{}, r)
-}
-
-// FromContext returns the registry attached to ctx, or nil.
-func FromContext(ctx context.Context) *Registry {
-	r, _ := ctx.Value(ctxKey{}).(*Registry)
-	return r
-}
 
 // kinds of metric family, in Prometheus TYPE vocabulary.
 const (
@@ -314,7 +295,7 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 
 // Max returns the largest observed value (0 before any observation).
 // Max is not part of the Prometheus exposition — it feeds the
-// human-readable runner/metrics report.
+// human-readable per-stage report (obs.StageReport).
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.maxBits.Load()) }
 
 // Buckets returns the per-bucket (non-cumulative) observation counts;
@@ -389,8 +370,8 @@ func splitKey(key string, n int) []string {
 }
 
 // DurationBuckets are the power-of-ten duration bounds (in seconds,
-// 10 us .. 1000 s) the per-stage wall-time histograms use — the same
-// decades the classic runner/metrics text report printed.
+// 10 us .. 1000 s) the per-stage wall-time histograms use — the
+// decades the per-stage text report (obs.StageReport) prints.
 var DurationBuckets = []float64{
 	1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100, 1000,
 }

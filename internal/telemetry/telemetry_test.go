@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"math"
 	"strings"
 	"sync"
@@ -116,17 +115,6 @@ func TestRegistryReset(t *testing.T) {
 	old.Inc() // detached handle must not panic
 	if n := v.With("x").Value(); n != 0 {
 		t.Errorf("recreated series starts at %d, want 0", n)
-	}
-}
-
-func TestContextRoundTrip(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Error("FromContext on bare context not nil")
-	}
-	r := NewRegistry()
-	ctx := WithContext(context.Background(), r)
-	if FromContext(ctx) != r {
-		t.Error("FromContext did not return the attached registry")
 	}
 }
 

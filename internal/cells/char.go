@@ -39,8 +39,9 @@ var libMemo runner.Memo[string, *liberty.Library]
 // 6-cell liberty library. When the process default configuration
 // (internal/config, set by the -libcache flag) names a directory,
 // characterized libraries are persisted there as <name>.lib text files
-// and reloaded on later runs, skipping the ~10 s transient-simulation
-// pass (stale files regenerate on format-version or read errors).
+// and reloaded on later runs, skipping the transient-simulation pass
+// (about 5 s of CPU for the organic library; stale files regenerate on
+// format-version or read errors).
 // Characterized libraries are a process-wide shared resource: sessions
 // share them deliberately, since characterization is deterministic.
 func Library(t *Technology) *liberty.Library {

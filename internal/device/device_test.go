@@ -179,7 +179,7 @@ func TestSiliconOnCurrentScale(t *testing.T) {
 // Property: drain current is non-negative and monotonically
 // non-decreasing in gate drive for both model classes.
 func TestModelMonotoneInGateDrive(t *testing.T) {
-	models := []Model{
+	models := []evalModel{
 		PentaceneGolden(),
 		&Level1{Geom: PentaceneGeometry(), VT: 1.3, Mu: PentaceneMuLin},
 		SiliconNMOS(SiliconWN),

@@ -28,7 +28,8 @@ func logCurrentError(m Model, curves []TransferCurve, floor float64) float64 {
 	for _, c := range curves {
 		for _, pt := range c.Points {
 			want := math.Max(pt.ID, floor)
-			got := math.Max(m.ID(-pt.VGS, pt.VDS), floor)
+			id, _, _ := m.Eval(-pt.VGS, pt.VDS)
+			got := math.Max(id, floor)
 			d := math.Log10(got) - math.Log10(want)
 			sum += d * d
 			n++

@@ -4,13 +4,17 @@ import "math"
 
 // Model is a three-terminal FET compact model in n-normalized form.
 //
-// ID must return the channel current in amperes for the given
-// gate-source and drain-source voltages, with vds >= 0. Implementations
-// must be continuous in both arguments; the circuit simulator computes
-// partial derivatives by finite differences.
+// Eval must return the channel current in amperes for the given
+// gate-source and drain-source voltages, with vds >= 0, together with
+// its partial derivatives: the transconductance gm = dID/dVGS and the
+// output conductance gds = dID/dVDS. The circuit simulator stamps those
+// conductances straight into its Newton Jacobian, so implementations
+// must be continuous in both arguments and return exact derivatives of
+// the current they report (one-sided from vds > 0 at vds = 0).
 type Model interface {
-	// ID returns the drain current in amperes for vds >= 0.
-	ID(vgs, vds float64) float64
+	// Eval returns the drain current and its partial derivatives with
+	// respect to vgs and vds, for vds >= 0.
+	Eval(vgs, vds float64) (id, gm, gds float64)
 	// Name identifies the model (for reports and errors).
 	Name() string
 }
@@ -48,21 +52,29 @@ func (m *Level1) Name() string { return "level1" }
 // KP returns the transconductance parameter Mu*Cox in A/V^2.
 func (m *Level1) KP() float64 { return m.Mu * m.Geom.Cox }
 
-// ID implements Model.
+// ID returns the drain current in amperes for vds >= 0.
 func (m *Level1) ID(vgs, vds float64) float64 {
+	id, _, _ := m.Eval(vgs, vds)
+	return id
+}
+
+// Eval implements Model.
+func (m *Level1) Eval(vgs, vds float64) (id, gm, gds float64) {
 	if vds < 0 {
 		vds = 0
 	}
 	vov := vgs - m.VT
 	if vov <= 0 {
-		return 0
+		return 0, 0, 0
 	}
 	beta := m.KP() * m.Geom.W / m.Geom.L
 	clm := 1 + m.Lambda*vds
 	if vds < vov {
-		return beta * (vov*vds - 0.5*vds*vds) * clm
+		q := vov*vds - 0.5*vds*vds
+		return beta * q * clm, beta * vds * clm, beta*(vov-vds)*clm + beta*q*m.Lambda
 	}
-	return 0.5 * beta * vov * vov * clm
+	sat := 0.5 * beta * vov * vov
+	return sat * clm, beta * vov * clm, sat * m.Lambda
 }
 
 // Level61 is an RPI-style thin-film-transistor compact model (SPICE level
@@ -109,8 +121,17 @@ type Level61 struct {
 // Name implements Model.
 func (m *Level61) Name() string { return "level61" }
 
-// ID implements Model.
+// ID returns the drain current in amperes for vds >= 0.
 func (m *Level61) ID(vgs, vds float64) float64 {
+	id, _, _ := m.Eval(vgs, vds)
+	return id
+}
+
+// Eval implements Model. The derivatives reuse the current's
+// intermediates: the logistic factor e/(1+e) of the softplus overdrive,
+// the power-law mobility's mu*Gamma/vgte, and the saturation knee's
+// (vds/vsat)^M, so no transcendental is evaluated twice.
+func (m *Level61) Eval(vgs, vds float64) (id, gm, gds float64) {
 	if vds < 0 {
 		vds = 0
 	}
@@ -120,23 +141,29 @@ func (m *Level61) ID(vgs, vds float64) float64 {
 		nVt = 0.060 / math.Ln10
 	}
 	vdsShift := vds
+	dibl := m.DIBL // dvte/dvds = -dibl
 	if m.DIBLClamp > 0 && vdsShift > m.DIBLClamp {
 		vdsShift = m.DIBLClamp
+		dibl = 0
 	}
 	vte := m.VT0 - m.DIBL*vdsShift
 	x := (vgs - vte) / nVt
-	var vgte float64
+	var vgte, dvgte float64 // dvgte = dvgte/dvgs
 	switch {
 	case x > 40:
-		vgte = vgs - vte
+		vgte, dvgte = vgs-vte, 1
 	case x < -40:
-		vgte = nVt * math.Exp(x)
+		e := math.Exp(x)
+		vgte, dvgte = nVt*e, e
 	default:
-		vgte = nVt * math.Log1p(math.Exp(x))
+		e := math.Exp(x)
+		vgte, dvgte = nVt*math.Log1p(e), e/(1+e)
 	}
 	mu := m.Mu0
+	gamma := 0.0 // vgte*dmu/dvgte / mu
 	if m.Gamma != 0 && m.VAA > 0 {
 		mu *= math.Pow(vgte/m.VAA, m.Gamma)
+		gamma = m.Gamma
 	}
 	msat := m.MSat
 	if msat <= 0 {
@@ -147,15 +174,25 @@ func (m *Level61) ID(vgs, vds float64) float64 {
 		alpha = 1
 	}
 	vsat := alpha * vgte
-	var vdse float64
-	if vsat <= 0 {
-		vdse = 0
-	} else {
-		vdse = vds / math.Pow(1+math.Pow(vds/vsat, msat), 1/msat)
+	// vdse = vds / r^(1/M) with r = 1 + (vds/vsat)^M, so
+	// dvdse/dvds = vdse/(vds*r) and vgte*dvdse/dvgte = vdse*(1-1/r);
+	// 1-1/r stays finite when (vds/vsat)^M overflows.
+	var vdse, dvdse, r float64
+	if vsat > 0 {
+		r = 1 + math.Pow(vds/vsat, msat)
+		p := math.Pow(r, 1/msat)
+		vdse, dvdse = vds/p, 1/(p*r)
 	}
+	clm := 1 + m.Lambda*vds
 	gch := mu * m.Geom.Cox * (m.Geom.W / m.Geom.L) * vgte
-	id := gch * vdse * (1 + m.Lambda*vds)
-	return id + m.ILeak + m.Gmin*vds
+	id = gch * vdse * clm
+	if vsat > 0 {
+		// dID/dvgte: gch's own vgte, the mobility and the knee's vsat.
+		dvg := mu * m.Geom.Cox * (m.Geom.W / m.Geom.L) * vdse * clm * (2 + gamma - 1/r)
+		gm = dvg * dvgte
+		gds = gch*(dvdse*clm+vdse*m.Lambda) + gm*dibl
+	}
+	return id + m.ILeak + m.Gmin*vds, gm, gds + m.Gmin
 }
 
 // VelSatLevel1 extends Level1 with a velocity-saturation current limit,
@@ -169,21 +206,30 @@ type VelSatLevel1 struct {
 // Name implements Model.
 func (m *VelSatLevel1) Name() string { return "level1-vsat" }
 
-// ID implements Model.
+// ID returns the drain current in amperes for vds >= 0.
 func (m *VelSatLevel1) ID(vgs, vds float64) float64 {
-	id := m.Level1.ID(vgs, vds)
+	id, _, _ := m.Eval(vgs, vds)
+	return id
+}
+
+// Eval implements Model.
+func (m *VelSatLevel1) Eval(vgs, vds float64) (id, gm, gds float64) {
+	id, gm, gds = m.Level1.Eval(vgs, vds)
 	if m.VSat <= 0 {
-		return id
+		return id, gm, gds
 	}
 	vov := vgs - m.Level1.VT
 	if vov <= 0 {
-		return id
+		return id, gm, gds
 	}
 	// Velocity-saturated limit: Idmax = W * Cox * vov * vsat. Blend with a
 	// smooth-min so the characteristic remains continuous.
 	limit := m.Geom.W * m.Geom.Cox * vov * m.VSat
 	if limit <= 0 {
-		return id
+		return id, gm, gds
 	}
-	return id * limit / (id + limit)
+	// d(id*limit/(id+limit)) = (limit^2*did + id^2*dlimit) / (id+limit)^2.
+	s := id + limit
+	a, b := limit*limit/(s*s), id*id/(s*s)
+	return id * limit / s, a*gm + b*m.Geom.W*m.Geom.Cox*m.VSat, a * gds
 }

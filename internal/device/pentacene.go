@@ -104,7 +104,7 @@ func SynthesizeTransfer(golden Model, vds float64, n int, ripple float64) Transf
 		vgsPaper := -10 + 20*float64(i)/float64(n-1)
 		// Mirror into the n-normalized convention: paper VGS=-10 (on)
 		// maps to +10 of gate drive.
-		id := golden.ID(-vgsPaper, vds)
+		id, _, _ := golden.Eval(-vgsPaper, vds)
 		if ripple > 0 {
 			// Deterministic pseudo-ripple: slow multi-tone drift in
 			// log-current, standing in for measurement drift and

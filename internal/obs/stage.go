@@ -33,6 +33,13 @@ const (
 	// mark a run whose numerics degraded.
 	StageSpiceGmin   = "spice.gmin_step"
 	StageSpiceSource = "spice.source_step"
+
+	// SPICE work counters (internal/spice): Newton iterations across all
+	// DC and transient solves, and completed transient time steps. Their
+	// ratio is the iterations a time step takes; a rise marks the solver
+	// working harder for the same circuits.
+	StageSpiceNewton   = "spice.newton_iter"
+	StageSpiceTranStep = "spice.tran_step"
 )
 
 // The two per-stage families on the process-default registry: every

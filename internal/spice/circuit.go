@@ -135,6 +135,10 @@ type Circuit struct {
 	MaxIter int     // Newton iteration limit per solve (default 300)
 	VTol    float64 // absolute voltage convergence tolerance (default 1e-6)
 	MaxStep float64 // per-iteration voltage damping limit (default 0.5 V)
+
+	// Newton workspace (see newton): solution, right-hand side and
+	// row-major Jacobian, reallocated only when the system size changes.
+	x, rhs, jac []float64
 }
 
 // NewCircuit returns an empty circuit with default solver options.

@@ -51,33 +51,31 @@ type assembleOpts struct {
 	dt        float64 // transient step
 }
 
-// mosCurrent returns the current flowing from node d into the device
-// channel, for the given terminal voltages.
-func (m *mosfet) current(vd, vg, vs float64) float64 {
+// eval returns the current f flowing from node d into the device
+// channel at the given terminal voltages, and its partial derivatives
+// with respect to vd, vg and vs. The model is n-normalized with
+// vds >= 0, so the terminal voltages are mirrored by the polarity and,
+// for negative vds, drain and source swap roles.
+func (m *mosfet) eval(vd, vg, vs float64) (f, gdd, gdg, gds float64) {
 	sigma := 1.0
 	if m.pol == P {
 		sigma = -1
 	}
 	vds := sigma * (vd - vs)
 	if vds >= 0 {
-		id := m.model.ID(sigma*(vg-vs), vds)
-		return sigma * id
+		id, gm, g := m.model.Eval(sigma*(vg-vs), vds)
+		return sigma * id, g, gm, -gm - g
 	}
-	// Swap drain/source roles.
-	id := m.model.ID(sigma*(vg-vd), sigma*(vs-vd))
-	return -sigma * id
+	id, gm, g := m.model.Eval(sigma*(vg-vd), sigma*(vs-vd))
+	return -sigma * id, gm + g, -gm, -g
 }
 
-// assemble builds the linearized MNA system J*x = rhs around x0.
-func (c *Circuit) assemble(j [][]float64, rhs, x0 []float64, opt assembleOpts) {
+// assemble builds the linearized MNA system J*x = rhs around x0. j is
+// the n*n Jacobian in row-major order, n = len(rhs).
+func (c *Circuit) assemble(j, rhs, x0 []float64, opt assembleOpts) {
 	n := len(rhs)
-	for i := range rhs {
-		rhs[i] = 0
-		row := j[i]
-		for k := 0; k < n; k++ {
-			row[k] = 0
-		}
-	}
+	clear(j)
+	clear(rhs)
 	volt := func(nd Node) float64 {
 		if nd == Ground {
 			return 0
@@ -86,22 +84,22 @@ func (c *Circuit) assemble(j [][]float64, rhs, x0 []float64, opt assembleOpts) {
 	}
 	stampG := func(a, b Node, g float64) {
 		if a != Ground {
-			j[index(a)][index(a)] += g
+			j[index(a)*n+index(a)] += g
 			if b != Ground {
-				j[index(a)][index(b)] -= g
+				j[index(a)*n+index(b)] -= g
 			}
 		}
 		if b != Ground {
-			j[index(b)][index(b)] += g
+			j[index(b)*n+index(b)] += g
 			if a != Ground {
-				j[index(b)][index(a)] -= g
+				j[index(b)*n+index(a)] -= g
 			}
 		}
 	}
 	// Gmin from every node to ground.
-	gm := c.Gmin + opt.gminExtra
+	gmin := c.Gmin + opt.gminExtra
 	for i := 0; i < c.numNodes-1; i++ {
-		j[i][i] += gm
+		j[i*n+i] += gmin
 	}
 	for _, r := range c.res {
 		stampG(r.a, r.b, r.g)
@@ -125,12 +123,12 @@ func (c *Circuit) assemble(j [][]float64, rhs, x0 []float64, opt assembleOpts) {
 	for _, v := range c.vsrc {
 		br := v.branch
 		if v.a != Ground {
-			j[index(v.a)][br] += 1
-			j[br][index(v.a)] += 1
+			j[index(v.a)*n+br] += 1
+			j[br*n+index(v.a)] += 1
 		}
 		if v.b != Ground {
-			j[index(v.b)][br] -= 1
-			j[br][index(v.b)] -= 1
+			j[index(v.b)*n+br] -= 1
+			j[br*n+index(v.b)] -= 1
 		}
 		rhs[br] = opt.srcScale * v.stim.At(opt.t)
 	}
@@ -143,56 +141,56 @@ func (c *Circuit) assemble(j [][]float64, rhs, x0 []float64, opt assembleOpts) {
 			rhs[index(is.b)] += cur
 		}
 	}
-	// MOSFETs: finite-difference linearization of the channel current.
-	const h = 1e-6
+	// MOSFETs: the channel current f(vd,vg,vs) leaving node d, linearized
+	// with the model's analytic conductances as
+	// f = f0 + gdd*dvd + gdg*dvg + gds*dvs. The linear part is KCL in J;
+	// the affine remainder goes to rhs.
 	for _, m := range c.mos {
 		vd, vg, vs := volt(m.d), volt(m.g), volt(m.s)
-		f0 := m.current(vd, vg, vs)
-		gdd := (m.current(vd+h, vg, vs) - f0) / h
-		gdg := (m.current(vd, vg+h, vs) - f0) / h
-		gds := (m.current(vd, vg, vs+h) - f0) / h
-		// Current leaving node d into the channel: f(vd,vg,vs). Linearize:
-		// f = f0 + gdd*dvd + gdg*dvg + gds*dvs. The KCL contribution of
-		// the linear part goes in J; the affine remainder goes to rhs.
+		f0, gdd, gdg, gds := m.eval(vd, vg, vs)
 		lin := f0 - gdd*vd - gdg*vg - gds*vs
 		add := func(row Node, sign float64) {
 			if row == Ground {
 				return
 			}
-			ri := index(row)
+			ri := index(row) * n
 			if m.d != Ground {
-				j[ri][index(m.d)] += sign * gdd
+				j[ri+index(m.d)] += sign * gdd
 			}
 			if m.g != Ground {
-				j[ri][index(m.g)] += sign * gdg
+				j[ri+index(m.g)] += sign * gdg
 			}
 			if m.s != Ground {
-				j[ri][index(m.s)] += sign * gds
+				j[ri+index(m.s)] += sign * gds
 			}
-			rhs[ri] -= sign * lin
+			rhs[index(row)] -= sign * lin
 		}
 		add(m.d, 1)
 		add(m.s, -1)
 	}
 }
 
-// newton runs damped Newton-Raphson from guess x0 (which may be nil).
-func (c *Circuit) newton(x0 []float64, opt assembleOpts) ([]float64, error) {
+// newton runs damped Newton-Raphson from guess x0 (which may be nil),
+// returning the solution and the iterations it took. The solution, the
+// right-hand side and the Jacobian live in the circuit's workspace,
+// allocated once per system size: the returned slice is overwritten by
+// the next solve, and x0 may be a previous solution.
+func (c *Circuit) newton(x0 []float64, opt assembleOpts) ([]float64, int, error) {
 	n := c.unknowns()
-	x := make([]float64, n)
+	if len(c.x) != n {
+		c.x, c.rhs, c.jac = make([]float64, n), make([]float64, n), make([]float64, n*n)
+	}
+	x := c.x
 	if x0 != nil {
 		copy(x, x0)
+	} else {
+		clear(x)
 	}
-	j := make([][]float64, n)
-	for i := range j {
-		j[i] = make([]float64, n)
-	}
-	rhs := make([]float64, n)
 	for iter := 0; iter < c.MaxIter; iter++ {
-		c.assemble(j, rhs, x, opt)
-		xNew, err := solveDense(j, rhs)
+		c.assemble(c.jac, c.rhs, x, opt)
+		xNew, err := solveDense(c.jac, c.rhs)
 		if err != nil {
-			return nil, err
+			return nil, iter + 1, err
 		}
 		// Damp the voltage update.
 		maxDv := 0.0
@@ -210,19 +208,28 @@ func (c *Circuit) newton(x0 []float64, opt assembleOpts) ([]float64, error) {
 			x[i] += alpha * (xNew[i] - x[i])
 		}
 		if maxDv*alpha < c.VTol && iter > 0 {
-			return x, nil
+			return x, iter + 1, nil
 		}
 	}
-	return nil, fmt.Errorf("spice: Newton iteration did not converge in %d steps", c.MaxIter)
+	return nil, c.MaxIter, fmt.Errorf("spice: Newton iteration did not converge in %d steps", c.MaxIter)
 }
 
 // solveDC finds the DC solution at time t, using gmin and source stepping
 // as fallbacks for hard-to-converge bias points. Entering either
 // fallback counts one spice.gmin_step / spice.source_step event, so a
-// run whose convergence degraded shows it in the stage metrics.
+// run whose convergence degraded shows it in the stage metrics; every
+// Newton iteration of the solve counts toward spice.newton_iter. The
+// solution lives in the circuit's workspace (see newton).
 func (c *Circuit) solveDC(t float64, guess []float64) ([]float64, error) {
+	iters := 0
+	defer func() { obs.Add(obs.StageSpiceNewton, int64(iters)) }()
+	solve := func(x0 []float64, opt assembleOpts) ([]float64, error) {
+		x, k, err := c.newton(x0, opt)
+		iters += k
+		return x, err
+	}
 	base := assembleOpts{t: t, srcScale: 1}
-	if x, err := c.newton(guess, base); err == nil {
+	if x, err := solve(guess, base); err == nil {
 		return x, nil
 	}
 	// Gmin stepping: relax with a large shunt conductance, then tighten.
@@ -232,7 +239,7 @@ func (c *Circuit) solveDC(t float64, guess []float64) ([]float64, error) {
 	for g := 1e-3; g >= 1e-12; g /= 10 {
 		opt := base
 		opt.gminExtra = g
-		nx, err := c.newton(x, opt)
+		nx, err := solve(x, opt)
 		if err != nil {
 			ok = false
 			break
@@ -240,7 +247,7 @@ func (c *Circuit) solveDC(t float64, guess []float64) ([]float64, error) {
 		x = nx
 	}
 	if ok && x != nil {
-		if fx, err := c.newton(x, base); err == nil {
+		if fx, err := solve(x, base); err == nil {
 			return fx, nil
 		}
 	}
@@ -250,7 +257,7 @@ func (c *Circuit) solveDC(t float64, guess []float64) ([]float64, error) {
 	for scale := 0.05; scale <= 1.0001; scale += 0.05 {
 		opt := base
 		opt.srcScale = math.Min(scale, 1)
-		nx, err := c.newton(x, opt)
+		nx, err := solve(x, opt)
 		if err != nil {
 			return nil, fmt.Errorf("spice: source stepping failed at %.0f%%: %w", scale*100, err)
 		}
@@ -265,7 +272,7 @@ func (c *Circuit) DCOperatingPoint() (OP, error) {
 	if err != nil {
 		return OP{}, err
 	}
-	return OP{c: c, x: x}, nil
+	return OP{c: c, x: append([]float64(nil), x...)}, nil
 }
 
 // SweepPoint is one solved bias point of a DC sweep.

@@ -11,7 +11,7 @@ import (
 )
 
 func TestSolveDense(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
+	a := []float64{2, 1, 1, 3}
 	b := []float64{5, 10}
 	x, err := solveDense(a, b)
 	if err != nil {
@@ -24,7 +24,7 @@ func TestSolveDense(t *testing.T) {
 
 func TestSolveDensePivoting(t *testing.T) {
 	// Zero on the diagonal requires pivoting.
-	a := [][]float64{{0, 1}, {1, 0}}
+	a := []float64{0, 1, 1, 0}
 	b := []float64{2, 3}
 	x, err := solveDense(a, b)
 	if err != nil {
@@ -36,7 +36,7 @@ func TestSolveDensePivoting(t *testing.T) {
 }
 
 func TestSolveDenseSingular(t *testing.T) {
-	a := [][]float64{{1, 1}, {2, 2}}
+	a := []float64{1, 1, 2, 2}
 	b := []float64{1, 2}
 	if _, err := solveDense(a, b); err == nil {
 		t.Fatal("expected singular matrix error")
@@ -47,23 +47,22 @@ func TestSolveDenseRandomProperty(t *testing.T) {
 	// A x = b where x is known: reconstruct b = A*x and verify the solve.
 	prop := func(seed uint32) bool {
 		n := 3 + int(seed%4)
-		a := make([][]float64, n)
+		a := make([]float64, n*n)
 		x := make([]float64, n)
 		s := float64(seed%1000) + 1
-		for i := range a {
-			a[i] = make([]float64, n)
+		for i := range x {
 			x[i] = math.Sin(s + float64(i))
-			for j := range a[i] {
-				a[i][j] = math.Cos(s*float64(i+1) + float64(j))
+			for j := 0; j < n; j++ {
+				a[i*n+j] = math.Cos(s*float64(i+1) + float64(j))
 				if i == j {
-					a[i][j] += float64(n) // diagonally dominant
+					a[i*n+j] += float64(n) // diagonally dominant
 				}
 			}
 		}
 		b := make([]float64, n)
 		for i := range b {
 			for j := range x {
-				b[i] += a[i][j] * x[j]
+				b[i] += a[i*n+j] * x[j]
 			}
 		}
 		got, err := solveDense(a, b)
@@ -225,8 +224,8 @@ func TestMOSOrientationSymmetry(t *testing.T) {
 	// must give the same channel current magnitude at mirrored bias.
 	m := device.SiliconNMOS(device.SiliconWN)
 	dev := &mosfet{pol: N, model: m}
-	i1 := dev.current(1.0, 1.1, 0) // vds = +1
-	i2 := dev.current(0, 1.1, 1.0) // roles swapped
+	i1, _, _, _ := dev.eval(1.0, 1.1, 0) // vds = +1
+	i2, _, _, _ := dev.eval(0, 1.1, 1.0) // roles swapped
 	if i1 <= 0 {
 		t.Fatalf("forward current should be positive, got %g", i1)
 	}

@@ -1,6 +1,10 @@
 package spice
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // Tran holds recorded waveforms from a transient analysis.
 type Tran struct {
@@ -41,11 +45,18 @@ func (t *Tran) SupplyEnergy(volts map[string]float64, t0, t1 float64) float64 {
 
 // Transient simulates from t = 0 to tstop with a fixed step dt using the
 // trapezoidal method, recording the given nodes. The initial condition is
-// the DC operating point at t = 0.
+// the DC operating point at t = 0. Each completed time step counts one
+// spice.tran_step event and each of its Newton iterations one
+// spice.newton_iter event (the initial DC solve counts its own).
 func (c *Circuit) Transient(tstop, dt float64, record ...Node) (*Tran, error) {
 	if dt <= 0 || tstop <= dt {
 		return nil, fmt.Errorf("spice: bad transient window tstop=%g dt=%g", tstop, dt)
 	}
+	var steps, iters int
+	defer func() {
+		obs.Add(obs.StageSpiceTranStep, int64(steps))
+		obs.Add(obs.StageSpiceNewton, int64(iters))
+	}()
 	x, err := c.solveDC(0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("spice: transient initial condition: %w", err)
@@ -61,14 +72,17 @@ func (c *Circuit) Transient(tstop, dt float64, record ...Node) (*Tran, error) {
 		cp.vPrev = volt(x, cp.a) - volt(x, cp.b)
 		cp.iPrev = 0
 	}
-	steps := int(tstop/dt) + 1
+	samples := int(tstop/dt+0.5) + 1 // t = 0 plus the steps taken below
 	tr := &Tran{
-		Times: make([]float64, 0, steps),
+		Times: make([]float64, 0, samples),
 		nodes: make(map[Node][]float64, len(record)),
 		srcI:  make(map[string][]float64, len(c.vsrc)),
 	}
 	for _, n := range record {
-		tr.nodes[n] = make([]float64, 0, steps)
+		tr.nodes[n] = make([]float64, 0, samples)
+	}
+	for _, v := range c.vsrc {
+		tr.srcI[v.name] = make([]float64, 0, samples)
 	}
 	c.unknowns() // assign branch indices before sampling currents
 	snapshot := func(t float64, x []float64) {
@@ -84,10 +98,12 @@ func (c *Circuit) Transient(tstop, dt float64, record ...Node) (*Tran, error) {
 	opt := assembleOpts{srcScale: 1, transient: true, dt: dt}
 	for t := dt; t <= tstop+dt/2; t += dt {
 		opt.t = t
-		nx, err := c.newton(x, opt)
+		nx, k, err := c.newton(x, opt)
+		iters += k
 		if err != nil {
 			return nil, fmt.Errorf("spice: transient t=%g: %w", t, err)
 		}
+		steps++
 		// Update companion state: i = geq*(v_new) - (geq*vPrev + iPrev).
 		for _, cp := range c.caps {
 			if cp.c <= 0 {

@@ -26,7 +26,10 @@ import (
 // benchSession is the one Session every benchmark shares, so expensive
 // cached artifacts are paid for once across the whole bench run, same
 // as before the Session migration (the caches are process-wide).
-var benchSession = biodeg.New()
+var (
+	benchConfig  biodeg.Config
+	benchSession = biodeg.New(benchConfig)
+)
 
 func reportOpt(b *testing.B, freq []float64) {
 	opt := 0
@@ -250,7 +253,7 @@ func BenchmarkParallelExperiments(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(benchSession.Workers()), "workers")
+	b.ReportMetric(float64(benchConfig.WorkerCount()), "workers")
 }
 
 // BenchmarkWorkloadSimulation measures raw trace-driven simulation

@@ -35,7 +35,7 @@ func TestSimulateIPC(t *testing.T) {
 	cfg := DefaultCore()
 	cfg.FrontWidth = 2
 	cfg.BackWidth = 4
-	st, err := New().SimulateIPC(context.Background(), "gzip", cfg)
+	st, err := New(Config{}).SimulateIPC(context.Background(), "gzip", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestExperimentsList(t *testing.T) {
 	if len(Experiments()) < 10 {
 		t.Fatalf("registry too small: %d", len(Experiments()))
 	}
-	s := New()
+	s := New(Config{})
 	tables, err := s.RunExperiment(context.Background(), "fig3")
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestExperimentsList(t *testing.T) {
 // against each other must all succeed and agree. Run under -race this
 // is the safety test for the per-key singleflight caches.
 func TestConcurrentExperiments(t *testing.T) {
-	s := New()
+	s := New(Config{})
 	ids := []string{"fig3", "fig4", "fig3", "fig4"}
 	var wg sync.WaitGroup
 	renders := make([]string, len(ids))
@@ -114,7 +114,7 @@ func TestConcurrentExperiments(t *testing.T) {
 }
 
 func TestRunExperimentsAPI(t *testing.T) {
-	s := New()
+	s := New(Config{})
 	res, err := s.RunExperiments(context.Background(), "fig4", "fig3")
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestRunExperimentsAPI(t *testing.T) {
 // TestProgressHook checks a session's work drives the process-wide
 // progress hook (obs.OnProgress, what biodegd's /v1/progress streams).
 func TestProgressHook(t *testing.T) {
-	s := New()
+	s := New(Config{})
 	var mu sync.Mutex
 	stages := map[string]int64{}
 	obs.OnProgress(func(stage string, count int64, d time.Duration) {
@@ -153,9 +153,6 @@ func TestProgressHook(t *testing.T) {
 	if ipcCount < 1 {
 		t.Error("progress hook never fired for the ipc stage")
 	}
-	if s.Workers() < 1 {
-		t.Error("Workers() must be >= 1")
-	}
 }
 
 func TestTechnologiesThroughAPI(t *testing.T) {
@@ -166,7 +163,7 @@ func TestTechnologiesThroughAPI(t *testing.T) {
 	if Library(org).FO4() <= Library(sil).FO4() {
 		t.Error("organic FO4 must exceed silicon's")
 	}
-	pts, err := New().ALUDepth(context.Background(), sil, 10)
+	pts, err := New(Config{}).ALUDepth(context.Background(), sil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

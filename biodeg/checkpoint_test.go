@@ -13,7 +13,7 @@ import (
 
 func TestWithCheckpointBindsJournal(t *testing.T) {
 	dir := t.TempDir()
-	s := New(WithCheckpoint(dir))
+	s := New(Config{Checkpoint: dir})
 	ctx, err := s.bind(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestWithCheckpointBindsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := New(WithCheckpoint(dir))
+	s2 := New(Config{Checkpoint: dir})
 	defer s2.Close()
 	ctx2, err := s2.bind(context.Background())
 	if err != nil {
@@ -60,7 +60,7 @@ func TestWithCheckpointBindsJournal(t *testing.T) {
 // under another.
 func TestWithCheckpointRejectsChangedKnobs(t *testing.T) {
 	dir := t.TempDir()
-	s := New(WithCheckpoint(dir))
+	s := New(Config{Checkpoint: dir})
 	if _, err := s.bind(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestWithCheckpointRejectsChangedKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaotic := New(WithCheckpoint(dir), WithFaults(spec))
+	chaotic := New(Config{Checkpoint: dir, Faults: WithFaults(spec)})
 	defer chaotic.Close()
 	_, err = chaotic.bind(context.Background())
 	if !errors.Is(err, checkpoint.ErrConfigMismatch) {
@@ -86,7 +86,7 @@ func TestWithCheckpointRejectsChangedKnobs(t *testing.T) {
 // daemon's job store relies on: a checkpoint already on the context (a
 // per-job journal) wins over the session's own.
 func TestSessionJournalYieldsToContextCheckpoint(t *testing.T) {
-	s := New(WithCheckpoint(t.TempDir()))
+	s := New(Config{Checkpoint: t.TempDir()})
 	defer s.Close()
 	jobDir := t.TempDir()
 	jobJournal, _, err := checkpoint.Open(context.Background(),
@@ -111,13 +111,13 @@ func TestSessionJournalYieldsToContextCheckpoint(t *testing.T) {
 }
 
 func TestSessionWithoutCheckpointNeedsNoClose(t *testing.T) {
-	s := New()
+	s := New(Config{})
 	ctx, err := s.bind(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if runner.CheckpointFrom(ctx) != nil {
-		t.Error("checkpoint attached without WithCheckpoint")
+		t.Error("checkpoint attached without Config.Checkpoint")
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close on an unjournaled session: %v", err)

@@ -5,7 +5,7 @@
 //
 // The typical flow mirrors the paper's (Figure 10):
 //
-//	s := biodeg.New()                    // a Session owns the worker pool
+//	s := biodeg.New(biodeg.Config{})     // a Session binds one Config
 //	org := biodeg.Organic()              // characterized technology
 //	inv := biodeg.InverterDC(biodeg.PseudoE, 5, -15)  // cell-level DC analysis
 //	alu := s.ALUDepth(ctx, org, 30)      // Fig. 12 sweep
@@ -19,17 +19,16 @@
 // caches, so repeated or concurrent calls are cheap and never convoy on
 // a global lock.
 //
-// The context-first entry point is Session, built with functional
-// options: New(WithWorkers(8), WithMetrics(true), WithLibCache(dir)).
-// Every sweep and experiment is a Session method taking a context for
-// cancellation; the sweep fans out over the session's worker pool
-// (unset options inherit the process defaults the commands install
-// from their flags), and parallel results are ordered by design point
-// — bit-identical to a serial run. Two sessions with different worker
-// counts coexist in one process; the biodegd daemon serves all its
-// HTTP traffic from one shared Session. Session.RunExperiments
-// executes independent paper figures concurrently, and
-// Session.MetricsReport renders the per-stage wall-time report.
+// The context-first entry point is Session, built from one Config value
+// whose zero value means all defaults: New(Config{Workers: 8,
+// Checkpoint: dir}); the commands pass the Config their flags resolved
+// to. Every sweep and experiment is a Session method taking a context
+// for cancellation; the sweep fans out over the session's worker pool,
+// and parallel results are ordered by design point — bit-identical to
+// a serial run. Two sessions with different worker counts coexist in
+// one process; the biodegd daemon serves all its HTTP traffic from one
+// shared Session. Session.RunExperiments executes independent paper
+// figures concurrently.
 //
 // Observability: Session methods parent their spans (internal/obs) to
 // the span carried by ctx, so a tracing run shows the full
@@ -39,7 +38,8 @@
 // commands expose the sinks as flags (-trace, -jsonl, -manifest,
 // -pprof, each defaulting from the matching BIODEG_* environment
 // variable — the flag layer, internal/cli, is the only environment
-// reader);
+// reader — and -metrics, whose per-stage report prints when the run
+// finishes);
 // RecordResults fills a run manifest with per-experiment wall times
 // and table digests for reproducibility diffing.
 package biodeg

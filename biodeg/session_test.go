@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/runner"
 )
@@ -50,44 +49,8 @@ func mustBind(t *testing.T, s *Session) context.Context {
 	return ctx
 }
 
-func TestSessionOptionResolution(t *testing.T) {
-	old := config.Default()
-	defer config.SetDefault(old)
-	config.SetDefault(config.Config{Workers: 7, Metrics: true, LibCache: "/tmp/x"})
-
-	// An optionless session follows the process default at call time.
-	s := New()
-	if got := s.Workers(); got != 7 {
-		t.Errorf("default session workers = %d, want 7", got)
-	}
-	if !s.MetricsEnabled() {
-		t.Error("default session should inherit Metrics=true")
-	}
-
-	// Explicit options override only the fields they set.
-	s2 := New(WithWorkers(2), WithMetrics(false))
-	if got := s2.Workers(); got != 2 {
-		t.Errorf("WithWorkers(2) session workers = %d, want 2", got)
-	}
-	if s2.MetricsEnabled() {
-		t.Error("WithMetrics(false) should win over the process default")
-	}
-	if got := s2.config().LibCache; got != "/tmp/x" {
-		t.Errorf("unset LibCache should inherit the default, got %q", got)
-	}
-
-	// Changing the default later is visible to unset fields only.
-	config.SetDefault(config.Config{Workers: 3})
-	if got := s.Workers(); got != 3 {
-		t.Errorf("optionless session should track the default, got %d", got)
-	}
-	if got := s2.Workers(); got != 2 {
-		t.Errorf("explicit workers must stay pinned, got %d", got)
-	}
-}
-
 func TestSessionBindCarriesConfig(t *testing.T) {
-	s := New(WithWorkers(4))
+	s := New(Config{Workers: 4})
 	ctx := mustBind(t, s)
 	if got := runner.WorkersFor(ctx); got != 4 {
 		t.Errorf("bound context worker count = %d, want 4", got)
@@ -102,7 +65,7 @@ func TestSessionLogger(t *testing.T) {
 	defer obs.Disable()
 	var buf strings.Builder
 	logger := slog.New(obs.NewLogHandler(slog.NewJSONHandler(&buf, nil)))
-	sctx, sp := obs.Start(mustBind(t, New(WithWorkers(1))), "session.work")
+	sctx, sp := obs.Start(mustBind(t, New(Config{Workers: 1})), "session.work")
 	logger.InfoContext(sctx, "hello")
 	sp.End()
 	if !strings.Contains(buf.String(), fmt.Sprintf(`"span_id":%d`, sp.ID())) {
@@ -115,8 +78,8 @@ func TestSessionLogger(t *testing.T) {
 // overlaps work units while a 4-worker session reaches 4-way
 // concurrency, even when both run at the same time.
 func TestSessionPoolIsolation(t *testing.T) {
-	serial := New(WithWorkers(1))
-	wide := New(WithWorkers(4))
+	serial := New(Config{Workers: 1})
+	wide := New(Config{Workers: 4})
 
 	var wg sync.WaitGroup
 	peaks := make([]int, 2)
@@ -138,7 +101,7 @@ func TestSessionPoolIsolation(t *testing.T) {
 }
 
 func TestSessionRunExperimentHonorsContext(t *testing.T) {
-	s := New(WithWorkers(2))
+	s := New(Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.RunExperiment(ctx, "fig3"); err == nil {
@@ -150,7 +113,7 @@ func TestSessionRunExperimentHonorsContext(t *testing.T) {
 }
 
 func TestSessionSimulateIPC(t *testing.T) {
-	s := New(WithWorkers(2))
+	s := New(Config{Workers: 2})
 	st, err := s.SimulateIPC(context.Background(), "dhrystone", DefaultCore())
 	if err != nil {
 		t.Fatal(err)

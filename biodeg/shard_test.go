@@ -15,8 +15,8 @@ func TestCoordinatorLoopbackByteIdentical(t *testing.T) {
 		t.Skip("real sweeps in -short mode")
 	}
 	ctx := context.Background()
-	local := New()
-	sharded := New(WithCoordinator(true), WithShardBatch(2))
+	local := New(Config{})
+	sharded := New(Config{Coordinator: true, ShardBatch: 2})
 
 	want, err := local.ALUDepth(ctx, Organic(), 6)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestShardExecThroughSession(t *testing.T) {
 		t.Skip("real sweeps in -short mode")
 	}
 	ctx := context.Background()
-	s := New()
+	s := New(Config{})
 	res, err := s.ShardExec(ctx, &ShardRequest{Kind: "alu-depth", MaxStages: 3, Indices: []int{0, 2}})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,9 @@
 //
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
-// -trace, -jsonl, -manifest, -pprof, -log-format, -log-level.
+// -trace, -jsonl, -manifest, -pprof, -faults, -retries,
+// -stage-timeout, -partial, -checkpoint, -peers, -shard-batch,
+// -lease-timeout, -hedge-after, -log-format, -log-level.
 package main
 
 import (
@@ -56,7 +58,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "archexplore: %v\n", err)
 		os.Exit(1)
 	}
-	session := biodeg.New()
+	session := biodeg.New(opts.Config)
 	results, err := session.RunExperiments(ctx, ids...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "archexplore: %v\n", err)
@@ -66,9 +68,6 @@ func main() {
 		for _, t := range r.Tables {
 			fmt.Println(t.Render())
 		}
-	}
-	if session.MetricsEnabled() {
-		fmt.Fprintf(os.Stderr, "\nworkers: %d\n%s", session.Workers(), session.MetricsReport())
 	}
 	biodeg.RecordResults(run.Manifest, results)
 	if err := run.Finish(); err != nil {

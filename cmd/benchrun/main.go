@@ -12,7 +12,9 @@
 //
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
-// -trace, -jsonl, -manifest, -pprof, -log-format, -log-level.
+// -trace, -jsonl, -manifest, -pprof, -faults, -retries,
+// -stage-timeout, -partial, -checkpoint, -peers, -shard-batch,
+// -lease-timeout, -hedge-after, -log-format, -log-level.
 package main
 
 import (
@@ -57,7 +59,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchrun: %v\n", err)
 		os.Exit(1)
 	}
-	session := biodeg.New()
+	session := biodeg.New(opts.Config)
 	cfg := biodeg.DefaultCore()
 	cfg.FrontWidth = *fe
 	cfg.BackWidth = *be
@@ -72,9 +74,6 @@ func main() {
 			continue
 		}
 		fmt.Printf("%-10s %8.3f %10d %8d %9.2f %9.3f\n", b, st.IPC, st.Instrs, st.Cycles, st.MPKI, st.MissRate)
-	}
-	if session.MetricsEnabled() {
-		fmt.Fprintf(os.Stderr, "\nworkers: %d\n%s", session.Workers(), session.MetricsReport())
 	}
 	if err := run.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchrun: %v\n", err)

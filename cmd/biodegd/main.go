@@ -38,8 +38,8 @@
 // A request shed by the admission semaphore gets 429 + Retry-After; a
 // request rejected by the open circuit breaker (consecutive engine
 // failures) gets 503 + Retry-After. SIGINT/SIGTERM drains in-flight
-// requests (bounded by -drain-timeout) before exit, then writes any
-// requested trace/manifest sinks.
+// requests (bounded by -drain-timeout) before exit, then prints the
+// -metrics report and writes any requested trace/manifest sinks.
 //
 // With -coordinator the daemon shards its sweeps: the grid is cut into
 // batched point leases dispatched to the worker daemons named by
@@ -60,7 +60,8 @@
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
 // -trace, -jsonl, -manifest, -pprof, -faults, -retries,
-// -stage-timeout, -partial, -checkpoint, -log-format, -log-level.
+// -stage-timeout, -partial, -checkpoint, -peers, -shard-batch,
+// -lease-timeout, -hedge-after, -log-format, -log-level.
 // Every daemon log line goes through log/slog (-log-format json for
 // machine-readable logs) and carries the span_id of its enclosing
 // span, so logs correlate with -trace output. With -faults the daemon
@@ -96,7 +97,7 @@ func main() {
 	brkThreshold := flag.Int("breaker-threshold", 0, "consecutive engine failures opening the circuit breaker, 0 = default, -1 = disabled")
 	brkCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker rest before the half-open probe, 0 = default")
 	jobDir := flag.String("jobs", "", "directory backing the durable job store; empty disables /v1/jobs")
-	coordinator := flag.Bool("coordinator", false, "shard sweeps across the -peers workers (plus an in-process loopback worker)")
+	flag.BoolVar(&opts.Coordinator, "coordinator", false, "shard sweeps across the -peers workers (plus an in-process loopback worker)")
 	flag.Parse()
 
 	run, runCtx, err := opts.Start("biodegd")
@@ -105,29 +106,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	// One shared session serves every request: the flags fix its worker
-	// pool, metrics posture, and sharding role for the daemon's lifetime.
-	sessOpts := []biodeg.Option{
-		biodeg.WithWorkers(opts.Workers),
-		biodeg.WithMetrics(opts.Metrics),
-		biodeg.WithLibCache(opts.LibCache),
-	}
-	if *coordinator {
-		sessOpts = append(sessOpts,
-			biodeg.WithCoordinator(true),
-			biodeg.WithPeers(opts.Config().Peers...),
-			biodeg.WithShardBatch(opts.ShardBatch),
-			biodeg.WithLeaseTimeout(opts.LeaseTimeout),
-			biodeg.WithHedgeAfter(opts.HedgeAfter),
-		)
-	}
-	session := biodeg.New(sessOpts...)
+	// One shared session serves every request under the configuration
+	// the flags resolved to, fixed for the daemon's lifetime.
+	session := biodeg.New(opts.Config)
 	srv := server.New(server.NewSessionEngine(session), server.Options{
 		MaxInflight:      *maxInflight,
 		CacheSize:        *cacheSize,
 		RequestTimeout:   *reqTimeout,
 		BreakerThreshold: *brkThreshold,
 		BreakerCooldown:  *brkCooldown,
+		Injector:         opts.Faults,
 		AccessLog:        true,
 	})
 	if *jobDir != "" {
@@ -147,7 +135,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		slog.InfoContext(runCtx, "listening", "addr", *addr, "workers", session.Workers())
+		slog.InfoContext(runCtx, "listening", "addr", *addr, "workers", opts.WorkerCount())
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

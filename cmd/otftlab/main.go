@@ -10,10 +10,13 @@
 //
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
-// -trace, -jsonl, -manifest, -pprof, -log-format, -log-level.
+// -trace, -jsonl, -manifest, -pprof, -faults, -retries,
+// -stage-timeout, -partial, -checkpoint, -peers, -shard-batch,
+// -lease-timeout, -hedge-after, -log-format, -log-level.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,12 +33,17 @@ func main() {
 	if flag.NArg() > 0 {
 		which = flag.Arg(0)
 	}
+	run, ctx, err := opts.Start("otftlab")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "otftlab: %v\n", err)
+		os.Exit(1)
+	}
 	if which == "lib" {
-		tech := biodeg.Organic()
-		if flag.NArg() > 1 && flag.Arg(1) == "silicon" {
-			tech = biodeg.Silicon()
+		tech := biodeg.Organic
+		if flag.Arg(1) == "silicon" {
+			tech = biodeg.Silicon
 		}
-		if err := liberty.WriteSynopsys(os.Stdout, biodeg.Library(tech)); err != nil {
+		if err := errors.Join(liberty.WriteSynopsys(os.Stdout, biodeg.Library(tech())), run.Finish()); err != nil {
 			fmt.Fprintf(os.Stderr, "otftlab: %v\n", err)
 			os.Exit(1)
 		}
@@ -45,12 +53,7 @@ func main() {
 	if which != "all" {
 		ids = []string{which}
 	}
-	run, ctx, err := opts.Start("otftlab")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "otftlab: %v\n", err)
-		os.Exit(1)
-	}
-	session := biodeg.New()
+	session := biodeg.New(opts.Config)
 	results, err := session.RunExperiments(ctx, ids...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "otftlab: %v\n", err)
@@ -60,9 +63,6 @@ func main() {
 		for _, t := range r.Tables {
 			fmt.Println(t.Render())
 		}
-	}
-	if session.MetricsEnabled() {
-		fmt.Fprintf(os.Stderr, "\nworkers: %d\n%s", session.Workers(), session.MetricsReport())
 	}
 	biodeg.RecordResults(run.Manifest, results)
 	if err := run.Finish(); err != nil {

@@ -15,7 +15,8 @@
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
 // -trace, -jsonl, -manifest, -pprof, -faults, -retries,
-// -stage-timeout, -partial, -checkpoint, -log-format, -log-level.
+// -stage-timeout, -partial, -checkpoint, -peers, -shard-batch,
+// -lease-timeout, -hedge-after, -log-format, -log-level.
 package main
 
 import (
@@ -43,7 +44,7 @@ func main() {
 	}
 
 	start := time.Now()
-	session := biodeg.New()
+	session := biodeg.New(opts.Config)
 	defer session.Close() //nolint:errcheck // committed records are already durable
 	var results []biodeg.ExperimentResult
 	if *only != "" {
@@ -88,9 +89,6 @@ func main() {
 			}
 		}
 		fmt.Printf("total runtime: %v\n", time.Since(start))
-	}
-	if session.MetricsEnabled() {
-		fmt.Fprintf(os.Stderr, "\nworkers: %d\n%s", session.Workers(), session.MetricsReport())
 	}
 	biodeg.RecordResults(run.Manifest, results)
 	if err := run.Finish(); err != nil {

@@ -26,7 +26,7 @@ func main() {
 	const eventsPerSecond = 1.0 / 45
 
 	org := biodeg.Organic()
-	pts, err := biodeg.New().CoreDepth(context.Background(), org, 9, 15)
+	pts, err := biodeg.New(biodeg.Config{}).CoreDepth(context.Background(), org, 9, 15)
 	if err != nil {
 		log.Fatal(err)
 	}

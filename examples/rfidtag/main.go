@@ -31,7 +31,7 @@ func main() {
 	const instrsPerQuery = 60 // tag-ID hash and compare (vortex kernel inner loop)
 	const activeFrac = 0.04   // power-gated: only the awake slice of cells burns static power
 
-	pts, err := biodeg.New().CoreDepth(context.Background(), org, 9, 15)
+	pts, err := biodeg.New(biodeg.Config{}).CoreDepth(context.Background(), org, 9, 15)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	session := biodeg.New()
+	session := biodeg.New(biodeg.Config{})
 	for _, tech := range []*biodeg.Technology{biodeg.Silicon(), biodeg.Organic()} {
 		pts, err := session.Widths(context.Background(), tech)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/fault"
 )
 
@@ -246,7 +247,7 @@ func TestCommitFaultLeavesRecoverableJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := fault.WithInjector(context.Background(), fault.New(spec))
+	ctx := config.WithContext(context.Background(), config.Config{Faults: fault.New(spec)})
 
 	j, _ := openT(t, path, testMeta)
 	if err := j.Commit(ctx, "doomed", []byte(`1`)); err == nil {

@@ -16,7 +16,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/fault"
+	"repro/internal/config"
 	"repro/internal/obs"
 )
 
@@ -360,7 +360,7 @@ func (j *Journal) Commit(ctx context.Context, key string, value []byte) error {
 	if _, err := j.f.Write(frame(payload)); err != nil {
 		return fmt.Errorf("checkpoint: appending %q: %w", key, err)
 	}
-	if err := fault.Inject(ctx, "checkpoint:commit:"+key); err != nil {
+	if err := config.Get(ctx).Faults.Inject(ctx, "checkpoint:commit:"+key); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {

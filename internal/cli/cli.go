@@ -1,13 +1,13 @@
 // Package cli is the shared flag surface of the reproduction's
-// commands. Every knob is a flag whose default comes from the matching
-// BIODEG_* environment variable, so precedence is flag > env > built-in
-// default. This package is the only place the BIODEG_* environment is
-// read: Options.Start installs the effective values as the process
-// default configuration (internal/config), so the internal packages —
-// and an optionless biodeg.Session — observe the flags without ever
-// touching the environment themselves. Commands that want non-default
-// behavior build an explicit biodeg.Session from the parsed Options
-// instead.
+// commands. One table (knobs) declares every common flag together with
+// the BIODEG_* environment variable providing its default, so
+// precedence is flag > env > built-in default, and the flags bind
+// straight into the fields of an embedded config.Config. This package
+// is the only place the BIODEG_* environment is read: Options.Start
+// resolves that Config and installs it as the process default
+// configuration (internal/config), and the commands hand the same
+// value to biodeg.New, so the internal packages observe the flags
+// without ever touching the environment themselves.
 //
 // Start also turns on the observability sinks requested by the flags:
 // span tracing (internal/obs) when a trace, JSONL, or manifest output
@@ -19,6 +19,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -35,34 +36,25 @@ import (
 	"repro/internal/obs"
 )
 
-// Options is the parsed common flag set.
+// Options is the parsed common flag set: the runtime knobs, bound
+// straight into the embedded config.Config, plus the observability
+// sinks, which only this package reads. Until Start resolves them,
+// Config.Retries may be -1 (auto) and Config.Faults and Config.Peers
+// are unset; after Start the embedded Config is the effective
+// configuration the run installed.
 type Options struct {
-	Workers  int    // -workers  / BIODEG_WORKERS
-	Metrics  bool   // -metrics  / BIODEG_METRICS
-	LibCache string // -libcache / BIODEG_LIBCACHE
-	Trace    string // -trace    / BIODEG_TRACE
-	JSONL    string // -jsonl    / BIODEG_TRACE_JSONL
-	Manifest string // -manifest / BIODEG_MANIFEST
-	Pprof    string // -pprof    / BIODEG_PPROF
+	config.Config
 
-	// Resilience flags.
-	Faults       string        // -faults        / BIODEG_FAULTS
-	Retries      int           // -retries       / BIODEG_RETRIES (-1 = auto)
-	StageTimeout time.Duration // -stage-timeout / BIODEG_STAGE_TIMEOUT
-	Partial      bool          // -partial       / BIODEG_PARTIAL
+	Trace     string // -trace
+	JSONL     string // -jsonl
+	Manifest  string // -manifest
+	Pprof     string // -pprof
+	LogFormat string // -log-format (text|json)
+	LogLevel  string // -log-level  (debug|info|warn|error)
 
-	// Durability flag.
-	Checkpoint string // -checkpoint / BIODEG_CHECKPOINT
-
-	// Sharding flags (see internal/shard; biodegd adds -coordinator).
-	Peers        string        // -peers         / BIODEG_PEERS (comma-separated URLs)
-	ShardBatch   int           // -shard-batch   / BIODEG_SHARD_BATCH
-	LeaseTimeout time.Duration // -lease-timeout / BIODEG_LEASE_TIMEOUT
-	HedgeAfter   time.Duration // -hedge-after   / BIODEG_HEDGE_AFTER
-
-	// Logging flags.
-	LogFormat string // -log-format / BIODEG_LOG_FORMAT (text|json)
-	LogLevel  string // -log-level  / BIODEG_LOG_LEVEL  (debug|info|warn|error)
+	faults string // -faults spec, parsed into Config.Faults by Start
+	peers  string // -peers list, split into Config.Peers by Start
+	envErr error  // the BIODEG_* values the flag parsers rejected
 }
 
 // AutoRetries is the retry budget -retries=-1 resolves to when fault
@@ -70,82 +62,89 @@ type Options struct {
 // 0.1% per-point failure probability — visible but not disruptive).
 const AutoRetries = 2
 
-// envBool parses a boolean environment variable: set and not "0" is true.
-func envBool(key string) bool {
-	v := os.Getenv(key)
-	return v != "" && v != "0"
+// knob is one row of the common flag table: the flag, the environment
+// variable providing its default, its usage line, the Options field it
+// binds (a *int, *bool, *string or *time.Duration) and the value the
+// run manifest records for it. A nil manifest records a string field
+// as is.
+type knob struct {
+	flag, env, usage string
+	field            func(*Options) any
+	manifest         func(*Options) string
 }
 
-// envInt returns the env var as a positive integer, else def.
-func envInt(key string, def int) int {
-	if s := os.Getenv(key); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return def
+// knobs is the only declaration of the common flags and their BIODEG_*
+// environment variables.
+var knobs = []knob{
+	{"workers", "BIODEG_WORKERS", "worker-pool size, 0 = GOMAXPROCS",
+		func(o *Options) any { return &o.Workers }, func(o *Options) string { return positive(o.Workers) }},
+	{"metrics", "BIODEG_METRICS", "print the per-stage wall-time report to stderr",
+		func(o *Options) any { return &o.Metrics }, func(o *Options) string { return boolEnv(o.Metrics) }},
+	{"libcache", "BIODEG_LIBCACHE", "directory caching characterized libraries across runs",
+		func(o *Options) any { return &o.LibCache }, nil},
+	{"trace", "BIODEG_TRACE", "write a Chrome trace_event JSON file for chrome://tracing or Perfetto",
+		func(o *Options) any { return &o.Trace }, nil},
+	{"jsonl", "BIODEG_TRACE_JSONL", "write the span stream as JSON Lines",
+		func(o *Options) any { return &o.JSONL }, nil},
+	{"manifest", "BIODEG_MANIFEST", "write a run manifest: environment, knobs, per-experiment wall time, table digests",
+		func(o *Options) any { return &o.Manifest }, nil},
+	{"pprof", "BIODEG_PPROF", "serve net/http/pprof on this address, e.g. localhost:6060",
+		func(o *Options) any { return &o.Pprof }, nil},
+	{"faults", "BIODEG_FAULTS", "inject deterministic faults, e.g. seed=1,rate=0.1,kinds=error+latency,stages=depth-point",
+		func(o *Options) any { return &o.faults }, func(o *Options) string { return o.Faults.Spec().String() }},
+	{"retries", "BIODEG_RETRIES", "per-task retry budget; -1 = auto (2 with -faults, else 0)",
+		func(o *Options) any { return &o.Retries }, func(o *Options) string { return positive(o.Retries) }},
+	{"stage-timeout", "BIODEG_STAGE_TIMEOUT", "per-attempt deadline for each sweep task, 0 = none",
+		func(o *Options) any { return &o.StageTimeout }, func(o *Options) string { return positiveDuration(o.StageTimeout) }},
+	{"partial", "BIODEG_PARTIAL", "annotate failed grid points and keep sweeping instead of aborting; implied by -faults",
+		func(o *Options) any { return &o.PartialResults }, func(o *Options) string { return boolEnv(o.PartialResults) }},
+	{"checkpoint", "BIODEG_CHECKPOINT", "directory holding the crash-safe sweep journal; a rerun with the same directory resumes, skipping journaled points",
+		func(o *Options) any { return &o.Checkpoint }, nil},
+	{"peers", "BIODEG_PEERS", "comma-separated worker biodegd base URLs for sharded sweeps, e.g. http://w1:8080,http://w2:8080",
+		func(o *Options) any { return &o.peers }, func(o *Options) string { return strings.Join(o.Peers, ",") }},
+	{"shard-batch", "BIODEG_SHARD_BATCH", "sweep points per shard lease, 0 = default",
+		func(o *Options) any { return &o.ShardBatch }, func(o *Options) string { return positive(o.ShardBatch) }},
+	{"lease-timeout", "BIODEG_LEASE_TIMEOUT", "time bound on one shard lease dispatch before re-dispatch, 0 = default",
+		func(o *Options) any { return &o.LeaseTimeout }, func(o *Options) string { return positiveDuration(o.LeaseTimeout) }},
+	{"hedge-after", "BIODEG_HEDGE_AFTER", "straggler window before a duplicate lease dispatch, 0 = default, negative = off",
+		func(o *Options) any { return &o.HedgeAfter }, hedgeAfter},
+	{"log-format", "BIODEG_LOG_FORMAT", "structured log encoding: text or json",
+		func(o *Options) any { return &o.LogFormat }, nil},
+	{"log-level", "BIODEG_LOG_LEVEL", "minimum log level: debug, info, warn, or error",
+		func(o *Options) any { return &o.LogLevel }, nil},
 }
 
-// envDuration returns the env var as a duration, else def.
-func envDuration(key string, def time.Duration) time.Duration {
-	if s := os.Getenv(key); s != "" {
-		if d, err := time.ParseDuration(s); err == nil {
-			return d
-		}
-	}
-	return def
-}
-
-// Register installs the common flags on fs with env-derived defaults
-// and returns the Options the parsed values land in. Call fs.Parse (or
-// flag.Parse for the default set), then Options.Start.
+// Register installs the common flags on fs and returns the Options the
+// parsed values land in. A set BIODEG_* variable is parsed by its
+// flag's own parser and becomes that flag's default, so precedence is
+// flag > env > built-in default; a value the parser rejects fails
+// Start. Call fs.Parse (or flag.Parse for the default set), then
+// Options.Start.
 func Register(fs *flag.FlagSet) *Options {
-	o := &Options{}
-	fs.IntVar(&o.Workers, "workers", envInt("BIODEG_WORKERS", 0),
-		"worker-pool size, 0 = GOMAXPROCS (env BIODEG_WORKERS)")
-	fs.BoolVar(&o.Metrics, "metrics", envBool("BIODEG_METRICS"),
-		"print the per-stage wall-time report to stderr (env BIODEG_METRICS)")
-	fs.StringVar(&o.LibCache, "libcache", os.Getenv("BIODEG_LIBCACHE"),
-		"directory caching characterized libraries across runs (env BIODEG_LIBCACHE)")
-	fs.StringVar(&o.Trace, "trace", os.Getenv("BIODEG_TRACE"),
-		"write a Chrome trace_event JSON file for chrome://tracing or Perfetto (env BIODEG_TRACE)")
-	fs.StringVar(&o.JSONL, "jsonl", os.Getenv("BIODEG_TRACE_JSONL"),
-		"write the span stream as JSON Lines (env BIODEG_TRACE_JSONL)")
-	fs.StringVar(&o.Manifest, "manifest", os.Getenv("BIODEG_MANIFEST"),
-		"write a run manifest: environment, knobs, per-experiment wall time, table digests (env BIODEG_MANIFEST)")
-	fs.StringVar(&o.Pprof, "pprof", os.Getenv("BIODEG_PPROF"),
-		"serve net/http/pprof on this address, e.g. localhost:6060 (env BIODEG_PPROF)")
-	fs.StringVar(&o.Faults, "faults", os.Getenv("BIODEG_FAULTS"),
-		"inject deterministic faults, e.g. seed=1,rate=0.1,kinds=error+latency,stages=depth-point (env BIODEG_FAULTS)")
-	fs.IntVar(&o.Retries, "retries", envInt("BIODEG_RETRIES", -1),
-		"per-task retry budget; -1 = auto (2 with -faults, else 0) (env BIODEG_RETRIES)")
-	fs.DurationVar(&o.StageTimeout, "stage-timeout", envDuration("BIODEG_STAGE_TIMEOUT", 0),
-		"per-attempt deadline for each sweep task, 0 = none (env BIODEG_STAGE_TIMEOUT)")
-	fs.BoolVar(&o.Partial, "partial", envBool("BIODEG_PARTIAL"),
-		"annotate failed grid points and keep sweeping instead of aborting; implied by -faults (env BIODEG_PARTIAL)")
-	fs.StringVar(&o.Checkpoint, "checkpoint", os.Getenv("BIODEG_CHECKPOINT"),
-		"directory holding the crash-safe sweep journal; a rerun with the same directory resumes, skipping journaled points (env BIODEG_CHECKPOINT)")
-	fs.StringVar(&o.Peers, "peers", os.Getenv("BIODEG_PEERS"),
-		"comma-separated worker biodegd base URLs for sharded sweeps, e.g. http://w1:8080,http://w2:8080 (env BIODEG_PEERS)")
-	fs.IntVar(&o.ShardBatch, "shard-batch", envInt("BIODEG_SHARD_BATCH", 0),
-		"sweep points per shard lease, 0 = default (env BIODEG_SHARD_BATCH)")
-	fs.DurationVar(&o.LeaseTimeout, "lease-timeout", envDuration("BIODEG_LEASE_TIMEOUT", 0),
-		"time bound on one shard lease dispatch before re-dispatch, 0 = default (env BIODEG_LEASE_TIMEOUT)")
-	fs.DurationVar(&o.HedgeAfter, "hedge-after", envDuration("BIODEG_HEDGE_AFTER", 0),
-		"straggler window before a duplicate lease dispatch, 0 = default, negative = off (env BIODEG_HEDGE_AFTER)")
-	fs.StringVar(&o.LogFormat, "log-format", envOr("BIODEG_LOG_FORMAT", "text"),
-		"structured log encoding: text or json (env BIODEG_LOG_FORMAT)")
-	fs.StringVar(&o.LogLevel, "log-level", envOr("BIODEG_LOG_LEVEL", "info"),
-		"minimum log level: debug, info, warn, or error (env BIODEG_LOG_LEVEL)")
-	return o
-}
-
-// envOr returns the env var if set, else def.
-func envOr(key, def string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
+	o := &Options{LogFormat: "text", LogLevel: "info"}
+	o.Retries = -1
+	for _, k := range knobs {
+		usage := k.usage + " (env " + k.env + ")"
+		switch p := k.field(o).(type) {
+		case *int:
+			fs.IntVar(p, k.flag, *p, usage)
+		case *bool:
+			fs.BoolVar(p, k.flag, *p, usage)
+		case *string:
+			fs.StringVar(p, k.flag, *p, usage)
+		case *time.Duration:
+			fs.DurationVar(p, k.flag, *p, usage)
+		}
+		if v := os.Getenv(k.env); v != "" {
+			f := fs.Lookup(k.flag)
+			if err := f.Value.Set(v); err != nil {
+				o.envErr = errors.Join(o.envErr, fmt.Errorf("cli: %s=%q: invalid value for -%s: %w", k.env, v, k.flag, err))
+				continue
+			}
+			f.DefValue = f.Value.String()
+		}
 	}
-	return def
+	return o
 }
 
 // setupLogging installs the process-default slog.Logger described by
@@ -191,43 +190,6 @@ type Run struct {
 	start    time.Time
 }
 
-// Config returns the runtime configuration the parsed flags describe.
-// An unparseable -faults spec is treated as disabled here; Start is
-// where it becomes a hard error.
-func (o *Options) Config() config.Config {
-	spec, _ := fault.Parse(o.Faults)
-	return o.configWith(spec)
-}
-
-// configWith assembles the configuration given the parsed fault spec.
-// -retries=-1 resolves to AutoRetries under injection (a chaos run
-// should demonstrate recovery, not just failure) and 0 otherwise;
-// partial results are implied by -faults so a bare chaos replicate
-// completes with annotations instead of dying on the first fault.
-func (o *Options) configWith(spec fault.Spec) config.Config {
-	retries := o.Retries
-	if retries < 0 {
-		retries = 0
-		if spec.Enabled() {
-			retries = AutoRetries
-		}
-	}
-	return config.Config{
-		Workers:        o.Workers,
-		Metrics:        o.Metrics,
-		LibCache:       o.LibCache,
-		Retries:        retries,
-		StageTimeout:   o.StageTimeout,
-		PartialResults: o.Partial || spec.Enabled(),
-		Faults:         spec.String(),
-		Checkpoint:     o.Checkpoint,
-		Peers:          splitPeers(o.Peers),
-		ShardBatch:     o.ShardBatch,
-		LeaseTimeout:   o.LeaseTimeout,
-		HedgeAfter:     o.HedgeAfter,
-	}
-}
-
 // splitPeers parses the comma-separated -peers value, dropping empty
 // elements so trailing commas and a blank flag are both harmless.
 func splitPeers(s string) []string {
@@ -240,25 +202,38 @@ func splitPeers(s string) []string {
 	return peers
 }
 
-// Start applies the parsed options — installing them as the process
-// default configuration, enabling span tracing if any sink wants it,
-// and starting the pprof server — and opens the run's root span. It
-// returns the Run and a context carrying the root span and the
-// effective configuration.
+// Start applies the parsed options and opens the run's root span. It
+// resolves the embedded Config — parsing -faults into the live
+// injector, -retries=-1 into AutoRetries under injection (a chaos run
+// should demonstrate recovery, not just failure) and 0 otherwise, and
+// implying -partial under -faults so a bare chaos replicate completes
+// with annotations instead of dying on the first fault — and installs
+// it as the process default configuration, so code paths without a
+// context (lazy technology characterization) observe the flags too.
+// It enables span tracing if any sink wants it, starts the pprof
+// server, and returns the Run and a context carrying the root span and
+// the effective configuration.
 func (o *Options) Start(tool string) (*Run, context.Context, error) {
-	// Install the effective configuration as the process default so
-	// code paths without a context (lazy technology characterization,
-	// an optionless session) observe the flags too.
+	if o.envErr != nil {
+		return nil, nil, o.envErr
+	}
 	if err := o.setupLogging(); err != nil {
 		return nil, nil, err
 	}
-	spec, err := fault.Parse(o.Faults)
+	spec, err := fault.Parse(o.faults)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cli: -faults: %w", err)
 	}
-	cfg := o.configWith(spec)
-	config.SetDefault(cfg)
-	fault.SetDefault(fault.New(spec))
+	o.Faults = fault.New(spec)
+	o.Peers = splitPeers(o.peers)
+	if o.Retries < 0 {
+		o.Retries = 0
+		if o.Faults != nil {
+			o.Retries = AutoRetries
+		}
+	}
+	o.PartialResults = o.PartialResults || o.Faults != nil
+	config.SetDefault(o.Config)
 	if o.Trace != "" || o.JSONL != "" || o.Manifest != "" {
 		obs.Enable()
 	}
@@ -271,52 +246,30 @@ func (o *Options) Start(tool string) (*Run, context.Context, error) {
 		go srv.Serve(ln) //nolint:errcheck // best-effort debug endpoint
 	}
 	m := obs.NewManifest(tool)
-	m.Workers = cfg.WorkerCount()
-	m.SetKnobs(map[string]string{
-		"BIODEG_WORKERS":     positive(o.Workers),
-		"BIODEG_METRICS":     boolEnv(o.Metrics),
-		"BIODEG_LIBCACHE":    o.LibCache,
-		"BIODEG_TRACE":       o.Trace,
-		"BIODEG_TRACE_JSONL": o.JSONL,
-		"BIODEG_MANIFEST":    o.Manifest,
-		"BIODEG_PPROF":       o.Pprof,
-		"BIODEG_FAULTS":      cfg.Faults,
-		"BIODEG_RETRIES":     positive(cfg.Retries),
-		"BIODEG_STAGE_TIMEOUT": func() string {
-			if cfg.StageTimeout > 0 {
-				return cfg.StageTimeout.String()
-			}
-			return ""
-		}(),
-		"BIODEG_PARTIAL":     boolEnv(cfg.PartialResults),
-		"BIODEG_CHECKPOINT":  cfg.Checkpoint,
-		"BIODEG_PEERS":       strings.Join(cfg.Peers, ","),
-		"BIODEG_SHARD_BATCH": positive(cfg.ShardBatch),
-		"BIODEG_LEASE_TIMEOUT": func() string {
-			if cfg.LeaseTimeout > 0 {
-				return cfg.LeaseTimeout.String()
-			}
-			return ""
-		}(),
-		"BIODEG_HEDGE_AFTER": func() string {
-			if cfg.HedgeAfter != 0 {
-				return cfg.HedgeAfter.String()
-			}
-			return ""
-		}(),
-		"BIODEG_LOG_FORMAT": o.LogFormat,
-		"BIODEG_LOG_LEVEL":  o.LogLevel,
-	})
+	m.Workers = o.WorkerCount()
+	env := make(map[string]string, len(knobs))
+	for _, k := range knobs {
+		if k.manifest != nil {
+			env[k.env] = k.manifest(o)
+		} else {
+			env[k.env] = *k.field(o).(*string)
+		}
+	}
+	m.SetKnobs(env)
 	ctx, root := obs.Start(context.Background(), "run", obs.KV("tool", tool))
-	return &Run{Opts: o, Manifest: m, root: root, start: time.Now()}, config.WithContext(ctx, cfg), nil
+	return &Run{Opts: o, Manifest: m, root: root, start: time.Now()}, config.WithContext(ctx, o.Config), nil
 }
 
-// Finish ends the root span and writes every requested sink. It
-// returns the first write error; the command should report it and exit
-// non-zero, since a missing trace the user asked for is a failure.
+// Finish prints the -metrics report to stderr, ends the root span and
+// writes every requested sink. It returns the first write error; the
+// command should report it and exit non-zero, since a missing trace
+// the user asked for is a failure.
 func (r *Run) Finish() error {
-	r.root.End()
 	o := r.Opts
+	if o.Metrics {
+		fmt.Fprintf(os.Stderr, "\nworkers: %d\n%s", o.WorkerCount(), obs.StageReport())
+	}
+	r.root.End()
 	if o.Trace == "" && o.JSONL == "" && o.Manifest == "" {
 		return nil
 	}
@@ -345,6 +298,22 @@ func (r *Run) Finish() error {
 func positive(n int) string {
 	if n > 0 {
 		return strconv.Itoa(n)
+	}
+	return ""
+}
+
+func positiveDuration(d time.Duration) string {
+	if d > 0 {
+		return d.String()
+	}
+	return ""
+}
+
+// hedgeAfter records -hedge-after when set, negative (hedging off)
+// included.
+func hedgeAfter(o *Options) string {
+	if o.HedgeAfter != 0 {
+		return o.HedgeAfter.String()
 	}
 	return ""
 }

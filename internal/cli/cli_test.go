@@ -1,13 +1,17 @@
 package cli
 
 import (
+	"context"
 	"flag"
+	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -22,18 +26,14 @@ func register(t *testing.T, args ...string) *Options {
 	return o
 }
 
-// pinEnv registers cleanup for every env var Start republishes, so
-// tests cannot leak configuration into each other.
+// pinEnv clears every variable of the knob table for the test's
+// duration, so neither the caller's environment nor another test leaks
+// configuration in.
 func pinEnv(t *testing.T) {
 	t.Helper()
-	for _, k := range []string{
-		"BIODEG_WORKERS", "BIODEG_METRICS", "BIODEG_LIBCACHE",
-		"BIODEG_TRACE", "BIODEG_TRACE_JSONL", "BIODEG_MANIFEST", "BIODEG_PPROF",
-		"BIODEG_FAULTS", "BIODEG_RETRIES", "BIODEG_STAGE_TIMEOUT", "BIODEG_PARTIAL",
-		"BIODEG_CHECKPOINT",
-	} {
-		t.Setenv(k, os.Getenv(k))
-		os.Unsetenv(k)
+	for _, k := range knobs {
+		t.Setenv(k.env, "")
+		os.Unsetenv(k.env)
 	}
 	t.Cleanup(obs.Disable)
 	t.Cleanup(func() { config.SetDefault(config.Config{}) })
@@ -118,55 +118,55 @@ func TestStartEnablesSinksAndFinishWrites(t *testing.T) {
 	}
 }
 
-func TestFaultsImplyPartialAndAutoRetries(t *testing.T) {
-	pinEnv(t)
-
-	// Without -faults: no retries, no partial results, empty spec.
-	cfg := register(t).Config()
-	if cfg.Retries != 0 || cfg.PartialResults || cfg.Faults != "" {
-		t.Errorf("quiet config = %+v, want zero resilience posture", cfg)
-	}
-
-	// With -faults: partial results implied, -retries=-1 resolves to
-	// AutoRetries, and the canonical spec lands in Config.Faults.
-	o := register(t, "-faults", "seed=1,rate=0.1,kinds=error")
-	cfg = o.Config()
-	if !cfg.PartialResults {
-		t.Error("-faults should imply partial results")
-	}
-	if cfg.Retries != AutoRetries {
-		t.Errorf("retries = %d under -faults, want auto %d", cfg.Retries, AutoRetries)
-	}
-	if cfg.Faults == "" {
-		t.Error("Config.Faults empty despite -faults")
-	}
-
-	// Explicit -retries beats the auto default; -partial stands alone.
-	cfg = register(t, "-faults", "seed=1,rate=0.1", "-retries", "7").Config()
-	if cfg.Retries != 7 {
-		t.Errorf("explicit retries = %d, want 7", cfg.Retries)
-	}
-	cfg = register(t, "-partial").Config()
-	if !cfg.PartialResults || cfg.Retries != 0 {
-		t.Errorf("bare -partial config = %+v", cfg)
-	}
-
-	// Start installs the injector as the process default.
-	run, _, err := register(t, "-faults", "seed=9,rate=0.5,stages=alu-point").Start("test")
+// start runs Start on o and finishes the run at test end.
+func start(t *testing.T, o *Options) context.Context {
+	t.Helper()
+	run, ctx, err := o.Start("test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer run.Finish()
-	t.Cleanup(func() { fault.SetDefault(nil) })
-	inj := fault.Default()
-	if inj == nil {
-		t.Fatal("Start did not install a default injector")
+	t.Cleanup(func() { run.Finish() })
+	return ctx
+}
+
+func TestFaultsImplyPartialAndAutoRetries(t *testing.T) {
+	pinEnv(t)
+
+	// Without -faults: no retries, no partial results, no injector.
+	o := register(t)
+	start(t, o)
+	if o.Retries != 0 || o.PartialResults || o.Faults != nil {
+		t.Errorf("quiet config = %+v, want zero resilience posture", o.Config)
 	}
-	if got := inj.Spec().Seed; got != 9 {
-		t.Errorf("default injector seed = %d, want 9", got)
+
+	// With -faults: partial results implied, -retries=-1 resolves to
+	// AutoRetries, and the live injector lands in Config.Faults, on the
+	// process default and the run context alike.
+	o = register(t, "-faults", "seed=9,rate=0.5,stages=alu-point")
+	ctx := start(t, o)
+	if !o.PartialResults {
+		t.Error("-faults should imply partial results")
 	}
-	if run.Manifest.Env["BIODEG_FAULTS"] == "" {
-		t.Errorf("manifest knobs missing BIODEG_FAULTS: %+v", run.Manifest.Env)
+	if o.Retries != AutoRetries {
+		t.Errorf("retries = %d under -faults, want auto %d", o.Retries, AutoRetries)
+	}
+	if got := o.Faults.Spec().Seed; got != 9 {
+		t.Errorf("injector seed = %d, want 9", got)
+	}
+	if config.Default().Faults != o.Faults || config.Get(ctx).Faults != o.Faults {
+		t.Error("Start did not install the run's injector as default and on the context")
+	}
+
+	// Explicit -retries beats the auto default; -partial stands alone.
+	o = register(t, "-faults", "seed=1,rate=0.1", "-retries", "7")
+	start(t, o)
+	if o.Retries != 7 {
+		t.Errorf("explicit retries = %d, want 7", o.Retries)
+	}
+	o = register(t, "-partial")
+	start(t, o)
+	if !o.PartialResults || o.Retries != 0 {
+		t.Errorf("bare -partial config = %+v", o.Config)
 	}
 }
 
@@ -176,10 +176,70 @@ func TestBadFaultSpecFailsStart(t *testing.T) {
 	if _, _, err := o.Start("test"); err == nil {
 		t.Fatal("Start accepted an unparseable -faults spec")
 	}
-	// Config (pre-Start, e.g. for display) degrades to disabled instead
-	// of panicking.
-	if cfg := o.Config(); cfg.Faults != "" || cfg.PartialResults {
-		t.Errorf("bad-spec Config = %+v, want disabled", cfg)
+}
+
+// TestEnvMetricsFalse: an env value is read by the flag's own parser,
+// so "false" means off.
+func TestEnvMetricsFalse(t *testing.T) {
+	pinEnv(t)
+	t.Setenv("BIODEG_METRICS", "false")
+	if o := register(t); o.Metrics {
+		t.Error("BIODEG_METRICS=false turned the report on")
+	}
+}
+
+// TestEnvRetriesZero: BIODEG_RETRIES=0 means zero retries, exactly as
+// -retries 0 does, even under -faults.
+func TestEnvRetriesZero(t *testing.T) {
+	pinEnv(t)
+	t.Setenv("BIODEG_RETRIES", "0")
+	ctx := start(t, register(t, "-faults", "seed=1,rate=0.1"))
+	if got := config.Get(ctx).Retries; got != 0 {
+		t.Errorf("BIODEG_RETRIES=0 gave %d retries, want 0", got)
+	}
+}
+
+// TestEnvBadValueFailsStart: a value the flag parser rejects is an
+// error naming the variable, not a silent fallback.
+func TestEnvBadValueFailsStart(t *testing.T) {
+	pinEnv(t)
+	t.Setenv("BIODEG_WORKERS", "four")
+	_, _, err := register(t).Start("test")
+	if err == nil || !strings.Contains(err.Error(), "BIODEG_WORKERS") {
+		t.Fatalf("Start with BIODEG_WORKERS=four = %v, want an error naming the variable", err)
+	}
+}
+
+// TestFinishPrintsMetricsReport: -metrics prints the per-stage report
+// to stderr once, from Finish; without it stderr stays silent.
+func TestFinishPrintsMetricsReport(t *testing.T) {
+	pinEnv(t)
+	for _, on := range []bool{false, true} {
+		f, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := os.Stderr
+		os.Stderr = f
+		run, _, err := register(t, fmt.Sprintf("-metrics=%t", on), "-workers", "3").Start("test")
+		if err == nil {
+			err = run.Finish()
+		}
+		os.Stderr = saved
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if on {
+			want = 1
+		}
+		if got := strings.Count(string(out), "\nworkers: 3\n"); got != want {
+			t.Errorf("-metrics=%t: stderr holds %d reports:\n%s", on, got, out)
+		}
 	}
 }
 
@@ -205,18 +265,18 @@ func TestCheckpointFlagAndEnv(t *testing.T) {
 	pinEnv(t)
 
 	// Default: checkpointing off.
-	if cfg := register(t).Config(); cfg.Checkpoint != "" {
-		t.Errorf("default Checkpoint = %q, want off", cfg.Checkpoint)
+	if o := register(t); o.Checkpoint != "" {
+		t.Errorf("default Checkpoint = %q, want off", o.Checkpoint)
 	}
 
 	// Env provides the default, flag overrides it.
 	t.Setenv("BIODEG_CHECKPOINT", "/tmp/env-ckpt")
-	if cfg := register(t).Config(); cfg.Checkpoint != "/tmp/env-ckpt" {
-		t.Errorf("env Checkpoint = %q, want /tmp/env-ckpt", cfg.Checkpoint)
+	if o := register(t); o.Checkpoint != "/tmp/env-ckpt" {
+		t.Errorf("env Checkpoint = %q, want /tmp/env-ckpt", o.Checkpoint)
 	}
 	o := register(t, "-checkpoint", "/tmp/flag-ckpt")
-	if cfg := o.Config(); cfg.Checkpoint != "/tmp/flag-ckpt" {
-		t.Errorf("flag Checkpoint = %q, want /tmp/flag-ckpt", cfg.Checkpoint)
+	if o.Checkpoint != "/tmp/flag-ckpt" {
+		t.Errorf("flag Checkpoint = %q, want /tmp/flag-ckpt", o.Checkpoint)
 	}
 
 	// Start installs it as the process default and records it in the
@@ -234,5 +294,61 @@ func TestCheckpointFlagAndEnv(t *testing.T) {
 	}
 	if got := run.Manifest.Env["BIODEG_CHECKPOINT"]; got != "/tmp/flag-ckpt" {
 		t.Errorf("manifest knobs BIODEG_CHECKPOINT = %q", got)
+	}
+}
+
+// TestManifestKnobsPinned pins the manifest env block for a bare run
+// and for a run with every common flag set.
+func TestManifestKnobsPinned(t *testing.T) {
+	pinEnv(t)
+	old := slog.Default()
+	t.Cleanup(func() { slog.SetDefault(old) })
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	for _, tc := range []struct {
+		name string
+		args []string
+		want map[string]string
+	}{
+		{"no flags", nil, map[string]string{
+			"BIODEG_LOG_FORMAT": "text",
+			"BIODEG_LOG_LEVEL":  "info",
+		}},
+		{"every flag", []string{
+			"-workers", "3", "-metrics", "-libcache", path("libs"),
+			"-trace", path("t.json"), "-jsonl", path("t.jsonl"), "-manifest", path("m.json"),
+			"-pprof", "127.0.0.1:0", "-faults", "seed=2,rate=0.25,kinds=error",
+			"-retries", "4", "-stage-timeout", "30s", "-partial", "-checkpoint", path("ckpt"),
+			"-peers", " http://a:1, http://b:2,", "-shard-batch", "5",
+			"-lease-timeout", "15s", "-hedge-after", "-1s",
+			"-log-format", "json", "-log-level", "debug",
+		}, map[string]string{
+			"BIODEG_WORKERS":       "3",
+			"BIODEG_METRICS":       "1",
+			"BIODEG_LIBCACHE":      path("libs"),
+			"BIODEG_TRACE":         path("t.json"),
+			"BIODEG_TRACE_JSONL":   path("t.jsonl"),
+			"BIODEG_MANIFEST":      path("m.json"),
+			"BIODEG_PPROF":         "127.0.0.1:0",
+			"BIODEG_FAULTS":        "seed=2,rate=0.25,kinds=error,latency=10ms",
+			"BIODEG_RETRIES":       "4",
+			"BIODEG_STAGE_TIMEOUT": "30s",
+			"BIODEG_PARTIAL":       "1",
+			"BIODEG_CHECKPOINT":    path("ckpt"),
+			"BIODEG_PEERS":         "http://a:1,http://b:2",
+			"BIODEG_SHARD_BATCH":   "5",
+			"BIODEG_LEASE_TIMEOUT": "15s",
+			"BIODEG_HEDGE_AFTER":   "-1s",
+			"BIODEG_LOG_FORMAT":    "json",
+			"BIODEG_LOG_LEVEL":     "debug",
+		}},
+	} {
+		run, _, err := register(t, tc.args...).Start("test")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := run.Manifest.Env; !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: manifest env =\n%v\nwant\n%v", tc.name, got, tc.want)
+		}
 	}
 }

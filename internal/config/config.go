@@ -1,16 +1,17 @@
 // Package config carries the reproduction's runtime knobs — worker
-// count, metrics reporting, library disk cache, and the resilience
-// posture (retries, per-stage timeouts, partial-result sweeps, fault
-// spec) — explicitly instead of through BIODEG_* process environment
-// variables.
+// count, metrics reporting, library disk cache, the resilience posture
+// (retries, per-stage timeouts, partial-result sweeps, the live fault
+// injector), checkpointing and sharding — as one value, Config, which
+// is the only declaration of each knob. internal/cli binds the common
+// flags straight into a Config's fields; biodeg.Session binds one.
 //
 // A Config travels two ways. Per-call configuration rides a context
-// (WithContext/FromContext): biodeg.Session attaches its options to
+// (WithContext/FromContext): biodeg.Session attaches its Config to
 // every context it hands the internal packages, so two sessions with
 // different worker counts coexist in one process. Process-wide defaults
 // (SetDefault/Default) back the code paths that have no context — lazy
-// technology characterization, an optionless Session — and are
-// set once at startup by internal/cli from the parsed flags.
+// technology characterization — and are set once at startup by
+// internal/cli from the parsed flags.
 //
 // Lookup order everywhere is: context value, else process default,
 // else the zero Config (whose WorkerCount resolves to GOMAXPROCS).
@@ -21,11 +22,14 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // Config is one coherent set of runtime knobs. The zero value means
 // "all defaults": GOMAXPROCS workers, no metrics report, no library
-// disk cache, no retries, no per-stage timeout, fail-fast sweeps.
+// disk cache, no retries, no per-stage timeout, fail-fast sweeps, no
+// fault injection.
 type Config struct {
 	Workers  int    // worker-pool size; <= 0 means GOMAXPROCS
 	Metrics  bool   // print the per-stage wall-time report
@@ -45,10 +49,10 @@ type Config struct {
 	// PartialResults makes the design-space sweeps annotate failed grid
 	// points and keep going instead of aborting on the first error.
 	PartialResults bool
-	// Faults is the canonical fault-injection spec in effect ("" = off).
-	// The live injector travels separately (internal/fault); this string
-	// exists so manifests and reports record the chaos posture.
-	Faults string
+	// Faults is the live fault injector every injection site draws from
+	// (nil = off). Its Spec().String() is the canonical spec manifests
+	// and config digests record.
+	Faults *fault.Injector
 
 	// Checkpoint names a directory holding the crash-safe sweep journal
 	// (internal/checkpoint); "" disables checkpointing. A run started

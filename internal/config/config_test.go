@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 func TestZeroConfigResolvesToGOMAXPROCS(t *testing.T) {
@@ -25,7 +27,8 @@ func TestContextCarriesConfig(t *testing.T) {
 	if _, ok := FromContext(ctx); ok {
 		t.Fatal("bare context should carry no Config")
 	}
-	want := Config{Workers: 2, Metrics: true, LibCache: "/tmp/x"}
+	want := Config{Workers: 2, Metrics: true, LibCache: "/tmp/x",
+		Faults: fault.New(fault.Spec{Seed: 1, Rate: 1})}
 	ctx = WithContext(ctx, want)
 	got, ok := FromContext(ctx)
 	if !ok || !reflect.DeepEqual(got, want) {

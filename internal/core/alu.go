@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/checkpoint"
-	"repro/internal/fault"
+	"repro/internal/config"
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -87,7 +87,7 @@ func aluGrid(t *Tech, maxStages int, wire bool) *Grid {
 			}
 			ctx, sp := obs.Start(ctx, "alu-point", obs.Int("stages", i+1))
 			defer sp.End()
-			if err := fault.Inject(ctx, fmt.Sprintf("alu-point:%s:%s:n%d", t.Name, wireTag(wire), i+1)); err != nil {
+			if err := config.Get(ctx).Faults.Inject(ctx, fmt.Sprintf("alu-point:%s:%s:n%d", t.Name, wireTag(wire), i+1)); err != nil {
 				return nil, err
 			}
 			return pipeline.PointAt(ctx, res, t.DFF(), cfg, i+1), nil

@@ -14,10 +14,9 @@ import (
 // chaosCtx returns a context with partial results on and the given
 // injector attached (a high rate so small grids fault reliably).
 func chaosCtx(in *fault.Injector) context.Context {
-	ctx := config.WithContext(context.Background(), config.Config{
-		Workers: 4, PartialResults: true,
+	return config.WithContext(context.Background(), config.Config{
+		Workers: 4, PartialResults: true, Faults: in,
 	})
-	return fault.WithInjector(ctx, in)
 }
 
 func mustSpec(t *testing.T, s string) fault.Spec {
@@ -142,7 +141,7 @@ func TestNonPartialSweepStillFailsFast(t *testing.T) {
 	}
 	tech := SiliconTech()
 	in := fault.New(mustSpec(t, "seed=7,rate=1,kinds=error,stages=alu-point"))
-	ctx := fault.WithInjector(context.Background(), in) // no PartialResults
+	ctx := config.WithContext(context.Background(), config.Config{Faults: in}) // no PartialResults
 	if _, err := ALUDepthSweep(ctx, tech, 6, true, EvalPool); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault to abort the sweep", err)
 	}

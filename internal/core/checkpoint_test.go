@@ -44,7 +44,7 @@ func TestALUSweepReplayBitIdentical(t *testing.T) {
 	// clean, identical result proves every point replayed.
 	in := fault.New(mustSpec(t, "seed=7,rate=1,kinds=error,stages=alu-point"))
 	skippedBefore := obs.Count(obs.StageCheckpointSkipped)
-	pts2, err := ALUDepthSweep(fault.WithInjector(ctx, in), tech, 6, true, EvalPool)
+	pts2, err := ALUDepthSweep(config.WithContext(ctx, config.Config{Workers: 4, Faults: in}), tech, 6, true, EvalPool)
 	if err != nil {
 		t.Fatalf("replay run computed instead of replaying: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestWidthSweepResumesAcrossJournalReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.New(mustSpec(t, "seed=3,rate=0.3,kinds=error,stages=width-point"))
-	_, sweepErr := WidthSweep(fault.WithInjector(runner.WithCheckpoint(base, jnl), in), tech, EvalPool)
+	_, sweepErr := WidthSweep(config.WithContext(runner.WithCheckpoint(base, jnl), config.Config{Workers: 4, Faults: in}), tech, EvalPool)
 	if sweepErr == nil {
 		t.Skip("seed faulted nothing on this grid; nothing to resume")
 	}

@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/checkpoint"
-	"repro/internal/fault"
+	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/uarch"
@@ -169,7 +169,7 @@ func depthPairEval(ctx context.Context, t *Tech, wire bool, pt DepthPoint, bench
 		obs.Int("depth", pt.Depth), obs.KV("bench", bench))
 	defer sp.End()
 	site := fmt.Sprintf("depth-point:%s:%s:d%d:%s", t.Name, wireTag(wire), pt.Depth, bench)
-	if err := fault.Inject(ctx, site); err != nil {
+	if err := config.Get(ctx).Faults.Inject(ctx, site); err != nil {
 		return uarch.Stats{}, err
 	}
 	return BenchIPCCtx(ctx, bench, uarchConfig(fe, be, pt.Cuts))

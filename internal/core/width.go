@@ -6,7 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/checkpoint"
-	"repro/internal/fault"
+	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
@@ -76,7 +76,7 @@ func widthGrid(t *Tech) *Grid {
 			fe, be := widthAt(i)
 			ctx, sp := obs.Start(ctx, "width-point", obs.Int("fe", fe), obs.Int("be", be))
 			defer sp.End()
-			if err := fault.Inject(ctx, fmt.Sprintf("width-point:%s:fe%d:be%d", t.Name, fe, be)); err != nil {
+			if err := config.Get(ctx).Faults.Inject(ctx, fmt.Sprintf("width-point:%s:fe%d:be%d", t.Name, fe, be)); err != nil {
 				return nil, err
 			}
 			blocks, err := coreBlocks(ctx, t, fe, be, true)

@@ -45,12 +45,11 @@
 //
 // # Plumbing and observability
 //
-// An Injector travels the same two ways as internal/config: attached to
-// a context (WithInjector, what biodeg.Session does for WithFaults) or
-// installed process-wide (SetDefault, what internal/cli does from the
-// -faults flag); Get resolves context first, then default. Inject is
-// nil-safe, so uninstrumented processes pay one context lookup and
-// nothing else.
+// An Injector travels inside the run configuration: it is the Faults
+// field of internal/config's Config (internal/cli builds it from the
+// -faults flag), so injection sites call config.Get(ctx).Faults.Inject.
+// Inject is nil-safe, so uninstrumented processes pay one context
+// lookup and nothing else.
 //
 // Every injected fault bumps a metrics counter (fault.error,
 // fault.latency, fault.panic) and emits a "fault.injected" span with

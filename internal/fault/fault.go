@@ -362,42 +362,8 @@ func (in *Injector) Snapshot() Counters {
 	return c
 }
 
-// def is the process-wide injector, installed by internal/cli from the
-// -faults flag (nil when injection is off).
-var def atomic.Pointer[Injector]
-
-// SetDefault installs (or, with nil, clears) the process-wide injector.
-func SetDefault(in *Injector) { def.Store(in) }
-
-// Default returns the process-wide injector, or nil.
-func Default() *Injector { return def.Load() }
-
-// injKey carries an Injector through a context.
-type injKey struct{}
-
 // attemptKey carries the current retry attempt through a context.
 type attemptKey struct{}
-
-// WithInjector returns a context under which Inject uses in (what
-// biodeg.Session attaches for WithFaults).
-func WithInjector(ctx context.Context, in *Injector) context.Context {
-	return context.WithValue(ctx, injKey{}, in)
-}
-
-// FromContext returns the context-attached injector, or nil.
-func FromContext(ctx context.Context) *Injector {
-	in, _ := ctx.Value(injKey{}).(*Injector)
-	return in
-}
-
-// Get resolves the effective injector for ctx: context value, else the
-// process default, else nil.
-func Get(ctx context.Context) *Injector {
-	if in := FromContext(ctx); in != nil {
-		return in
-	}
-	return Default()
-}
 
 // WithAttempt returns a context marking retry attempt n (0 = first
 // try); internal/runner attaches it around every task attempt so
@@ -410,10 +376,4 @@ func WithAttempt(ctx context.Context, n int) context.Context {
 func AttemptFromContext(ctx context.Context) int {
 	n, _ := ctx.Value(attemptKey{}).(int)
 	return n
-}
-
-// Inject is Get(ctx).Inject(ctx, site): the one-line decision point the
-// instrumented stages call.
-func Inject(ctx context.Context, site string) error {
-	return Get(ctx).Inject(ctx, site)
 }

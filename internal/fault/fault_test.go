@@ -176,19 +176,6 @@ func TestNilAndContextPlumbing(t *testing.T) {
 	if New(Spec{}) != nil {
 		t.Fatal("New(disabled) != nil")
 	}
-	if err := Inject(context.Background(), "x"); err != nil {
-		t.Fatalf("no default, no context: %v", err)
-	}
-	in := New(Spec{Seed: 1, Rate: 1, Kinds: []Kind{KindError}})
-	ctx := WithInjector(context.Background(), in)
-	if err := Inject(ctx, "x"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("context injector not used: %v", err)
-	}
-	SetDefault(in)
-	defer SetDefault(nil)
-	if err := Inject(context.Background(), "x"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("default injector not used: %v", err)
-	}
 	if got := AttemptFromContext(WithAttempt(context.Background(), 3)); got != 3 {
 		t.Fatalf("attempt = %d", got)
 	}

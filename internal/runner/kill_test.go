@@ -29,9 +29,9 @@ func killVictim() {
 	if err != nil {
 		os.Exit(3)
 	}
-	ctx := fault.WithInjector(context.Background(), fault.New(spec))
-	_, _ = Map(ctx, 4, func(ctx context.Context, i int) (int, error) {
-		if err := fault.Inject(ctx, "victim-point:test"); err != nil {
+	in := fault.New(spec)
+	_, _ = Map(context.Background(), 4, func(ctx context.Context, i int) (int, error) {
+		if err := in.Inject(ctx, "victim-point:test"); err != nil {
 			return 0, err
 		}
 		return i, nil

@@ -55,11 +55,10 @@ type SessionEngine struct {
 	Session *biodeg.Session
 }
 
-// NewSessionEngine wraps s (nil means an optionless session following
-// the process default configuration).
+// NewSessionEngine wraps s (nil means a session with the zero Config).
 func NewSessionEngine(s *biodeg.Session) *SessionEngine {
 	if s == nil {
-		s = biodeg.New()
+		s = biodeg.New(biodeg.Config{})
 	}
 	return &SessionEngine{Session: s}
 }

@@ -72,8 +72,9 @@ type Options struct {
 	// client's own disconnect.
 	RequestTimeout time.Duration
 	// Injector injects chaos at the route level (site "server:{path}")
-	// and feeds /v1/faultz. Nil falls back to the process-wide
-	// fault.Default() (itself nil when -faults is off).
+	// and feeds /v1/faultz; nil injects nothing. The daemon passes the
+	// injector of its run configuration, so route-level and sweep-level
+	// injections count on one injector.
 	Injector *fault.Injector
 	// BreakerThreshold is the consecutive engine-failure count that
 	// opens the circuit breaker. 0 means DefaultBreakerThreshold;
@@ -120,9 +121,6 @@ func New(eng Engine, opts Options) *Server {
 	}
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = 256
-	}
-	if opts.Injector == nil {
-		opts.Injector = fault.Default()
 	}
 	var brk *breaker.Breaker
 	if opts.BreakerThreshold >= 0 {

@@ -105,7 +105,7 @@ type Result struct {
 // change values and are not bound.
 func Digest(cfg config.Config) string {
 	return checkpoint.ConfigDigest(map[string]string{
-		"faults":  cfg.Faults,
+		"faults":  cfg.Faults.Spec().String(),
 		"partial": fmt.Sprintf("%t", cfg.PartialResults),
 	})
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/runner"
 	"repro/internal/wire"
 )
@@ -428,7 +429,7 @@ func TestDigestTracksConfig(t *testing.T) {
 	if base == "" {
 		t.Fatal("empty digest")
 	}
-	if d := Digest(config.Config{Faults: "seed=1,rate=1"}); d == base {
+	if d := Digest(config.Config{Faults: fault.New(fault.Spec{Seed: 1, Rate: 1})}); d == base {
 		t.Error("fault spec did not move the digest")
 	}
 	if d := Digest(config.Config{PartialResults: true}); d == base {
@@ -436,6 +437,18 @@ func TestDigestTracksConfig(t *testing.T) {
 	}
 	if d := Digest(config.Config{Workers: 7, ShardBatch: 3, Peers: []string{"http://x"}}); d != base {
 		t.Error("execution-shaping knobs moved the digest")
+	}
+	// Pinned values: journals and leases written by earlier builds
+	// (which carried the spec string in the config) must keep matching.
+	spec, err := fault.Parse("seed=1,rate=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != "3713031193a15100" {
+		t.Errorf("zero-config digest = %s, want 3713031193a15100", base)
+	}
+	if d := Digest(config.Config{Faults: fault.New(spec), PartialResults: true}); d != "e22d132a12a2fce2" {
+		t.Errorf("chaos digest = %s, want e22d132a12a2fce2", d)
 	}
 }
 

@@ -11,9 +11,11 @@
 //	     sweeps (alu-depth, core-depth, width), and IPC simulation.
 //	     Later extended (backward-compatibly) with the durable job
 //	     surface (JobRequest/JobStatus/JobList for POST /v1/jobs), the
-//	     shard surface (ShardRequest/ShardResult for POST /v1/shards/exec),
-//	     the versioned problem+json error envelope (Error), and
-//	     pagination on GET /v1/jobs (?limit=&after=&state=, JobList.Next).
+//	     versioned problem+json error envelope (Error), and pagination
+//	     on GET /v1/jobs (?limit=&after=&state=, JobList.Next). The
+//	     scale-out worker surface (its point-evaluation and status
+//	     routes, with their request and result types) was later
+//	     removed; both routes now answer 404.
 package api
 
 import (
@@ -61,18 +63,6 @@ const (
 // is not an envelope (a proxy's HTML error page, a pre-envelope
 // server); callers then fall back to the raw body.
 func ParseError(body []byte) (*Error, bool) { return wire.Parse(body) }
-
-// Shard wire types of POST /v1/shards/exec: a ShardRequest leases a
-// set of sweep-grid points to a worker, a ShardResult carries them
-// back, one ShardPoint each. The coordinator merges points by index
-// into tables byte-identical to a single-node sweep; a worker whose
-// result-shaping config differs from the lease's digest answers 409
-// with code config_mismatch.
-type (
-	ShardRequest = biodeg.ShardRequest
-	ShardResult  = biodeg.ShardResult
-	ShardPoint   = biodeg.ShardPoint
-)
 
 // SweepRequest parameterizes one design-space sweep. Tech selects the
 // characterized process; the depth bounds apply to the kind that reads

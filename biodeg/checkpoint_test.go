@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/config"
@@ -124,5 +125,35 @@ func TestSessionWithoutCheckpointNeedsNoClose(t *testing.T) {
 	}
 	if st := s.CheckpointStats(); st != (checkpoint.Stats{}) {
 		t.Errorf("CheckpointStats = %+v, want zero", st)
+	}
+}
+
+// TestDigestTracksConfig: the journal-binding digest moves with the
+// result-shaping knobs and ignores the execution-shaping ones.
+func TestDigestTracksConfig(t *testing.T) {
+	base := digest(Config{})
+	if base == "" {
+		t.Fatal("empty digest")
+	}
+	if d := digest(Config{Faults: WithFaults(FaultSpec{Seed: 1, Rate: 1})}); d == base {
+		t.Error("fault spec did not move the digest")
+	}
+	if d := digest(Config{PartialResults: true}); d == base {
+		t.Error("partial-results posture did not move the digest")
+	}
+	if d := digest(Config{Workers: 7, LibCache: "/tmp/lib", StageTimeout: time.Second}); d != base {
+		t.Error("execution-shaping knobs moved the digest")
+	}
+	// Pinned values: journals written by earlier builds (which carried
+	// the spec string in the config) must keep matching.
+	spec, err := ParseFaults("seed=1,rate=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != "3713031193a15100" {
+		t.Errorf("zero-config digest = %s, want 3713031193a15100", base)
+	}
+	if d := digest(Config{Faults: WithFaults(spec), PartialResults: true}); d != "e22d132a12a2fce2" {
+		t.Errorf("chaos digest = %s, want e22d132a12a2fce2", d)
 	}
 }

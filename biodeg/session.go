@@ -12,14 +12,13 @@ import (
 	"repro/internal/fault"
 	"repro/internal/pipeline"
 	"repro/internal/runner"
-	"repro/internal/shard"
 	"repro/internal/uarch"
 )
 
 // Config is the session's runtime configuration: worker count, metrics
 // reporting, library cache, resilience (fault injector, retries,
-// per-stage timeout, partial results), checkpointing and sharding. The
-// zero value means all defaults. The commands pass the Config their
+// per-stage timeout, partial results) and checkpointing. The zero
+// value means all defaults. The commands pass the Config their
 // flags resolved to (internal/cli); library users set its fields.
 type Config = config.Config
 
@@ -39,11 +38,6 @@ type Session struct {
 	cpOnce    sync.Once
 	cpJournal *checkpoint.Journal
 	cpErr     error
-
-	// The shard coordinator (Config.Coordinator) builds lazily on the
-	// first sharded sweep.
-	coordOnce sync.Once
-	coord     *shard.Coordinator
 }
 
 // New builds a Session bound to cfg.
@@ -57,14 +51,6 @@ type Session struct {
 // written under different knobs is rejected with a clear error rather
 // than silently merged. Use one journal directory per
 // concurrently-running process.
-//
-// Config.Coordinator routes the design-space sweeps through the shard
-// coordinator: the grid is partitioned into point-leases dispatched
-// across an in-process loopback worker and the Config.Peers workers,
-// with lease-timeout re-dispatch, hedged retries, and per-peer circuit
-// breakers. Merged tables are byte-identical to a local run. Peers must
-// run under the same result-shaping knobs, or they reject the leases
-// with a config-digest error.
 //
 // Config.LibCache takes effect through the process default
 // configuration: the characterized-library memo is process-wide
@@ -94,17 +80,26 @@ func (s *Session) journal(ctx context.Context) (*checkpoint.Journal, error) {
 		return nil, nil
 	}
 	s.cpOnce.Do(func() {
-		// The digest is shard.Digest — the same binding shard leases carry
-		// — so "safe to resume this journal" and "safe to merge that
-		// worker's points" stay one predicate.
 		meta := checkpoint.Meta{
 			Tool:         "biodeg",
 			Label:        "session",
-			ConfigDigest: shard.Digest(s.cfg),
+			ConfigDigest: digest(s.cfg),
 		}
 		s.cpJournal, _, s.cpErr = checkpoint.Open(ctx, filepath.Join(s.cfg.Checkpoint, "journal.bdj"), meta)
 	})
 	return s.cpJournal, s.cpErr
+}
+
+// digest binds a session journal to the configuration knobs that shape
+// result values: the fault spec and the partial-results mode. Worker
+// count, cache directories and timeouts do not change values and are
+// not bound. The key names and value spellings are part of every
+// journal header written so far; changing them orphans those journals.
+func digest(cfg Config) string {
+	return checkpoint.ConfigDigest(map[string]string{
+		"faults":  cfg.Faults.Spec().String(),
+		"partial": fmt.Sprintf("%t", cfg.PartialResults),
+	})
 }
 
 // bind attaches the session's configuration (and journal, if any) to
@@ -145,14 +140,14 @@ func (s *Session) Close() error {
 
 // ALUDepth pipelines the 32-bit complex ALU (CSA multiplier + stallable
 // divider datapath) from 1 to maxStages, reproducing Figure 12. The
-// sweep fans out on the session's worker pool (or its shard coordinator
-// under Config.Coordinator) and stops early when ctx is cancelled.
+// sweep fans out on the session's worker pool and stops early when ctx
+// is cancelled.
 func (s *Session) ALUDepth(ctx context.Context, t *Technology, maxStages int) ([]ALUPoint, error) {
 	ctx, err := s.bind(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return core.ALUDepthSweep(ctx, t, maxStages, true, s.evaluator())
+	return core.ALUDepthSweep(ctx, t, maxStages, true, core.EvalPool)
 }
 
 // CoreDepth sweeps the 9-stage baseline core to maxDepth by repeatedly
@@ -163,7 +158,7 @@ func (s *Session) CoreDepth(ctx context.Context, t *Technology, minDepth, maxDep
 	if err != nil {
 		return nil, err
 	}
-	return core.CoreDepthSweep(ctx, t, minDepth, maxDepth, true, s.evaluator())
+	return core.CoreDepthSweep(ctx, t, minDepth, maxDepth, true, core.EvalPool)
 }
 
 // Widths sweeps the thirty superscalar width configurations
@@ -173,58 +168,7 @@ func (s *Session) Widths(ctx context.Context, t *Technology) ([]WidthPoint, erro
 	if err != nil {
 		return nil, err
 	}
-	return core.WidthSweep(ctx, t, s.evaluator())
-}
-
-// evaluator picks where the session's sweep points run: the shard
-// coordinator when the configuration asks for one, else the worker pool.
-func (s *Session) evaluator() core.Evaluator {
-	if s.cfg.Coordinator {
-		return s.sharder().Evaluate
-	}
-	return core.EvalPool
-}
-
-// sharder lazily builds the session's shard coordinator: the loopback
-// worker first, then one HTTP peer per Config.Peers URL, with the
-// session's batch/lease/hedge knobs.
-func (s *Session) sharder() *shard.Coordinator {
-	s.coordOnce.Do(func() {
-		cfg := s.cfg
-		peers := []shard.Peer{shard.Local{}}
-		for _, u := range cfg.Peers {
-			peers = append(peers, shard.NewHTTPPeer(u, nil))
-		}
-		s.coord = shard.New(shard.Options{
-			Batch:        cfg.ShardBatch,
-			LeaseTimeout: cfg.LeaseTimeout,
-			HedgeAfter:   cfg.HedgeAfter,
-		}, peers...)
-	})
-	return s.coord
-}
-
-// ShardExec evaluates one shard lease in this process — the worker
-// half of the coordinator/worker layer, served by biodegd at
-// POST /v1/shards/exec. The leased points run on the session's worker
-// pool under its full posture (faults, retries, checkpoint journal)
-// with the same per-point keys a local sweep uses.
-func (s *Session) ShardExec(ctx context.Context, req *ShardRequest) (*ShardResult, error) {
-	ctx, err := s.bind(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return shard.Exec(ctx, req)
-}
-
-// ShardStatus reports the session coordinator's configuration, lease
-// counters, and per-peer breaker state (GET /v1/shardz). A session
-// without Config.Coordinator reports Enabled=false.
-func (s *Session) ShardStatus() ShardStatus {
-	if !s.cfg.Coordinator {
-		return ShardStatus{}
-	}
-	return s.sharder().Status()
+	return core.WidthSweep(ctx, t, core.EvalPool)
 }
 
 // SimulateIPC runs one benchmark through the cycle-level core model,
@@ -287,20 +231,4 @@ type (
 	WidthPoint = core.WidthPoint
 	// Stats is the cycle-level simulation statistics bundle.
 	Stats = uarch.Stats
-
-	// ShardRequest is one point-lease of a sweep grid (the body of
-	// POST /v1/shards/exec); ShardResult is its evaluated points, and
-	// ShardPoint one of them. ShardStatus is the coordinator's
-	// introspection document (GET /v1/shardz).
-	ShardRequest = shard.Request
-	ShardResult  = shard.Result
-	ShardPoint   = shard.PointResult
-	ShardStatus  = shard.Status
-)
-
-// Shard error sentinels, re-exported for transports: a bad lease maps
-// to HTTP 400, a config-digest mismatch to 409.
-var (
-	ErrShardBadRequest     = shard.ErrBadRequest
-	ErrShardConfigMismatch = shard.ErrConfigMismatch
 )

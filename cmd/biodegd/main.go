@@ -7,7 +7,7 @@
 //	biodegd [-addr :8080] [-max-inflight N] [-cache N]
 //	        [-request-timeout 5m] [-drain-timeout 30s]
 //	        [-breaker-threshold N] [-breaker-cooldown 5s]
-//	        [-jobs DIR] [-coordinator] [common flags]
+//	        [-jobs DIR] [common flags]
 //
 // Endpoints:
 //
@@ -23,8 +23,6 @@
 //	GET  /v1/jobs                    list durable jobs (?limit=&after=&state=)
 //	GET  /v1/jobs/{id}               job progress and result
 //	GET  /v1/progress                Server-Sent Events progress stream
-//	POST /v1/shards/exec             evaluate one shard lease (worker side)
-//	GET  /v1/shardz                  coordinator lease/hedge/peer status
 //	GET  /debug/pprof/               runtime profiles
 //
 // Every non-2xx response from a /v1/* route is the versioned
@@ -41,15 +39,10 @@
 // requests (bounded by -drain-timeout) before exit, then prints the
 // -metrics report and writes any requested trace/manifest sinks.
 //
-// With -coordinator the daemon shards its sweeps: the grid is cut into
-// batched point leases dispatched to the worker daemons named by
-// -peers (each serving POST /v1/shards/exec) plus an in-process
-// loopback worker, with lease re-dispatch on timeout, hedged retries
-// after -hedge-after, and a per-peer circuit breaker. Leases are bound
-// to the coordinator's config digest — a worker running under a
-// different fault/partial configuration rejects them with 409
-// config_mismatch. With -checkpoint the coordinator journals completed
-// leases, so a killed coordinator resumes without re-dispatching them.
+// With -checkpoint DIR every sweep journals its completed grid points,
+// so a killed daemon resumes without recomputing them. The journal is
+// bound to the -faults/-partial posture: a directory written under
+// other knobs answers 409 config_mismatch rather than merging.
 //
 // With -jobs DIR the daemon keeps a durable job store: POST /v1/jobs
 // returns an ID immediately, the computation journals every completed
@@ -60,8 +53,7 @@
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
 // -trace, -jsonl, -manifest, -pprof, -faults, -retries,
-// -stage-timeout, -partial, -checkpoint, -peers, -shard-batch,
-// -lease-timeout, -hedge-after, -log-format, -log-level.
+// -stage-timeout, -partial, -checkpoint, -log-format, -log-level.
 // Every daemon log line goes through log/slog (-log-format json for
 // machine-readable logs) and carries the span_id of its enclosing
 // span, so logs correlate with -trace output. With -faults the daemon
@@ -97,7 +89,6 @@ func main() {
 	brkThreshold := flag.Int("breaker-threshold", 0, "consecutive engine failures opening the circuit breaker, 0 = default, -1 = disabled")
 	brkCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker rest before the half-open probe, 0 = default")
 	jobDir := flag.String("jobs", "", "directory backing the durable job store; empty disables /v1/jobs")
-	flag.BoolVar(&opts.Coordinator, "coordinator", false, "shard sweeps across the -peers workers (plus an in-process loopback worker)")
 	flag.Parse()
 
 	run, runCtx, err := opts.Start("biodegd")

@@ -15,8 +15,7 @@
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
 // -trace, -jsonl, -manifest, -pprof, -faults, -retries,
-// -stage-timeout, -partial, -checkpoint, -peers, -shard-batch,
-// -lease-timeout, -hedge-after, -log-format, -log-level.
+// -stage-timeout, -partial, -checkpoint, -log-format, -log-level.
 package main
 
 import (

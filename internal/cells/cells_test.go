@@ -1,8 +1,11 @@
 package cells
 
 import (
+	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/liberty"
 )
 
 func TestInverterStyleComparison(t *testing.T) {
@@ -351,5 +354,28 @@ func TestDynamicOrGate(t *testing.T) {
 	}
 	if res.EnergyPerEval <= 0 {
 		t.Error("dynamic evaluation must consume energy")
+	}
+}
+
+// TestCharacterizeReproducible: characterizing the organic library
+// twice serializes to the same bytes, so a -libcache file depends only
+// on the code that wrote it. Organic has two supply rails, which is
+// where a map-ordered energy sum would show.
+func TestCharacterizeReproducible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is expensive")
+	}
+	var libs [2]bytes.Buffer
+	for i := range libs {
+		lib, err := Characterize(Organic(), DefaultCharConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := liberty.Write(&libs[i], lib); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(libs[0].Bytes(), libs[1].Bytes()) {
+		t.Error("two organic characterizations serialized to different bytes")
 	}
 }

@@ -28,7 +28,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/config"
@@ -39,8 +38,8 @@ import (
 // Options is the parsed common flag set: the runtime knobs, bound
 // straight into the embedded config.Config, plus the observability
 // sinks, which only this package reads. Until Start resolves them,
-// Config.Retries may be -1 (auto) and Config.Faults and Config.Peers
-// are unset; after Start the embedded Config is the effective
+// Config.Retries may be -1 (auto) and Config.Faults is unset; after
+// Start the embedded Config is the effective
 // configuration the run installed.
 type Options struct {
 	config.Config
@@ -53,7 +52,6 @@ type Options struct {
 	LogLevel  string // -log-level  (debug|info|warn|error)
 
 	faults string // -faults spec, parsed into Config.Faults by Start
-	peers  string // -peers list, split into Config.Peers by Start
 	envErr error  // the BIODEG_* values the flag parsers rejected
 }
 
@@ -100,14 +98,6 @@ var knobs = []knob{
 		func(o *Options) any { return &o.PartialResults }, func(o *Options) string { return boolEnv(o.PartialResults) }},
 	{"checkpoint", "BIODEG_CHECKPOINT", "directory holding the crash-safe sweep journal; a rerun with the same directory resumes, skipping journaled points",
 		func(o *Options) any { return &o.Checkpoint }, nil},
-	{"peers", "BIODEG_PEERS", "comma-separated worker biodegd base URLs for sharded sweeps, e.g. http://w1:8080,http://w2:8080",
-		func(o *Options) any { return &o.peers }, func(o *Options) string { return strings.Join(o.Peers, ",") }},
-	{"shard-batch", "BIODEG_SHARD_BATCH", "sweep points per shard lease, 0 = default",
-		func(o *Options) any { return &o.ShardBatch }, func(o *Options) string { return positive(o.ShardBatch) }},
-	{"lease-timeout", "BIODEG_LEASE_TIMEOUT", "time bound on one shard lease dispatch before re-dispatch, 0 = default",
-		func(o *Options) any { return &o.LeaseTimeout }, func(o *Options) string { return positiveDuration(o.LeaseTimeout) }},
-	{"hedge-after", "BIODEG_HEDGE_AFTER", "straggler window before a duplicate lease dispatch, 0 = default, negative = off",
-		func(o *Options) any { return &o.HedgeAfter }, hedgeAfter},
 	{"log-format", "BIODEG_LOG_FORMAT", "structured log encoding: text or json",
 		func(o *Options) any { return &o.LogFormat }, nil},
 	{"log-level", "BIODEG_LOG_LEVEL", "minimum log level: debug, info, warn, or error",
@@ -190,18 +180,6 @@ type Run struct {
 	start    time.Time
 }
 
-// splitPeers parses the comma-separated -peers value, dropping empty
-// elements so trailing commas and a blank flag are both harmless.
-func splitPeers(s string) []string {
-	var peers []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
-}
-
 // Start applies the parsed options and opens the run's root span. It
 // resolves the embedded Config — parsing -faults into the live
 // injector, -retries=-1 into AutoRetries under injection (a chaos run
@@ -225,7 +203,6 @@ func (o *Options) Start(tool string) (*Run, context.Context, error) {
 		return nil, nil, fmt.Errorf("cli: -faults: %w", err)
 	}
 	o.Faults = fault.New(spec)
-	o.Peers = splitPeers(o.peers)
 	if o.Retries < 0 {
 		o.Retries = 0
 		if o.Faults != nil {
@@ -305,15 +282,6 @@ func positive(n int) string {
 func positiveDuration(d time.Duration) string {
 	if d > 0 {
 		return d.String()
-	}
-	return ""
-}
-
-// hedgeAfter records -hedge-after when set, negative (hedging off)
-// included.
-func hedgeAfter(o *Options) string {
-	if o.HedgeAfter != 0 {
-		return o.HedgeAfter.String()
 	}
 	return ""
 }

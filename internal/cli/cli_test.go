@@ -319,8 +319,6 @@ func TestManifestKnobsPinned(t *testing.T) {
 			"-trace", path("t.json"), "-jsonl", path("t.jsonl"), "-manifest", path("m.json"),
 			"-pprof", "127.0.0.1:0", "-faults", "seed=2,rate=0.25,kinds=error",
 			"-retries", "4", "-stage-timeout", "30s", "-partial", "-checkpoint", path("ckpt"),
-			"-peers", " http://a:1, http://b:2,", "-shard-batch", "5",
-			"-lease-timeout", "15s", "-hedge-after", "-1s",
 			"-log-format", "json", "-log-level", "debug",
 		}, map[string]string{
 			"BIODEG_WORKERS":       "3",
@@ -335,10 +333,6 @@ func TestManifestKnobsPinned(t *testing.T) {
 			"BIODEG_STAGE_TIMEOUT": "30s",
 			"BIODEG_PARTIAL":       "1",
 			"BIODEG_CHECKPOINT":    path("ckpt"),
-			"BIODEG_PEERS":         "http://a:1,http://b:2",
-			"BIODEG_SHARD_BATCH":   "5",
-			"BIODEG_LEASE_TIMEOUT": "15s",
-			"BIODEG_HEDGE_AFTER":   "-1s",
 			"BIODEG_LOG_FORMAT":    "json",
 			"BIODEG_LOG_LEVEL":     "debug",
 		}},
@@ -350,5 +344,22 @@ func TestManifestKnobsPinned(t *testing.T) {
 		if got := run.Manifest.Env; !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: manifest env =\n%v\nwant\n%v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestCommonFlagSet pins the names Register defines: a flag added to or
+// dropped from the common set is a user-visible change to every
+// command's -h and to the BIODEG_* environment.
+func TestCommonFlagSet(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Register(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"checkpoint", "faults", "jsonl", "libcache", "log-format", "log-level", "manifest",
+		"metrics", "partial", "pprof", "retries", "stage-timeout", "trace", "workers",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("common flags = %v\nwant %v", got, want)
 	}
 }

@@ -1,9 +1,9 @@
 // Package config carries the reproduction's runtime knobs — worker
 // count, metrics reporting, library disk cache, the resilience posture
 // (retries, per-stage timeouts, partial-result sweeps, the live fault
-// injector), checkpointing and sharding — as one value, Config, which
-// is the only declaration of each knob. internal/cli binds the common
-// flags straight into a Config's fields; biodeg.Session binds one.
+// injector) and checkpointing — as one value, Config, which is the
+// only declaration of each knob. internal/cli binds the common flags
+// straight into a Config's fields; biodeg.Session binds one.
 //
 // A Config travels two ways. Per-call configuration rides a context
 // (WithContext/FromContext): biodeg.Session attaches its Config to
@@ -60,27 +60,6 @@ type Config struct {
 	// finished experiments are replayed bit-identically instead of
 	// recomputed.
 	Checkpoint string
-
-	// Sharding knobs (see internal/shard). These shape execution, not
-	// result values, so none of them participate in the config digest.
-
-	// Peers lists worker biodegd base URLs the shard coordinator
-	// dispatches sweep leases to (empty = no remote peers).
-	Peers []string
-	// Coordinator routes the design-space sweeps through the shard
-	// coordinator (loopback worker plus Peers) instead of the local
-	// worker pool.
-	Coordinator bool
-	// ShardBatch is the points-per-lease batch size; <= 0 means the
-	// shard package default.
-	ShardBatch int
-	// LeaseTimeout bounds one lease dispatch before it is re-dispatched
-	// to another peer; <= 0 means the shard package default.
-	LeaseTimeout time.Duration
-	// HedgeAfter launches a duplicate lease on a second peer when the
-	// first has not answered within this window (first success wins);
-	// 0 means the shard package default, negative disables hedging.
-	HedgeAfter time.Duration
 }
 
 // DefaultRetryBase is the backoff window base when RetryBase is unset:

@@ -73,7 +73,7 @@ func aluGrid(t *Tech, maxStages int, wire bool) *Grid {
 		UseWire:  wire,
 	}
 	return &Grid{
-		Kind: GridALUDepth, Tech: t.Name, MaxStages: maxStages, N: maxStages,
+		Kind: GridALUDepth, N: maxStages,
 		// The "k0" segment names the default feedback-wire constant; it
 		// stays so journals written when the constant was a sweep
 		// parameter still replay.

@@ -103,7 +103,7 @@ func depthGrid(t *Tech, minDepth, maxDepth int, wire bool) *Grid {
 		return pts, err
 	}
 	return &Grid{
-		Kind: GridCoreDepth, Tech: t.Name, MinDepth: minDepth, MaxDepth: maxDepth, N: n,
+		Kind: GridCoreDepth, N: n,
 		Key: func(i int) string {
 			return checkpoint.PointID("depth", t.Name, wireTag(wire),
 				"d"+strconv.Itoa(first+i/len(benches)), benches[i%len(benches)])

@@ -14,10 +14,10 @@
 // Concurrency and caching contract: every design-space sweep is one
 // assembly over its point lattice (SweepGrid) through an Evaluator —
 // EvalPool fans the independent design points out over the bounded
-// worker pool in internal/runner, the shard coordinator across worker
-// processes — and honors context cancellation. Results are ordered by
-// design point, never by completion, so parallel and sharded sweeps
-// are bit-identical to the serial reference (EvalLocal). Heavy intermediates (characterized
+// worker pool in internal/runner — and honors context cancellation.
+// Results are ordered by design point, never by completion, so parallel
+// sweeps are bit-identical to the serial reference (EvalLocal). Heavy
+// intermediates (characterized
 // technologies, analyzed stage and ALU netlists, per-configuration
 // benchmark IPC) are memoized process-wide in per-key singleflight
 // caches (runner.Memo): concurrent callers of the same design point

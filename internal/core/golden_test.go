@@ -1,12 +1,11 @@
 // Golden-conformance suite: committed renderings of the cheap
 // experiments (testdata/golden/*.tbl) pin the exact bytes every
 // execution style must produce, and the style matrix proves the
-// serial reference evaluator (EvalLocal), the worker pool (EvalPool),
-// the shard-merged coordinator, and a checkpoint-resumed run agree byte
-// for byte. The suite is the safety
-// net under hot-path kernel changes: an optimization that perturbs
-// float evaluation order or point enumeration fails here, not in a
-// downstream diff.
+// serial reference evaluator (EvalLocal), the worker pool (EvalPool)
+// and a checkpoint-resumed run agree byte for byte. The suite is the
+// safety net under hot-path kernel changes: an optimization that
+// perturbs float evaluation order or point enumeration fails here, not
+// in a downstream diff.
 //
 // Regenerate the golden files after an intentional output change with
 //
@@ -17,7 +16,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -28,7 +26,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/runner"
-	"repro/internal/shard"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.tbl from this run")
@@ -94,16 +91,6 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
-// execPeer is an in-process worker: leases evaluate through the real
-// shard.Exec path (grid rebuild, bounds defaults, worker pool), exactly
-// like a remote biodegd would.
-type execPeer struct{ name string }
-
-func (p execPeer) Name() string { return p.name }
-func (p execPeer) Exec(ctx context.Context, req *shard.Request) (*shard.Result, error) {
-	return shard.Exec(ctx, req)
-}
-
 // styleGrid is one conformance subject: a grid plus the sweep assembly
 // whose output must agree across evaluators.
 type styleGrid struct {
@@ -160,11 +147,9 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestGoldenExecutionStyles is the conformance matrix: for each sweep
-// grid, the serial reference evaluator, the worker pool, and the
-// shard-merged coordinator must return identical point sets, and the
-// sweep assembly must produce the same bytes over each of them. Shard
-// leases always name the with-wire grid, so over a no-wire grid the
-// coordinator must refuse the workers' answers rather than merge them.
+// grid, the serial reference evaluator and the worker pool must return
+// identical point sets, and the sweep assembly must produce the same
+// bytes over each of them.
 func TestGoldenExecutionStyles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("design-space sweeps are expensive")
@@ -181,11 +166,7 @@ func TestGoldenExecutionStyles(t *testing.T) {
 			for i := range indices {
 				indices[i] = i
 			}
-			coord := shard.New(shard.Options{Batch: 5, HedgeAfter: -1},
-				execPeer{"w1"}, execPeer{"w2"})
-
-			// Point level: serial vs pool vs shard-merged (with-wire grids
-			// only; the assembly level below covers the no-wire refusal).
+			// Point level: serial vs pool.
 			serial, err := core.EvalLocal(ctx, g, indices)
 			if err != nil {
 				t.Fatal(err)
@@ -197,39 +178,18 @@ func TestGoldenExecutionStyles(t *testing.T) {
 			if !reflect.DeepEqual(serial, pooled) {
 				t.Errorf("pool evaluation diverged from serial reference")
 			}
-			if sg.wire {
-				merged, err := coord.Evaluate(ctx, g, indices)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(serial, merged) {
-					t.Errorf("shard-merged evaluation diverged from serial reference")
-				}
-			}
 
-			// Assembly level: the same bytes over every evaluator.
+			// Assembly level: the same bytes over both evaluators.
 			want, err := sg.sweep(ctx, tech, core.EvalLocal)
 			if err != nil {
 				t.Fatal(err)
 			}
-			styles := []struct {
-				name string
-				eval core.Evaluator
-			}{{"pool", core.EvalPool}, {"sharded", coord.Evaluate}}
-			for _, style := range styles {
-				got, err := sg.sweep(ctx, tech, style.eval)
-				if style.name == "sharded" && !sg.wire {
-					if !errors.Is(err, shard.ErrConfigMismatch) {
-						t.Errorf("sharded no-wire assembly: err = %v, want ErrConfigMismatch", err)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s assembly: %v", style.name, err)
-				}
-				if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
-					t.Errorf("%s assembly bytes diverged from the serial reference", style.name)
-				}
+			got, err := sg.sweep(ctx, tech, core.EvalPool)
+			if err != nil {
+				t.Fatalf("pool assembly: %v", err)
+			}
+			if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+				t.Errorf("pool assembly bytes diverged from the serial reference")
 			}
 		})
 	}

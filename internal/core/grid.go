@@ -9,48 +9,27 @@ import (
 	"repro/internal/runner"
 )
 
-// Grid kinds, matching both the /v1/sweeps/{kind} URL segment and the
-// shard wire protocol (biodeg/api re-exports the same literals).
+// Grid kinds, matching the /v1/sweeps/{kind} URL segment (biodeg/api
+// re-exports the same literals).
 const (
 	GridALUDepth  = "alu-depth"
 	GridCoreDepth = "core-depth"
 	GridWidth     = "width"
 )
 
-// TechByName resolves a technology by its wire name ("" means organic,
-// matching the sweep-request default). The cell library's canonical
-// name ("silicon45") is accepted too: grids carry Tech = t.Name, and a
-// shard coordinator forwards that field verbatim in its leases, so the
-// worker-side resolver must round-trip it.
-func TechByName(name string) (*Tech, error) {
-	switch name {
-	case "organic", "":
-		return OrganicTech(), nil
-	case "silicon", "silicon45":
-		return SiliconTech(), nil
-	}
-	return nil, fmt.Errorf("unknown technology %q (want organic or silicon)", name)
-}
-
 // Grid is one design-space sweep viewed as a flat point lattice: N
 // points, each with a stable checkpoint key (Key) and an evaluator
 // (Eval) returning the point's JSON-clean value. Every sweep is
-// assembled from its grid through an Evaluator — the in-process pool
-// (EvalPool), the serial reference (EvalLocal), or the shard
-// coordinator — and the shard worker evaluates index subsets of the
-// same grid. That one enumeration order and key set is what makes a
-// sharded sweep byte-identical to a local one.
+// assembled from its grid through an Evaluator — the worker pool
+// (EvalPool) or the serial reference (EvalLocal) — and that one
+// enumeration order and key set is what makes a parallel sweep
+// byte-identical to a serial one.
 type Grid struct {
 	Kind string
-	// Tech is the technology's wire name.
-	Tech string
-	// Bounds, normalized; only the ones the kind reads are meaningful.
-	MaxStages          int
-	MinDepth, MaxDepth int
 	// N is the point count; valid indices are 0..N-1.
 	N int
-	// Key names point i for checkpointing. Every evaluator journals
-	// under it, and a coordinator checks worker answers against it.
+	// Key names point i for checkpointing; the worker pool journals
+	// each point under it.
 	Key func(i int) string
 	// Eval computes point i. The concrete value type depends on Kind
 	// (pipeline.Point, uarch.Stats, or WidthPoint); it marshals to the
@@ -63,9 +42,8 @@ type Grid struct {
 }
 
 // SweepDefaults fills the sweep-request bounds left unset (<= 0): a
-// 12-stage ALU sweep and core depths 9-15. The HTTP sweep handlers and
-// the shard worker both apply it, so a coordinator and its workers
-// agree on the grid whichever bounds a request spells out.
+// 12-stage ALU sweep and core depths 9-15. The HTTP sweep handlers
+// apply it to the bounds a request leaves out.
 func SweepDefaults(maxStages, minDepth, maxDepth int) (int, int, int) {
 	if maxStages <= 0 {
 		maxStages = 12
@@ -83,8 +61,8 @@ func SweepDefaults(maxStages, minDepth, maxDepth int) (int, int, int) {
 // or without wire delay. Bounds of kinds that do not read them are
 // ignored; the width sweep exists only with wire delay. Building a grid
 // is cheap — expensive prep (netlist analysis, the serial cut-placement
-// walk) is deferred into the first Eval call, so a coordinator that
-// only needs keys never pays it.
+// walk) is deferred into the first Eval call, so a caller that only
+// needs keys never pays it.
 func SweepGrid(ctx context.Context, kind string, t *Tech, maxStages, minDepth, maxDepth int, wire bool) (*Grid, error) {
 	switch kind {
 	case GridALUDepth:
@@ -116,11 +94,10 @@ type PointValue struct {
 	Err string
 }
 
-// Evaluator evaluates a set of grid indices — locally, or fanned out
-// across worker peers — returning one PointValue per index, any order.
-// EvalPool (the worker pool), the shard coordinator's Evaluate, and
-// EvalLocal (the serial reference the tests compare against) are the
-// three in use.
+// Evaluator evaluates a set of grid indices, returning one PointValue
+// per index, any order. EvalPool (the worker pool) is the one the
+// sweeps run on; EvalLocal is the serial reference the tests compare
+// it against.
 type Evaluator func(ctx context.Context, g *Grid, indices []int) ([]PointValue, error)
 
 // allIndices is 0..n-1.
@@ -175,7 +152,7 @@ func assemble[T any](ctx context.Context, g *Grid, eval Evaluator, failed func(i
 }
 
 // EvalPool evaluates grid indices on the worker pool — the Evaluator
-// every local sweep and the shard worker (Exec) use. Each point runs
+// every sweep uses. Each point runs
 // under its own checkpoint key (runner.Checkpointed), fault-injection
 // site, span, and retry budget, and the partial-results posture
 // annotates failed points exactly the way EvalLocal does, so the
@@ -214,9 +191,9 @@ func EvalPool(ctx context.Context, g *Grid, indices []int) ([]PointValue, error)
 }
 
 // EvalLocal evaluates grid indices in the calling process, one by one,
-// honoring the context's partial-results posture the way a shard worker
+// honoring the context's partial-results posture the way EvalPool
 // does. It is the reference Evaluator the determinism tests compare
-// coordinators against.
+// the worker pool against.
 func EvalLocal(ctx context.Context, g *Grid, indices []int) ([]PointValue, error) {
 	partial := config.Get(ctx).PartialResults
 	out := make([]PointValue, 0, len(indices))

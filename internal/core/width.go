@@ -66,7 +66,7 @@ func widthAt(i int) (fe, be int) {
 // record, per (front, back) configuration.
 func widthGrid(t *Tech) *Grid {
 	return &Grid{
-		Kind: GridWidth, Tech: t.Name, N: widthN,
+		Kind: GridWidth, N: widthN,
 		Key: func(i int) string {
 			fe, be := widthAt(i)
 			return checkpoint.PointID("width", t.Name,

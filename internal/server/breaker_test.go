@@ -19,7 +19,7 @@ import (
 // the breaker's behavior through the full HTTP serving path.
 
 // TestEngineBreakerIgnoresClientErrors checks the server's failure
-// classifier: client mistakes, shard config mismatches, and client
+// classifier: client mistakes, journal config mismatches, and client
 // disconnects never move the engine breaker; engine-class errors
 // (including timeouts) trip it.
 func TestEngineBreakerIgnoresClientErrors(t *testing.T) {
@@ -32,7 +32,7 @@ func TestEngineBreakerIgnoresClientErrors(t *testing.T) {
 		case 0:
 			b.Done(fmt.Errorf("%w: nonsense", ErrBadRequest))
 		case 1:
-			b.Done(fmt.Errorf("%w: lease from elsewhere", errConfigMismatch))
+			b.Done(fmt.Errorf("%w: journal from elsewhere", errConfigMismatch))
 		default:
 			b.Done(context.Canceled)
 		}

@@ -8,8 +8,8 @@ import (
 
 	"repro/biodeg"
 	"repro/biodeg/api"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/shard"
 )
 
 // Error classes the handlers map to HTTP statuses. Engine
@@ -22,11 +22,12 @@ var (
 	// ErrNotFound marks a reference to a missing resource (unknown
 	// experiment ID, unknown benchmark) — HTTP 404.
 	ErrNotFound = errors.New("not found")
-	// errConfigMismatch marks a shard lease bound to a different
-	// result-shaping config than this worker's — HTTP 409 with code
-	// config_mismatch. Not an engine failure: the worker is healthy,
-	// the coordinator is misdirected.
-	errConfigMismatch = shard.ErrConfigMismatch
+	// errConfigMismatch marks a checkpoint journal written under other
+	// result-shaping knobs (fault spec, partial mode) than this
+	// daemon's — HTTP 409 with code config_mismatch. Not an engine
+	// failure: the engine is healthy, its -checkpoint directory is
+	// misdirected.
+	errConfigMismatch = checkpoint.ErrConfigMismatch
 )
 
 // Engine is the computation surface the server fronts. The production
@@ -43,9 +44,6 @@ type Engine interface {
 	Sweep(ctx context.Context, kind string, req api.SweepRequest) (*api.SweepResult, error)
 	// Simulate runs one benchmark through the cycle-level core model.
 	Simulate(ctx context.Context, req api.SimulateRequest) (*api.SimulateResult, error)
-	// ShardExec evaluates one sweep point-lease in this process — the
-	// worker half of the shard layer (POST /v1/shards/exec).
-	ShardExec(ctx context.Context, req *api.ShardRequest) (*api.ShardResult, error)
 }
 
 // SessionEngine is the production Engine: every call threads through
@@ -75,12 +73,11 @@ func (e *SessionEngine) Experiments() []api.ExperimentInfo {
 
 // RunExperiment implements Engine.
 func (e *SessionEngine) RunExperiment(ctx context.Context, id string) (*api.ExperimentResult, error) {
+	if !slices.ContainsFunc(biodeg.Experiments(), func(x *biodeg.Experiment) bool { return x.ID == id }) {
+		return nil, fmt.Errorf("%w: unknown experiment %q", ErrNotFound, id)
+	}
 	results, err := e.Session.RunExperiments(ctx, id)
 	if err != nil {
-		if ctx.Err() == nil {
-			// The session reports unknown IDs before running anything.
-			return nil, fmt.Errorf("%w: %v", ErrNotFound, err)
-		}
 		return nil, err
 	}
 	r := results[0]
@@ -139,28 +136,6 @@ func (e *SessionEngine) Sweep(ctx context.Context, kind string, req api.SweepReq
 		res.Width = api.FromWidthPoints(pts)
 	}
 	return res, nil
-}
-
-// ShardExec implements Engine: the leased points run on the session's
-// worker pool under its full posture (faults, retries, journal), with
-// the same per-point checkpoint keys a local sweep would use. Shard
-// sentinels map onto the transport's error classes; a config-digest
-// mismatch passes through as errConfigMismatch (409).
-func (e *SessionEngine) ShardExec(ctx context.Context, req *api.ShardRequest) (*api.ShardResult, error) {
-	res, err := e.Session.ShardExec(ctx, req)
-	if err != nil {
-		if errors.Is(err, shard.ErrBadRequest) {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		return nil, err
-	}
-	return res, nil
-}
-
-// ShardStatus exposes the session coordinator's health for
-// GET /v1/shardz (the server feature-detects this method).
-func (e *SessionEngine) ShardStatus() shard.Status {
-	return e.Session.ShardStatus()
 }
 
 // Simulate implements Engine.

@@ -418,3 +418,42 @@ func TestSweepMonotoneVTC(t *testing.T) {
 		}
 	}
 }
+
+// TestSupplyEnergyDeterministic: with two rails the float sum depends
+// on the order the sources are visited, so SupplyEnergy must visit them
+// in declaration order, not in Go's randomized map order, or a
+// characterized library's energies change bits from run to run.
+func TestSupplyEnergyDeterministic(t *testing.T) {
+	c := NewCircuit()
+	vdd, vss, a, b := c.Node("vdd"), c.Node("vss"), c.Node("a"), c.Node("b")
+	c.V("VDD", vdd, Ground, Ramp{V0: 0, V1: 3, T0: 0, T1: 1e-9})
+	c.V("VSS", vss, Ground, Ramp{V0: 0, V1: -2, T0: 0, T1: 3e-9})
+	c.R("R1", vdd, a, 1e3)
+	c.C("C1", a, Ground, 1e-12)
+	c.R("R2", vss, b, 7e3)
+	c.C("C2", b, Ground, 3e-13)
+	tr, err := c.Transient(10e-9, 1e-11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	volts := map[string]float64{"VDD": 3, "VSS": -2}
+
+	// The fixture must tell the two visiting orders apart.
+	one := func(name string, e float64) float64 {
+		w := tr.SourceCurrent(name)
+		for i := 1; i < len(tr.Times); i++ {
+			e += -volts[name] * (w[i] + w[i-1]) / 2 * (tr.Times[i] - tr.Times[i-1])
+		}
+		return e
+	}
+	declared, reversed := one("VSS", one("VDD", 0)), one("VDD", one("VSS", 0))
+	if declared == reversed {
+		t.Fatal("fixture sums to the same bits in either order; it cannot detect an ordering change")
+	}
+
+	for i := 0; i < 200; i++ {
+		if e := tr.SupplyEnergy(volts, 0, 10e-9); math.Float64bits(e) != math.Float64bits(declared) {
+			t.Fatalf("call %d: SupplyEnergy = %v, want the declaration-order sum %v", i, e, declared)
+		}
+	}
+}

@@ -11,6 +11,10 @@ type Tran struct {
 	Times []float64
 	nodes map[Node][]float64
 	srcI  map[string][]float64
+	// srcs names the voltage sources in declaration order, the order
+	// SupplyEnergy sums them in: ranging over srcI instead would make
+	// the float sum follow Go's random map iteration order.
+	srcs []string
 }
 
 // V returns the recorded waveform of node n (nil if not recorded).
@@ -21,16 +25,18 @@ func (t *Tran) V(n Node) []float64 { return t.nodes[n] }
 // through the source, so a supply delivering power shows negative values.
 func (t *Tran) SourceCurrent(name string) []float64 { return t.srcI[name] }
 
-// SupplyEnergy integrates the total energy delivered by the named
-// sources (trapezoidal) over [t0, t1]; with no names it uses all
-// recorded sources.
+// SupplyEnergy integrates the total energy delivered by the sources
+// named in volts (trapezoidal) over [t0, t1], summing them in the
+// circuit's declaration order so the result is the same bits on every
+// call. Sources absent from volts are left out; an empty volts gives 0.
 func (t *Tran) SupplyEnergy(volts map[string]float64, t0, t1 float64) float64 {
 	var e float64
-	for name, wave := range t.srcI {
+	for _, name := range t.srcs {
 		v, ok := volts[name]
 		if !ok {
 			continue
 		}
+		wave := t.srcI[name]
 		for i := 1; i < len(t.Times); i++ {
 			if t.Times[i] < t0 || t.Times[i-1] > t1 {
 				continue
@@ -83,6 +89,7 @@ func (c *Circuit) Transient(tstop, dt float64, record ...Node) (*Tran, error) {
 	}
 	for _, v := range c.vsrc {
 		tr.srcI[v.name] = make([]float64, 0, samples)
+		tr.srcs = append(tr.srcs, v.name)
 	}
 	c.unknowns() // assign branch indices before sampling currents
 	snapshot := func(t float64, x []float64) {

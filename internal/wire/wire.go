@@ -3,8 +3,7 @@
 // other: the versioned error envelope every non-2xx /v1/* response
 // carries, and its status-to-code mapping. biodeg/api re-exports Error
 // as the public api.Error; internal/server renders it; the sweepclient
-// example and the shard coordinator's HTTP peer parse it instead of
-// sniffing body text.
+// example parses it instead of sniffing body text.
 package wire
 
 import (
@@ -28,9 +27,9 @@ const (
 	// CodeMethodNotAllowed: the path exists under another HTTP method —
 	// 405 (the Allow header lists the supported ones).
 	CodeMethodNotAllowed = "method_not_allowed"
-	// CodeConfigMismatch: the request's config digest does not match the
-	// serving process's effective knobs (shard workers, checkpoint
-	// journals) — 409.
+	// CodeConfigMismatch: the serving process's checkpoint journal was
+	// written under other result-shaping knobs (fault spec, partial
+	// mode) than its own — 409.
 	CodeConfigMismatch = "config_mismatch"
 	// CodePayloadTooLarge: the request body exceeded the server bound — 413.
 	CodePayloadTooLarge = "payload_too_large"

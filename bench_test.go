@@ -210,11 +210,11 @@ func BenchmarkFig14WidthArea(b *testing.B) {
 // BenchmarkFig15WireEffect regenerates the wire-delay ablation.
 func BenchmarkFig15WireEffect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		wet, err := core.ALUDepthSweep(context.Background(), core.SiliconTech(), 30, true, core.EvalPool)
+		wet, err := core.ALUDepthSweep(context.Background(), core.SiliconTech(), 30, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dry, err := core.ALUDepthSweep(context.Background(), core.SiliconTech(), 30, false, core.EvalPool)
+		dry, err := core.ALUDepthSweep(context.Background(), core.SiliconTech(), 30, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -68,6 +68,7 @@ func ParseError(body []byte) (*Error, bool) { return wire.Parse(body) }
 // characterized process; the depth bounds apply to the kind that reads
 // them (max_stages for alu-depth, min/max_depth for core-depth; the
 // width sweep takes no bounds — its 6x5 grid is fixed by the paper).
+// biodegd rejects any bound above 64 as a bad request.
 type SweepRequest struct {
 	Tech      string `json:"tech"`                 // "organic" | "silicon"
 	MaxStages int    `json:"max_stages,omitempty"` // alu-depth; 0 = default

@@ -147,7 +147,7 @@ func (s *Session) ALUDepth(ctx context.Context, t *Technology, maxStages int) ([
 	if err != nil {
 		return nil, err
 	}
-	return core.ALUDepthSweep(ctx, t, maxStages, true, core.EvalPool)
+	return core.ALUDepthSweep(ctx, t, maxStages, true)
 }
 
 // CoreDepth sweeps the 9-stage baseline core to maxDepth by repeatedly
@@ -158,7 +158,7 @@ func (s *Session) CoreDepth(ctx context.Context, t *Technology, minDepth, maxDep
 	if err != nil {
 		return nil, err
 	}
-	return core.CoreDepthSweep(ctx, t, minDepth, maxDepth, true, core.EvalPool)
+	return core.CoreDepthSweep(ctx, t, minDepth, maxDepth, true)
 }
 
 // Widths sweeps the thirty superscalar width configurations
@@ -168,7 +168,7 @@ func (s *Session) Widths(ctx context.Context, t *Technology) ([]WidthPoint, erro
 	if err != nil {
 		return nil, err
 	}
-	return core.WidthSweep(ctx, t, core.EvalPool)
+	return core.WidthSweep(ctx, t)
 }
 
 // SimulateIPC runs one benchmark through the cycle-level core model,

@@ -3,6 +3,9 @@ package cells
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/liberty"
@@ -273,6 +276,52 @@ func TestLibraryDiskCacheRoundTrip(t *testing.T) {
 	}
 	if math.Abs(got.FO4()-lib.FO4()) > 1e-18 {
 		t.Fatalf("FO4 diverges: %g vs %g", got.FO4(), lib.FO4())
+	}
+}
+
+// TestLibraryCacheConcurrentSaves: writers sharing one -libcache
+// directory (two daemons, or a daemon and a replicate run) save the
+// same library at once. Every save succeeds, the surviving file loads,
+// and no temp file is left behind.
+func TestLibraryCacheConcurrentSaves(t *testing.T) {
+	lib := &liberty.Library{Name: "x", VDD: 1, Cells: map[string]*liberty.Cell{}}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.lib")
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*50)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				errs <- saveLibraryFile(path, lib)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent save: %v", err)
+		}
+	}
+	got, err := loadLibraryFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != lib.Name {
+		t.Errorf("loaded library %q, want %q", got.Name, lib.Name)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("cache directory holds %v, want only x.lib", names)
 	}
 }
 

@@ -1,12 +1,14 @@
 package cells
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 
+	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/liberty"
 	"repro/internal/obs"
@@ -84,24 +86,18 @@ func loadLibraryFile(path string) (*liberty.Library, error) {
 	return liberty.Read(f)
 }
 
-// saveLibraryFile persists a characterized library.
+// saveLibraryFile persists a characterized library atomically, so
+// concurrent writers sharing one cache directory never see or leave a
+// torn file.
 func saveLibraryFile(path string, lib *liberty.Library) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := liberty.Write(&buf, lib); err != nil {
 		return err
 	}
-	if err := liberty.Write(f, lib); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return checkpoint.WriteFileAtomic(path, buf.Bytes())
 }
 
 // Characterize runs the full NLDM flow for every prototype cell and

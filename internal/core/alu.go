@@ -44,55 +44,47 @@ func aluResult(ctx context.Context, t *Tech, wire bool) (*sta.Result, error) {
 // ALUDepthSweep reproduces Figure 12 (and, with wire off, Figure 15a):
 // pipeline the complex ALU (multiplier + stallable-divider datapath)
 // from 1 to maxStages and report frequency and area at each depth. The
-// ALU is analyzed once (cached) and eval computes the independent
-// depths; the whole sweep runs under one "sweep:aludepth" span. Each
-// point is a fault-injection site ("alu-point:tech:wire:nK"); under
-// config.PartialResults a failed point comes back with its Err
-// annotation instead of aborting the sweep.
-func ALUDepthSweep(ctx context.Context, t *Tech, maxStages int, wire bool, eval Evaluator) ([]pipeline.Point, error) {
+// ALU is analyzed once (cached) and the depths are independent points,
+// one checkpoint record each; the whole sweep runs under one
+// "sweep:aludepth" span. Under config.PartialResults a failed point
+// comes back with its Err annotation instead of aborting the sweep.
+func ALUDepthSweep(ctx context.Context, t *Tech, maxStages int, wire bool) ([]pipeline.Point, error) {
+	if maxStages <= 0 {
+		return nil, fmt.Errorf("alu-depth sweep: max_stages %d out of range", maxStages)
+	}
 	ctx, sp := obs.Start(ctx, "sweep:aludepth",
 		obs.KV("tech", t.Name), obs.Bool("wire", wire), obs.Int("max_stages", maxStages))
 	defer sp.End()
-	g, err := SweepGrid(ctx, GridALUDepth, t, maxStages, 0, 0, wire)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(ctx, g, eval, func(i int, msg string) pipeline.Point {
-		return pipeline.Point{Stages: i + 1, Err: msg}
-	})
+	return sweep(ctx, maxStages, aluKey(t, wire),
+		func(ctx context.Context, i int) (pipeline.Point, error) { return aluPoint(ctx, t, wire, i+1) },
+		func(i int, msg string) pipeline.Point { return pipeline.Point{Stages: i + 1, Err: msg} })
 }
 
-// aluGrid is the Figure 12 lattice: one point, and one checkpoint
-// record, per depth, so a resumed or remotely-evaluated sweep replays
-// journaled depths bit-identically. The shared ALU analysis is resolved
-// lazily inside Eval, so building the grid costs nothing.
-func aluGrid(t *Tech, maxStages int, wire bool) *Grid {
-	cfg := pipeline.Config{
-		RankBits: ALURankBits,
-		Wire:     t.Wire,
-		UseWire:  wire,
+// aluKey names the checkpoint record of ALU sweep index i (i+1
+// stages). The "k0" segment names the default feedback-wire constant;
+// it stays so journals written when the constant was a sweep parameter
+// still replay.
+func aluKey(t *Tech, wire bool) func(i int) string {
+	return func(i int) string {
+		return checkpoint.PointID("alu", t.Name, wireTag(wire), "k0", "n"+strconv.Itoa(i+1))
 	}
-	return &Grid{
-		Kind: GridALUDepth, N: maxStages,
-		// The "k0" segment names the default feedback-wire constant; it
-		// stays so journals written when the constant was a sweep
-		// parameter still replay.
-		Key: func(i int) string {
-			return checkpoint.PointID("alu", t.Name, wireTag(wire), "k0", "n"+strconv.Itoa(i+1))
-		},
-		Eval: func(ctx context.Context, i int) (any, error) {
-			res, err := aluResult(ctx, t, wire)
-			if err != nil {
-				return nil, err
-			}
-			ctx, sp := obs.Start(ctx, "alu-point", obs.Int("stages", i+1))
-			defer sp.End()
-			if err := config.Get(ctx).Faults.Inject(ctx, fmt.Sprintf("alu-point:%s:%s:n%d", t.Name, wireTag(wire), i+1)); err != nil {
-				return nil, err
-			}
-			return pipeline.PointAt(ctx, res, t.DFF(), cfg, i+1), nil
-		},
+}
+
+// aluPoint pipelines the shared ALU analysis into the given number of
+// stages. Each point is a fault-injection site
+// ("alu-point:tech:wire:nK").
+func aluPoint(ctx context.Context, t *Tech, wire bool, stages int) (pipeline.Point, error) {
+	res, err := aluResult(ctx, t, wire)
+	if err != nil {
+		return pipeline.Point{}, err
 	}
+	ctx, sp := obs.Start(ctx, "alu-point", obs.Int("stages", stages))
+	defer sp.End()
+	if err := config.Get(ctx).Faults.Inject(ctx, fmt.Sprintf("alu-point:%s:%s:n%d", t.Name, wireTag(wire), stages)); err != nil {
+		return pipeline.Point{}, err
+	}
+	cfg := pipeline.Config{RankBits: ALURankBits, Wire: t.Wire, UseWire: wire}
+	return pipeline.PointAt(ctx, res, t.DFF(), cfg, stages), nil
 }
 
 // wireTag names the wire mode inside fault-site identities.

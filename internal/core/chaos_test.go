@@ -34,7 +34,7 @@ func TestALUPartialSweepAnnotatesFailedPoints(t *testing.T) {
 	}
 	tech := SiliconTech()
 	in := fault.New(mustSpec(t, "seed=7,rate=0.5,kinds=error,stages=alu-point"))
-	pts, err := ALUDepthSweep(chaosCtx(in), tech, 12, true, EvalPool)
+	pts, err := ALUDepthSweep(chaosCtx(in), tech, 12, true)
 	if err != nil {
 		t.Fatalf("partial sweep aborted: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestALUPartialSweepSameSeedSameSites(t *testing.T) {
 	tech := SiliconTech()
 	sites := func() []int {
 		in := fault.New(mustSpec(t, "seed=3,rate=0.4,kinds=error,stages=alu-point"))
-		pts, err := ALUDepthSweep(chaosCtx(in), tech, 12, false, EvalPool)
+		pts, err := ALUDepthSweep(chaosCtx(in), tech, 12, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestDepthPartialSweepAnnotatesBenchmarks(t *testing.T) {
 	}
 	tech := SiliconTech()
 	in := fault.New(mustSpec(t, "seed=11,rate=0.5,kinds=error,stages=depth-point"))
-	pts, err := CoreDepthSweep(chaosCtx(in), tech, 9, 10, true, EvalPool)
+	pts, err := CoreDepthSweep(chaosCtx(in), tech, 9, 10, true)
 	if err != nil {
 		t.Fatalf("partial sweep aborted: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestNonPartialSweepStillFailsFast(t *testing.T) {
 	tech := SiliconTech()
 	in := fault.New(mustSpec(t, "seed=7,rate=1,kinds=error,stages=alu-point"))
 	ctx := config.WithContext(context.Background(), config.Config{Faults: in}) // no PartialResults
-	if _, err := ALUDepthSweep(ctx, tech, 6, true, EvalPool); !errors.Is(err, fault.ErrInjected) {
+	if _, err := ALUDepthSweep(ctx, tech, 6, true); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault to abort the sweep", err)
 	}
 }

@@ -32,7 +32,7 @@ func TestALUSweepReplayBitIdentical(t *testing.T) {
 
 	base := config.WithContext(context.Background(), config.Config{Workers: 4})
 	ctx := runner.WithCheckpoint(base, jnl)
-	pts1, err := ALUDepthSweep(ctx, tech, 6, true, EvalPool)
+	pts1, err := ALUDepthSweep(ctx, tech, 6, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestALUSweepReplayBitIdentical(t *testing.T) {
 	// clean, identical result proves every point replayed.
 	in := fault.New(mustSpec(t, "seed=7,rate=1,kinds=error,stages=alu-point"))
 	skippedBefore := obs.Count(obs.StageCheckpointSkipped)
-	pts2, err := ALUDepthSweep(config.WithContext(ctx, config.Config{Workers: 4, Faults: in}), tech, 6, true, EvalPool)
+	pts2, err := ALUDepthSweep(config.WithContext(ctx, config.Config{Workers: 4, Faults: in}), tech, 6, true)
 	if err != nil {
 		t.Fatalf("replay run computed instead of replaying: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestWidthSweepResumesAcrossJournalReopen(t *testing.T) {
 
 	// Reference: uninterrupted, fault-free.
 	base := config.WithContext(context.Background(), config.Config{Workers: 4})
-	want, err := WidthSweep(base, tech, EvalPool)
+	want, err := WidthSweep(base, tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestWidthSweepResumesAcrossJournalReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.New(mustSpec(t, "seed=3,rate=0.3,kinds=error,stages=width-point"))
-	_, sweepErr := WidthSweep(config.WithContext(runner.WithCheckpoint(base, jnl), config.Config{Workers: 4, Faults: in}), tech, EvalPool)
+	_, sweepErr := WidthSweep(config.WithContext(runner.WithCheckpoint(base, jnl), config.Config{Workers: 4, Faults: in}), tech)
 	if sweepErr == nil {
 		t.Skip("seed faulted nothing on this grid; nothing to resume")
 	}
@@ -104,7 +104,7 @@ func TestWidthSweepResumesAcrossJournalReopen(t *testing.T) {
 	if rec.Records != committed {
 		t.Fatalf("recovered %d records, committed %d", rec.Records, committed)
 	}
-	got, err := WidthSweep(runner.WithCheckpoint(base, jnl2), tech, EvalPool)
+	got, err := WidthSweep(runner.WithCheckpoint(base, jnl2), tech)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,11 @@ func TestFig12Shape(t *testing.T) {
 		t.Skip("design-space sweeps are expensive")
 	}
 	sil, org := SiliconTech(), OrganicTech()
-	silPts, err := ALUDepthSweep(context.Background(), sil, 30, true, EvalPool)
+	silPts, err := ALUDepthSweep(context.Background(), sil, 30, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgPts, err := ALUDepthSweep(context.Background(), org, 30, true, EvalPool)
+	orgPts, err := ALUDepthSweep(context.Background(), org, 30, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +67,19 @@ func TestFig15WireAblation(t *testing.T) {
 		t.Skip("design-space sweeps are expensive")
 	}
 	sil, org := SiliconTech(), OrganicTech()
-	silWire, err := ALUDepthSweep(context.Background(), sil, 30, true, EvalPool)
+	silWire, err := ALUDepthSweep(context.Background(), sil, 30, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	silDry, err := ALUDepthSweep(context.Background(), sil, 30, false, EvalPool)
+	silDry, err := ALUDepthSweep(context.Background(), sil, 30, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgWire, err := ALUDepthSweep(context.Background(), org, 30, true, EvalPool)
+	orgWire, err := ALUDepthSweep(context.Background(), org, 30, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgDry, err := ALUDepthSweep(context.Background(), org, 30, false, EvalPool)
+	orgDry, err := ALUDepthSweep(context.Background(), org, 30, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFig11Shape(t *testing.T) {
 	}
 	out := map[string]res{}
 	for _, tech := range BothTechs() {
-		pts, err := CoreDepthSweep(context.Background(), tech, 9, 15, true, EvalPool)
+		pts, err := CoreDepthSweep(context.Background(), tech, 9, 15, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestFig13And14Shape(t *testing.T) {
 	areas := map[string][][]float64{}
 	opts := map[string][2]int{}
 	for _, tech := range BothTechs() {
-		pts, err := WidthSweep(context.Background(), tech, EvalPool)
+		pts, err := WidthSweep(context.Background(), tech)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +209,11 @@ func TestAbsoluteFrequencies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("design-space sweeps are expensive")
 	}
-	sil, err := CoreDepthSweep(context.Background(), SiliconTech(), 9, 9, true, EvalPool)
+	sil, err := CoreDepthSweep(context.Background(), SiliconTech(), 9, 9, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	org, err := CoreDepthSweep(context.Background(), OrganicTech(), 9, 9, true, EvalPool)
+	org, err := CoreDepthSweep(context.Background(), OrganicTech(), 9, 9, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/config"
@@ -38,37 +37,42 @@ type DepthPoint struct {
 // stage on the critical path, re-simulating IPC for each resulting
 // design (the cut placement differs between technologies because their
 // critical stages differ — Section 5.5). The cut placement is
-// inherently serial, so the cheap timing walk runs once, locally; the
-// expensive part — seven benchmark IPC simulations per depth — is the
-// grid eval computes, one (depth, benchmark) point and fault site
-// ("depth-point:tech:wire:dN:bench") each.
-func CoreDepthSweep(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool, eval Evaluator) ([]DepthPoint, error) {
+// inherently serial, so the cheap timing walk runs once, up front; the
+// expensive part — seven benchmark IPC simulations per depth — fans out
+// as one point, checkpoint record and fault site
+// ("depth-point:tech:wire:dN:bench") per (depth, benchmark) pair, in
+// depth-major order.
+func CoreDepthSweep(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool) ([]DepthPoint, error) {
+	if maxDepth < minDepth || minDepth <= 0 {
+		return nil, fmt.Errorf("core-depth sweep: depth bounds [%d, %d] out of range", minDepth, maxDepth)
+	}
 	ctx, sp := obs.Start(ctx, "sweep:coredepth",
 		obs.KV("tech", t.Name), obs.Bool("wire", wire),
 		obs.Int("min_depth", minDepth), obs.Int("max_depth", maxDepth))
 	defer sp.End()
-	g, err := SweepGrid(ctx, GridCoreDepth, t, 0, minDepth, maxDepth, wire)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := g.skeleton(ctx)
+	pts, err := depthSkeleton(ctx, t, minDepth, maxDepth, wire)
 	if err != nil {
 		return nil, err
 	}
 	benches := Benchmarks()
-	stats, err := assemble(ctx, g, eval, func(i int, msg string) uarch.Stats {
-		pt := &pts[i/len(benches)]
-		if pt.Errors == nil {
-			pt.Errors = map[string]string{}
-		}
-		pt.Errors[benches[i%len(benches)]] = msg
-		return uarch.Stats{}
-	})
+	nb := len(benches)
+	stats, err := sweep(ctx, len(pts)*nb, depthKey(t, wire, pts),
+		func(ctx context.Context, i int) (uarch.Stats, error) {
+			return depthPairEval(ctx, t, wire, pts[i/nb], benches[i%nb])
+		},
+		func(i int, msg string) uarch.Stats {
+			pt := &pts[i/nb]
+			if pt.Errors == nil {
+				pt.Errors = map[string]string{}
+			}
+			pt.Errors[benches[i%nb]] = msg
+			return uarch.Stats{}
+		})
 	if err != nil {
 		return nil, err
 	}
 	for i, st := range stats {
-		pt, b := &pts[i/len(benches)], benches[i%len(benches)]
+		pt, b := &pts[i/nb], benches[i%nb]
 		if _, failed := pt.Errors[b]; failed {
 			continue
 		}
@@ -78,44 +82,13 @@ func CoreDepthSweep(ctx context.Context, t *Tech, minDepth, maxDepth int, wire b
 	return pts, nil
 }
 
-// depthGrid is the Figure 11 lattice: one point, and one checkpoint
-// record, per (depth, benchmark) pair in depth-major order. The serial
-// cut-placement walk runs once per grid, on first use, and is shared by
-// every Eval and by the assembly; keys need only arithmetic.
-func depthGrid(t *Tech, minDepth, maxDepth int, wire bool) *Grid {
+// depthKey names the checkpoint record of core-depth sweep index i:
+// the (depth, benchmark) pair at pts[i/len(Benchmarks())].
+func depthKey(t *Tech, wire bool, pts []DepthPoint) func(i int) string {
 	benches := Benchmarks()
-	first := minDepth
-	if first < int(numStages) {
-		// The walk cannot go shallower than the uncut baseline.
-		first = int(numStages)
-	}
-	n := (maxDepth - first + 1) * len(benches)
-	if n < 0 {
-		n = 0
-	}
-	var (
-		once sync.Once
-		pts  []DepthPoint
-		err  error
-	)
-	skeleton := func(ctx context.Context) ([]DepthPoint, error) {
-		once.Do(func() { pts, err = depthSkeleton(ctx, t, minDepth, maxDepth, wire) })
-		return pts, err
-	}
-	return &Grid{
-		Kind: GridCoreDepth, N: n,
-		Key: func(i int) string {
-			return checkpoint.PointID("depth", t.Name, wireTag(wire),
-				"d"+strconv.Itoa(first+i/len(benches)), benches[i%len(benches)])
-		},
-		Eval: func(ctx context.Context, i int) (any, error) {
-			pts, err := skeleton(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return depthPairEval(ctx, t, wire, pts[i/len(benches)], benches[i%len(benches)])
-		},
-		skeleton: skeleton,
+	return func(i int) string {
+		return checkpoint.PointID("depth", t.Name, wireTag(wire),
+			"d"+strconv.Itoa(pts[i/len(benches)].Depth), benches[i%len(benches)])
 	}
 }
 
@@ -123,8 +96,8 @@ func depthGrid(t *Tech, minDepth, maxDepth int, wire bool) *Grid {
 // from the 9-stage baseline (front-end width 1, three execution pipes),
 // repeatedly cut the critical stage up to maxDepth, recording timing,
 // area, and cut placement for every depth >= minDepth. The walk is
-// cheap (no IPC simulation) and deterministic; the core-depth grid
-// memoizes it. IPC/Perf maps come back empty.
+// cheap (no IPC simulation) and deterministic. IPC/Perf maps come back
+// empty.
 func depthSkeleton(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool) ([]DepthPoint, error) {
 	const fe, be = 1, 3
 	blocks, err := coreBlocks(ctx, t, fe, be, wire)
@@ -162,7 +135,7 @@ func depthSkeleton(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bo
 }
 
 // depthPairEval simulates one (depth, benchmark) pair of the Figure 11
-// grid — the expensive unit every evaluator computes.
+// sweep — its expensive unit.
 func depthPairEval(ctx context.Context, t *Tech, wire bool, pt DepthPoint, bench string) (uarch.Stats, error) {
 	const fe, be = 1, 3
 	ctx, sp := obs.Start(ctx, "depth-point",

@@ -11,16 +11,16 @@
 // the per-figure registry that cmd/replicate walks, and RunExperiments
 // executes a slice of it concurrently.
 //
-// Concurrency and caching contract: every design-space sweep is one
-// assembly over its point lattice (SweepGrid) through an Evaluator —
-// EvalPool fans the independent design points out over the bounded
-// worker pool in internal/runner — and honors context cancellation.
-// Results are ordered by design point, never by completion, so parallel
-// sweeps are bit-identical to the serial reference (EvalLocal). Heavy
-// intermediates (characterized
-// technologies, analyzed stage and ALU netlists, per-configuration
-// benchmark IPC) are memoized process-wide in per-key singleflight
-// caches (runner.Memo): concurrent callers of the same design point
-// share one computation, while distinct keys never contend. All
-// exported functions are safe for concurrent use.
+// Concurrency and caching contract: every design-space sweep maps its
+// typed points straight onto the bounded worker pool in internal/runner
+// (Map, or MapPartial under config.PartialResults), each point under
+// its own checkpoint key, and honors context cancellation. Results are
+// ordered by design point, never by completion, so parallel sweeps are
+// bit-identical to a serial loop over the same per-point functions.
+// Heavy intermediates (characterized technologies, analyzed stage and
+// ALU netlists, per-configuration benchmark IPC) are memoized
+// process-wide in per-key singleflight caches (runner.Memo): concurrent
+// callers of the same design point share one computation, while
+// distinct keys never contend. All exported functions are safe for
+// concurrent use.
 package core

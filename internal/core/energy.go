@@ -35,7 +35,7 @@ type EnergyPoint struct {
 // dynamic-dominated and far less depth-sensitive. The underlying depth
 // sweep runs on the worker pool under ctx.
 func EnergySweep(ctx context.Context, t *Tech, minDepth, maxDepth int) ([]EnergyPoint, error) {
-	pts, err := CoreDepthSweep(ctx, t, minDepth, maxDepth, true, EvalPool)
+	pts, err := CoreDepthSweep(ctx, t, minDepth, maxDepth, true)
 	if err != nil {
 		return nil, err
 	}

@@ -302,7 +302,7 @@ func runFig9(_ context.Context) ([]*Table, error) {
 func runFig12(ctx context.Context) ([]*Table, error) {
 	var tables []*Table
 	for _, tech := range BothTechs() {
-		pts, err := ALUDepthSweep(ctx, tech, 30, true, EvalPool)
+		pts, err := ALUDepthSweep(ctx, tech, 30, true)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +335,7 @@ func runFig12(ctx context.Context) ([]*Table, error) {
 func runFig11(ctx context.Context) ([]*Table, error) {
 	var tables []*Table
 	for _, tech := range BothTechs() {
-		pts, err := CoreDepthSweep(ctx, tech, 9, 15, true, EvalPool)
+		pts, err := CoreDepthSweep(ctx, tech, 9, 15, true)
 		if err != nil {
 			return nil, err
 		}
@@ -368,7 +368,7 @@ func runFig11(ctx context.Context) ([]*Table, error) {
 }
 
 func widthTable(ctx context.Context, tech *Tech, area bool) (*Table, error) {
-	pts, err := WidthSweep(ctx, tech, EvalPool)
+	pts, err := WidthSweep(ctx, tech)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +435,7 @@ func runFig15(ctx context.Context) ([]*Table, error) {
 	var series [][]float64
 	for _, tech := range BothTechs() {
 		for _, wire := range []bool{true, false} {
-			pts, err := ALUDepthSweep(ctx, tech, 30, wire, EvalPool)
+			pts, err := ALUDepthSweep(ctx, tech, 30, wire)
 			if err != nil {
 				return nil, err
 			}
@@ -463,7 +463,7 @@ func runFig15(ctx context.Context) ([]*Table, error) {
 	var coreSeries [][]float64
 	for _, tech := range BothTechs() {
 		for _, wire := range []bool{true, false} {
-			pts, err := CoreDepthSweep(ctx, tech, 9, 15, wire, EvalPool)
+			pts, err := CoreDepthSweep(ctx, tech, 9, 15, wire)
 			if err != nil {
 				return nil, err
 			}
@@ -582,7 +582,7 @@ func runAbsFreq(ctx context.Context) ([]*Table, error) {
 			"optimized' appears to be a typo (optimized must exceed baseline).",
 	}
 	for _, tech := range BothTechs() {
-		pts, err := CoreDepthSweep(ctx, tech, 9, 15, true, EvalPool)
+		pts, err := CoreDepthSweep(ctx, tech, 9, 15, true)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,8 @@
 // Golden-conformance suite: committed renderings of the cheap
 // experiments (testdata/golden/*.tbl) pin the exact bytes every
-// execution style must produce, and the style matrix proves the
-// serial reference evaluator (EvalLocal), the worker pool (EvalPool)
-// and a checkpoint-resumed run agree byte for byte. The suite is the
+// execution style must produce, and a checkpoint-resumed sweep must
+// agree with a cold one byte for byte (the serial-versus-pool matrix is
+// TestGoldenExecutionStyles in sweep_test.go). The suite is the
 // safety net under hot-path kernel changes: an optimization that
 // perturbs float evaluation order or point enumeration fails here, not
 // in a downstream diff.
@@ -19,7 +19,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -91,49 +90,6 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
-// styleGrid is one conformance subject: a grid plus the sweep assembly
-// whose output must agree across evaluators.
-type styleGrid struct {
-	name                          string
-	kind                          string
-	maxStages, minDepth, maxDepth int
-	wire                          bool
-	sweep                         func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error)
-}
-
-var styleGrids = []styleGrid{
-	{
-		name: "alu-depth", kind: core.GridALUDepth, maxStages: 30, wire: true,
-		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.ALUDepthSweep(ctx, tech, 30, true, eval)
-		},
-	},
-	{
-		name: "alu-depth-nowire", kind: core.GridALUDepth, maxStages: 30,
-		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.ALUDepthSweep(ctx, tech, 30, false, eval)
-		},
-	},
-	{
-		name: "width", kind: core.GridWidth, wire: true,
-		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.WidthSweep(ctx, tech, eval)
-		},
-	},
-	{
-		name: "core-depth", kind: core.GridCoreDepth, minDepth: 9, maxDepth: 11, wire: true,
-		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.CoreDepthSweep(ctx, tech, 9, 11, true, eval)
-		},
-	},
-	{
-		name: "core-depth-nowire", kind: core.GridCoreDepth, minDepth: 9, maxDepth: 11,
-		sweep: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.CoreDepthSweep(ctx, tech, 9, 11, false, eval)
-		},
-	},
-}
-
 // mustJSON is the byte-for-byte witness: two results that marshal to
 // the same JSON would render, journal, and ship over the wire
 // identically.
@@ -146,83 +102,6 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestGoldenExecutionStyles is the conformance matrix: for each sweep
-// grid, the serial reference evaluator and the worker pool must return
-// identical point sets, and the sweep assembly must produce the same
-// bytes over each of them.
-func TestGoldenExecutionStyles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("design-space sweeps are expensive")
-	}
-	ctx := context.Background()
-	tech := core.SiliconTech()
-	for _, sg := range styleGrids {
-		t.Run(sg.name, func(t *testing.T) {
-			g, err := core.SweepGrid(ctx, sg.kind, tech, sg.maxStages, sg.minDepth, sg.maxDepth, sg.wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			indices := make([]int, g.N)
-			for i := range indices {
-				indices[i] = i
-			}
-			// Point level: serial vs pool.
-			serial, err := core.EvalLocal(ctx, g, indices)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pooled, err := core.EvalPool(ctx, g, indices)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, pooled) {
-				t.Errorf("pool evaluation diverged from serial reference")
-			}
-
-			// Assembly level: the same bytes over both evaluators.
-			want, err := sg.sweep(ctx, tech, core.EvalLocal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sg.sweep(ctx, tech, core.EvalPool)
-			if err != nil {
-				t.Fatalf("pool assembly: %v", err)
-			}
-			if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
-				t.Errorf("pool assembly bytes diverged from the serial reference")
-			}
-		})
-	}
-}
-
-// TestGridCheckpointKeys pins one checkpoint key per sweep kind: a
-// journal written by any earlier build replays only while these bytes
-// hold.
-func TestGridCheckpointKeys(t *testing.T) {
-	ctx := context.Background()
-	for _, tc := range []struct {
-		kind                          string
-		tech                          string
-		maxStages, minDepth, maxDepth int
-		wire                          bool
-		index                         int
-		want                          string
-	}{
-		{core.GridALUDepth, "silicon45", 30, 0, 0, true, 4, "alu/silicon45/wire/k0/n5"},
-		{core.GridALUDepth, "organic", 30, 0, 0, false, 0, "alu/organic/nowire/k0/n1"},
-		{core.GridCoreDepth, "organic", 0, 9, 15, false, 8, "depth/organic/nowire/d10/gap"},
-		{core.GridWidth, "silicon45", 0, 0, 0, true, 7, "width/silicon45/fe2/be4"},
-	} {
-		g, err := core.SweepGrid(ctx, tc.kind, &core.Tech{Name: tc.tech}, tc.maxStages, tc.minDepth, tc.maxDepth, tc.wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := g.Key(tc.index); got != tc.want {
-			t.Errorf("%s grid key %d = %q, want %q", tc.kind, tc.index, got, tc.want)
-		}
-	}
-}
-
 // TestGoldenCheckpointResume closes the matrix: a journaled sweep
 // replayed through a fresh journal handle (the crash-resume shape)
 // produces the same bytes as a cold run.
@@ -232,7 +111,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	}
 	tech := core.SiliconTech()
 	base := config.WithContext(context.Background(), config.Config{Workers: 4})
-	cold, err := core.ALUDepthSweep(base, tech, 12, true, core.EvalPool)
+	cold, err := core.ALUDepthSweep(base, tech, 12, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +122,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl), tech, 12, true, core.EvalPool)
+	first, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl), tech, 12, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +136,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	if rec.Records != 12 {
 		t.Fatalf("recovered %d journal records, want 12", rec.Records)
 	}
-	resumed, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl2), tech, 12, true, core.EvalPool)
+	resumed, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl2), tech, 12, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestWidthSweepMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := WidthSweep(context.Background(), tech, EvalPool)
+	got, err := WidthSweep(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestDepthSweepDeterministic(t *testing.T) {
 		t.Skip("design-space sweeps are expensive")
 	}
 	tech := SiliconTech()
-	a, err := CoreDepthSweep(context.Background(), tech, 9, 12, true, EvalPool)
+	a, err := CoreDepthSweep(context.Background(), tech, 9, 12, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CoreDepthSweep(context.Background(), tech, 9, 12, true, EvalPool)
+	b, err := CoreDepthSweep(context.Background(), tech, 9, 12, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := WidthSweep(ctx, tech, EvalPool); !errors.Is(err, context.Canceled) {
+	if _, err := WidthSweep(ctx, tech); !errors.Is(err, context.Canceled) {
 		t.Fatalf("WidthSweep err = %v, want context.Canceled", err)
 	}
-	if _, err := CoreDepthSweep(ctx, tech, 9, 15, true, EvalPool); !errors.Is(err, context.Canceled) {
+	if _, err := CoreDepthSweep(ctx, tech, 9, 15, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CoreDepthSweep err = %v, want context.Canceled", err)
 	}
-	if _, err := ALUDepthSweep(ctx, tech, 30, true, EvalPool); !errors.Is(err, context.Canceled) {
+	if _, err := ALUDepthSweep(ctx, tech, 30, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ALUDepthSweep err = %v, want context.Canceled", err)
 	}
 	if _, err := RunExperiments(ctx, Experiments()); !errors.Is(err, context.Canceled) {

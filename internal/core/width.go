@@ -35,70 +35,69 @@ type WidthPoint struct {
 // WidthSweep synthesizes the thirty width configurations of the paper
 // (front-end width 1-6 x back-end pipes 3-7) at the 9-stage baseline
 // depth and reports period, area, and benchmark-averaged performance
-// (Figures 13-14). Every configuration is an independent point of the
-// grid eval computes; shared stage analyses and benchmark simulations
-// are deduplicated by the per-key memo caches, and results come back in
-// back-major order.
-func WidthSweep(ctx context.Context, t *Tech, eval Evaluator) ([]WidthPoint, error) {
+// (Figures 13-14). Every configuration is an independent point with
+// its own checkpoint record; shared stage analyses and benchmark
+// simulations are deduplicated by the per-key memo caches, and results
+// come back in back-major order.
+func WidthSweep(ctx context.Context, t *Tech) ([]WidthPoint, error) {
 	ctx, sp := obs.Start(ctx, "sweep:width", obs.KV("tech", t.Name))
 	defer sp.End()
-	g, err := SweepGrid(ctx, GridWidth, t, 0, 0, 0, true)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(ctx, g, eval, func(i int, msg string) WidthPoint {
-		fe, be := widthAt(i)
-		return WidthPoint{Front: fe, Back: be, Err: msg}
-	})
+	return sweep(ctx, widthN, widthKey(t),
+		func(ctx context.Context, i int) (WidthPoint, error) {
+			fe, be := widthAt(i)
+			return widthPoint(ctx, t, fe, be)
+		},
+		func(i int, msg string) WidthPoint {
+			fe, be := widthAt(i)
+			return WidthPoint{Front: fe, Back: be, Err: msg}
+		})
 }
 
-// widthN is the width grid's point count (FE 1-6 x BE 3-7).
+// widthN is the width sweep's point count (FE 1-6 x BE 3-7).
 const widthN = (MaxBack - MinBack + 1) * (MaxFront - MinFront + 1)
 
-// widthAt maps a flat width-grid index to its (front, back) pair in
+// widthAt maps a flat width-sweep index to its (front, back) pair in
 // back-major order.
 func widthAt(i int) (fe, be int) {
 	const cols = MaxFront - MinFront + 1
 	return MinFront + i%cols, MinBack + i/cols
 }
 
-// widthGrid is the Figures 13-14 lattice: one point, and one checkpoint
-// record, per (front, back) configuration.
-func widthGrid(t *Tech) *Grid {
-	return &Grid{
-		Kind: GridWidth, N: widthN,
-		Key: func(i int) string {
-			fe, be := widthAt(i)
-			return checkpoint.PointID("width", t.Name,
-				"fe"+strconv.Itoa(fe), "be"+strconv.Itoa(be))
-		},
-		Eval: func(ctx context.Context, i int) (any, error) {
-			fe, be := widthAt(i)
-			ctx, sp := obs.Start(ctx, "width-point", obs.Int("fe", fe), obs.Int("be", be))
-			defer sp.End()
-			if err := config.Get(ctx).Faults.Inject(ctx, fmt.Sprintf("width-point:%s:fe%d:be%d", t.Name, fe, be)); err != nil {
-				return nil, err
-			}
-			blocks, err := coreBlocks(ctx, t, fe, be, true)
-			if err != nil {
-				return nil, err
-			}
-			period, tp := pipeline.CoreTiming(ctx, blocks, t.DFF(), pipeline.Config{Wire: t.Wire, UseWire: true})
-			mean, err := MeanIPCCtx(ctx, uarchConfig(fe, be, nil))
-			if err != nil {
-				return nil, err
-			}
-			return WidthPoint{
-				Front:   fe,
-				Back:    be,
-				Period:  period,
-				Freq:    tp.Freq,
-				Area:    tp.Area,
-				MeanIPC: mean,
-				Perf:    mean * tp.Freq,
-			}, nil
-		},
+// widthKey names the checkpoint record of width sweep index i.
+func widthKey(t *Tech) func(i int) string {
+	return func(i int) string {
+		fe, be := widthAt(i)
+		return checkpoint.PointID("width", t.Name, "fe"+strconv.Itoa(fe), "be"+strconv.Itoa(be))
 	}
+}
+
+// widthPoint synthesizes and simulates one (front, back) configuration
+// with wire delay. Each point is a fault-injection site
+// ("width-point:tech:feF:beB").
+func widthPoint(ctx context.Context, t *Tech, fe, be int) (WidthPoint, error) {
+	ctx, sp := obs.Start(ctx, "width-point", obs.Int("fe", fe), obs.Int("be", be))
+	defer sp.End()
+	if err := config.Get(ctx).Faults.Inject(ctx, fmt.Sprintf("width-point:%s:fe%d:be%d", t.Name, fe, be)); err != nil {
+		return WidthPoint{}, err
+	}
+	blocks, err := coreBlocks(ctx, t, fe, be, true)
+	if err != nil {
+		return WidthPoint{}, err
+	}
+	period, tp := pipeline.CoreTiming(ctx, blocks, t.DFF(), pipeline.Config{Wire: t.Wire, UseWire: true})
+	mean, err := MeanIPCCtx(ctx, uarchConfig(fe, be, nil))
+	if err != nil {
+		return WidthPoint{}, err
+	}
+	return WidthPoint{
+		Front:   fe,
+		Back:    be,
+		Period:  period,
+		Freq:    tp.Freq,
+		Area:    tp.Area,
+		MeanIPC: mean,
+		Perf:    mean * tp.Freq,
+	}, nil
 }
 
 // Matrix arranges a width sweep into the paper's M[back][front] layout,

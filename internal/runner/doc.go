@@ -23,7 +23,5 @@
 //
 // Determinism contract: Map's result slice depends only on the task
 // function, never on scheduling, so a parallel sweep is bit-identical
-// to the serial loop it replaced. Sub-package metrics adds the
-// instrumentation layer (stage counters, wall-time histograms, the
-// progress hook, and the per-stage report behind the -metrics flag).
+// to the serial loop it replaced.
 package runner

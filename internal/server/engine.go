@@ -9,7 +9,6 @@ import (
 	"repro/biodeg"
 	"repro/biodeg/api"
 	"repro/internal/checkpoint"
-	"repro/internal/core"
 )
 
 // Error classes the handlers map to HTTP statuses. Engine
@@ -94,12 +93,37 @@ func (e *SessionEngine) RunExperiment(ctx context.Context, id string) (*api.Expe
 	return out, nil
 }
 
+// maxSweepBound caps every sweep bound a request may set. Each bound
+// sizes a sweep's point count, so an unchecked one lets a single
+// request allocate and evaluate millions of points; the paper's
+// deepest sweep is 30.
+const maxSweepBound = 64
+
+// sweepDefaults fills the sweep-request bounds left unset (<= 0): a
+// 12-stage ALU sweep and core depths 9-15.
+func sweepDefaults(maxStages, minDepth, maxDepth int) (int, int, int) {
+	if maxStages <= 0 {
+		maxStages = 12
+	}
+	if minDepth <= 0 {
+		minDepth = 9
+	}
+	if maxDepth <= 0 {
+		maxDepth = 15
+	}
+	return maxStages, minDepth, maxDepth
+}
+
 // Sweep implements Engine.
 func (e *SessionEngine) Sweep(ctx context.Context, kind string, req api.SweepRequest) (*api.SweepResult, error) {
 	// Validate kind and bounds before resolving the technology:
 	// resolution characterizes the cell library on first use, and a
 	// malformed request must not pay (or trigger) that.
-	maxStages, minDepth, maxDepth := core.SweepDefaults(req.MaxStages, req.MinDepth, req.MaxDepth)
+	maxStages, minDepth, maxDepth := sweepDefaults(req.MaxStages, req.MinDepth, req.MaxDepth)
+	if max(maxStages, minDepth, maxDepth) > maxSweepBound {
+		return nil, fmt.Errorf("%w: sweep bound above %d (max_stages %d, min_depth %d, max_depth %d)",
+			ErrBadRequest, maxSweepBound, maxStages, minDepth, maxDepth)
+	}
 	switch kind {
 	case api.SweepALUDepth, api.SweepWidth:
 	case api.SweepCoreDepth:

@@ -100,7 +100,8 @@ func engineErrorClass(t *testing.T, eng Engine, path, body string) (status int, 
 // an experiment runs is a 500 internal that the breaker counts; a
 // checkpoint journal written under other result-shaping knobs is a 409
 // config_mismatch on the experiment and the sweep route alike, and the
-// breaker does not count it.
+// breaker does not count it; a sweep bound above maxSweepBound is a 400
+// before anything is computed.
 func TestSessionEngineErrorClasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the sweep route characterizes the silicon library")
@@ -140,6 +141,10 @@ func TestSessionEngineErrorClasses(t *testing.T) {
 			http.StatusConflict, api.CodeConfigMismatch, "closed", 0},
 		{"stale journal, sweep", "/v1/sweeps/alu-depth", `{"tech":"silicon","max_stages":2}`, NewSessionEngine(mismatched),
 			http.StatusConflict, api.CodeConfigMismatch, "closed", 0},
+		{"oversized alu bound", "/v1/sweeps/alu-depth", `{"tech":"silicon","max_stages":65}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"oversized depth bound", "/v1/sweeps/core-depth", `{"tech":"silicon","max_depth":65}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
 	} {
 		status, code, breaker, engineErrs := engineErrorClass(t, tc.eng, tc.path, tc.body)
 		if status != tc.status || code != tc.code {

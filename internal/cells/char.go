@@ -42,7 +42,7 @@ var libMemo runner.Memo[string, *liberty.Library]
 // (internal/config, set by the -libcache flag) names a directory,
 // characterized libraries are persisted there as <name>.lib text files
 // and reloaded on later runs, skipping the transient-simulation pass
-// (about 5 s of CPU for the organic library; stale files regenerate on
+// (about 3 s of CPU for the organic library; stale files regenerate on
 // format-version or read errors).
 // Characterized libraries are a process-wide shared resource: sessions
 // share them deliberately, since characterization is deterministic.
@@ -106,10 +106,16 @@ func Characterize(t *Technology, cfg CharConfig) (*liberty.Library, error) {
 	return CharacterizeCtx(context.Background(), t, cfg)
 }
 
-// CharacterizeCtx is Characterize with cancellation and span parenting:
-// each cell's characterization runs in its own "characterize" span
-// under the span carried by ctx.
+// CharacterizeCtx is Characterize with cancellation and span parenting.
+// It pre-builds every cell with its LUTs, then runs every arc point
+// (cell, pin, slew, load, output direction) and every cell's power
+// measurement as its own task on the worker pool, each in its own
+// "characterize" span under the span carried by ctx. A task writes only
+// its own slots, so the library does not depend on the worker count.
 func CharacterizeCtx(ctx context.Context, t *Technology, cfg CharConfig) (*liberty.Library, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("cells: %s: %w", t.Name, err)
+	}
 	lib := &liberty.Library{
 		Name:  t.Name,
 		VDD:   t.VDD,
@@ -133,26 +139,125 @@ func CharacterizeCtx(ctx context.Context, t *Technology, cfg CharConfig) (*liber
 	for i, m := range cfg.LoadMults {
 		loads[i] = m * invCap
 	}
-	// Cells are independent; characterize them on the worker pool.
-	cellsOut, err := runner.Map(ctx, len(t.Protos), func(ctx context.Context, i int) (*liberty.Cell, error) {
-		_, sp := obs.Start(ctx, "characterize",
-			obs.KV("tech", t.Name), obs.KV("cell", t.Protos[i].Name),
-			obs.Stage(obs.StageCharacterize))
-		defer sp.End()
-		cell, err := characterizeCell(t, t.Protos[i], slews, loads, cfg.Steps)
-		if err != nil {
-			return nil, fmt.Errorf("cells: %s/%s: %w", t.Name, t.Protos[i].Name, err)
+	var tasks []func(ctx context.Context) error
+	for _, p := range t.Protos {
+		cell := newCell(p, slews, loads)
+		lib.Cells[p.Name] = cell
+		wrap := func(err error) error { return fmt.Errorf("cells: %s/%s: %w", t.Name, p.Name, err) }
+		tasks = append(tasks, func(ctx context.Context) error {
+			_, sp := obs.Start(ctx, "characterize",
+				obs.KV("tech", t.Name), obs.KV("cell", p.Name),
+				obs.Stage(obs.StageCharacterize))
+			defer sp.End()
+			// Static power at all-low and all-high inputs, then the
+			// dynamic switching energy against that baseline.
+			lo, hi, err := staticPower(t, p)
+			if err != nil {
+				return wrap(err)
+			}
+			cell.LeakLow, cell.LeakHigh = lo, hi
+			if cell.SwitchEnergy, err = measureSwitchEnergy(t, p, lo, hi); err != nil {
+				return wrap(err)
+			}
+			return nil
+		})
+		for _, pin := range p.Inputs {
+			others, err := nonControlling(p, pin)
+			if err != nil {
+				return nil, wrap(err)
+			}
+			arc := cell.Arcs[pin]
+			for i, s := range slews {
+				// Input ramp duration from the 20-80 slew definition.
+				tramp := s / 0.6
+				for j, cl := range loads {
+					for _, rising := range []bool{true, false} {
+						delay, slew := arc.DelayFall, arc.SlewFall
+						if rising {
+							delay, slew = arc.DelayRise, arc.SlewRise
+						}
+						tasks = append(tasks, func(ctx context.Context) error {
+							_, sp := obs.Start(ctx, "characterize",
+								obs.KV("tech", t.Name), obs.KV("cell", p.Name), obs.KV("pin", pin),
+								obs.Stage(obs.StageCharacterize))
+							defer sp.End()
+							pt, err := measureArcPoint(t, p, pin, others, rising, tramp, cl, cfg.Steps)
+							if err != nil {
+								return wrap(err)
+							}
+							delay.Value[i][j], slew.Value[i][j] = pt.delay, pt.slew
+							return nil
+						})
+					}
+				}
+			}
 		}
-		return cell, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	for i, cell := range cellsOut {
-		lib.Cells[t.Protos[i].Name] = cell
+	if _, err := runner.Map(ctx, len(tasks), func(ctx context.Context, k int) (struct{}, error) {
+		return struct{}{}, tasks[k](ctx)
+	}); err != nil {
+		return nil, err
 	}
 	lib.Cells["DFF"] = deriveDFF(t, lib)
 	return lib, nil
+}
+
+// validate rejects a grid that cannot characterize, before any
+// transient runs: an empty grid, a multiple that is not positive and
+// finite, or fewer than two time steps.
+func (cfg CharConfig) validate() error {
+	for _, g := range []struct {
+		name  string
+		mults []float64
+	}{{"SlewMults", cfg.SlewMults}, {"LoadMults", cfg.LoadMults}} {
+		if len(g.mults) == 0 {
+			return fmt.Errorf("CharConfig.%s is empty", g.name)
+		}
+		for _, m := range g.mults {
+			if !(m > 0) || math.IsInf(m, 1) {
+				return fmt.Errorf("CharConfig.%s has multiple %g, want positive and finite", g.name, m)
+			}
+		}
+	}
+	if cfg.Steps < 2 {
+		return fmt.Errorf("CharConfig.Steps is %d, want at least 2", cfg.Steps)
+	}
+	return nil
+}
+
+// newCell returns the liberty cell of prototype p with one arc per
+// input pin, its LUTs sized to the grid and zeroed for the tasks of
+// CharacterizeCtx to fill.
+func newCell(p *Proto, slews, loads []float64) *liberty.Cell {
+	newLUT := func() *liberty.LUT {
+		v := make([][]float64, len(slews))
+		for i := range v {
+			v[i] = make([]float64, len(loads))
+		}
+		return &liberty.LUT{
+			Slews: append([]float64(nil), slews...),
+			Loads: append([]float64(nil), loads...),
+			Value: v,
+		}
+	}
+	cell := &liberty.Cell{
+		Name:        p.Name,
+		Inputs:      append([]string(nil), p.Inputs...),
+		Output:      p.Output,
+		Function:    p.Function,
+		Area:        p.Area,
+		InputCap:    p.InputCap,
+		Transistors: p.Transistors,
+		Arcs:        make(map[string]*liberty.Arc, len(p.Inputs)),
+	}
+	for _, pin := range p.Inputs {
+		cell.Arcs[pin] = &liberty.Arc{
+			From:      pin,
+			DelayRise: newLUT(), DelayFall: newLUT(),
+			SlewRise: newLUT(), SlewFall: newLUT(),
+		}
+	}
+	return cell
 }
 
 // nonControlling finds values for the other input pins such that the
@@ -189,66 +294,18 @@ type charPoint struct {
 // measureArcPoint runs one transient: input pin transitions with the
 // given ramp time while the others hold non-controlling values, and the
 // output (loaded with cl) is measured for 50-50 delay and 20-80 slew.
+// The transient streams the measurement and stops at its last crossing;
+// an output that never completes its transition gets a wider window.
 func measureArcPoint(t *Technology, p *Proto, pin string, others map[string]bool, outRising bool, tramp, cl float64, steps int) (charPoint, error) {
-	// Determine the input direction that produces the requested output
-	// transition.
-	asg := make(map[string]bool, len(p.Inputs))
-	for k, v := range others {
-		asg[k] = v
-	}
-	asg[pin] = true
-	outWhenHigh := p.Eval(asg)
-	inRising := outWhenHigh == outRising
-
 	window := 6*tramp + 60*t.TimeScale
 	for attempt := 0; attempt < 4; attempt++ {
-		c := t.newCircuit()
-		pins := map[string]spice.Node{}
-		vdd := c.Node("vdd")
-		c.V("VDD", vdd, spice.Ground, spice.DC(t.VDD))
-		pins["vdd"] = vdd
-		vss := spice.Node(spice.Ground)
-		if t.VSS != 0 {
-			vss = c.Node("vss")
-			c.V("VSS", vss, spice.Ground, spice.DC(t.VSS))
-		}
-		pins["vss"] = vss
-		level := func(b bool) float64 {
-			if b {
-				return t.VDD
-			}
-			return 0
-		}
-		for _, in := range p.Inputs {
-			n := c.Node("in_" + in)
-			pins[in] = n
-			if in == pin {
-				v0, v1 := level(!inRising), level(inRising)
-				hold := window * 0.15
-				c.V("VIN", n, spice.Ground, spice.Ramp{V0: v0, V1: v1, T0: hold, T1: hold + tramp})
-			} else {
-				c.V("V_"+in, n, spice.Ground, spice.DC(level(others[in])))
-			}
-		}
-		out := c.Node("out")
-		pins[p.Output] = out
-		p.Build(c, pins)
-		if cl > 0 {
-			c.C("CL", out, spice.Ground, cl)
-		}
-		dt := window / float64(steps)
-		tr, err := c.Transient(window, dt, out)
+		c, out, hold := arcCircuit(t, p, pin, others, outRising, tramp, cl, window)
+		tOut, oslew, err := c.MeasureEdge(window, window/float64(steps), out, outRising, 0, t.VDD, hold)
 		if err != nil {
 			return charPoint{}, err
 		}
-		v := tr.V(out)
-		hold := window * 0.15
-		tIn50 := hold + tramp/2
-		half := t.VDD / 2
-		tOut := spice.CrossTime(tr.Times, v, half, outRising, hold)
-		oslew := spice.Slew2080(tr.Times, v, 0, t.VDD, outRising, hold)
 		if !math.IsNaN(tOut) && !math.IsNaN(oslew) && oslew > 0 {
-			return charPoint{delay: tOut - tIn50, slew: oslew}, nil
+			return charPoint{delay: tOut - (hold + tramp/2), slew: oslew}, nil
 		}
 		// Output did not complete its transition: widen the window.
 		window *= 4
@@ -256,69 +313,53 @@ func measureArcPoint(t *Technology, p *Proto, pin string, others map[string]bool
 	return charPoint{}, fmt.Errorf("output never settled (pin %s, rising=%v, tramp=%g, cl=%g)", pin, outRising, tramp, cl)
 }
 
-func characterizeCell(t *Technology, p *Proto, slews, loads []float64, steps int) (*liberty.Cell, error) {
-	cell := &liberty.Cell{
-		Name:        p.Name,
-		Inputs:      append([]string(nil), p.Inputs...),
-		Output:      p.Output,
-		Function:    p.Function,
-		Area:        p.Area,
-		InputCap:    p.InputCap,
-		Transistors: p.Transistors,
-		Arcs:        make(map[string]*liberty.Arc, len(p.Inputs)),
+// arcCircuit builds the test bench of one arc point over the given
+// window: the cell under supply, pin ramping after a hold of 15% of the
+// window in the direction that moves the output as outRising asks, the
+// other inputs at their non-controlling levels, and cl on the output.
+func arcCircuit(t *Technology, p *Proto, pin string, others map[string]bool, outRising bool, tramp, cl, window float64) (c *spice.Circuit, out spice.Node, hold float64) {
+	asg := make(map[string]bool, len(p.Inputs))
+	for k, v := range others {
+		asg[k] = v
 	}
-	newLUT := func() *liberty.LUT {
-		v := make([][]float64, len(slews))
-		for i := range v {
-			v[i] = make([]float64, len(loads))
+	asg[pin] = true
+	inRising := p.Eval(asg) == outRising
+	hold = window * 0.15
+
+	c = t.newCircuit()
+	pins := map[string]spice.Node{}
+	vdd := c.Node("vdd")
+	c.V("VDD", vdd, spice.Ground, spice.DC(t.VDD))
+	pins["vdd"] = vdd
+	vss := spice.Node(spice.Ground)
+	if t.VSS != 0 {
+		vss = c.Node("vss")
+		c.V("VSS", vss, spice.Ground, spice.DC(t.VSS))
+	}
+	pins["vss"] = vss
+	level := func(b bool) float64 {
+		if b {
+			return t.VDD
 		}
-		return &liberty.LUT{
-			Slews: append([]float64(nil), slews...),
-			Loads: append([]float64(nil), loads...),
-			Value: v,
+		return 0
+	}
+	for _, in := range p.Inputs {
+		n := c.Node("in_" + in)
+		pins[in] = n
+		if in == pin {
+			v0, v1 := level(!inRising), level(inRising)
+			c.V("VIN", n, spice.Ground, spice.Ramp{V0: v0, V1: v1, T0: hold, T1: hold + tramp})
+		} else {
+			c.V("V_"+in, n, spice.Ground, spice.DC(level(others[in])))
 		}
 	}
-	for _, pin := range p.Inputs {
-		others, err := nonControlling(p, pin)
-		if err != nil {
-			return nil, err
-		}
-		arc := &liberty.Arc{
-			From:      pin,
-			DelayRise: newLUT(), DelayFall: newLUT(),
-			SlewRise: newLUT(), SlewFall: newLUT(),
-		}
-		for i, s := range slews {
-			// Input ramp duration from the 20-80 slew definition.
-			tramp := s / 0.6
-			for j, cl := range loads {
-				up, err := measureArcPoint(t, p, pin, others, true, tramp, cl, steps)
-				if err != nil {
-					return nil, err
-				}
-				down, err := measureArcPoint(t, p, pin, others, false, tramp, cl, steps)
-				if err != nil {
-					return nil, err
-				}
-				arc.DelayRise.Value[i][j] = up.delay
-				arc.SlewRise.Value[i][j] = up.slew
-				arc.DelayFall.Value[i][j] = down.delay
-				arc.SlewFall.Value[i][j] = down.slew
-			}
-		}
-		cell.Arcs[pin] = arc
+	out = c.Node("out")
+	pins[p.Output] = out
+	p.Build(c, pins)
+	if cl > 0 {
+		c.C("CL", out, spice.Ground, cl)
 	}
-	// Static power at all-low and all-high inputs, then the dynamic
-	// switching energy against that baseline.
-	lo, hi, err := staticPower(t, p)
-	if err != nil {
-		return nil, err
-	}
-	cell.LeakLow, cell.LeakHigh = lo, hi
-	if cell.SwitchEnergy, err = measureSwitchEnergy(t, p, lo, hi); err != nil {
-		return nil, err
-	}
-	return cell, nil
+	return c, out, hold
 }
 
 // staticPower solves the DC supply power with all inputs low and all

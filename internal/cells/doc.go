@@ -17,9 +17,12 @@
 // library per technology name in a per-key singleflight cache — the two
 // technologies characterize concurrently without serializing on each
 // other, and concurrent callers of the same technology share a single
-// characterization. Within one characterization the independent cells
-// fan out over the runner worker pool, each recording a "characterize"
-// metrics observation. Naming a cache directory in the process
+// characterization. Within one characterization every arc point
+// (cell, pin, slew, load, output direction) and every cell's power
+// measurement is its own task on the runner worker pool, each
+// recording a "characterize" metrics observation, and each arc-point
+// transient stops after the step on which its last measured crossing
+// is known. Naming a cache directory in the process
 // configuration (the -libcache flag / config.Config.LibCache) persists
 // characterized libraries as .lib text files and reloads them on later
 // runs. Returned *liberty.Library values are shared and must be

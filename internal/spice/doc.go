@@ -5,11 +5,20 @@
 // cells of the reproduction, playing the role HSPICE plays in the paper's
 // flow.
 //
-// Key entry points: NewCircuit builds a Circuit from R/C/V/I/MOS
-// elements; DCOperatingPoint, DCSweep, and Transient are the three
-// analyses; MeasureVTC and the InverterDC metrology derive switching
-// threshold, gain, and MEC noise margins; CrossTime and Slew2080
-// extract delay and slew from transient waveforms.
+// Key entry points:
+//   - NewCircuit builds a Circuit from R/C/V/I/MOS elements.
+//   - DCOperatingPoint and DCSweep solve bias points, with gmin and
+//     source stepping as fallbacks.
+//   - Transient runs fixed-step trapezoidal integration and records
+//     node voltages and source currents; Tran.SupplyEnergy integrates
+//     the supply energy.
+//   - MeasureEdge runs the same step loop without recording and stops
+//     after the step on which an edge's 50% crossing and 20%-80% slew
+//     are known.
+//   - CrossTime and Slew2080 read delay and slew from a recorded
+//     waveform, with the same crossing rule as MeasureEdge.
+//   - VTCFromSweep, the VTC methods and InverterDC derive switching
+//     threshold, gain, and MEC noise margins.
 //
 // Concurrency contract: a Circuit and its solver state are mutable and
 // single-goroutine, but independent Circuits share nothing — the cell

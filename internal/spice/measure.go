@@ -277,43 +277,111 @@ func (d InverterDC) String() string {
 		d.VM, d.Gain, d.NMH, d.NML, d.VOH, d.VOL, d.PowLow, d.PowHigh)
 }
 
-// CrossTime returns the first time the waveform crosses level in the
-// given direction after tStart, or NaN.
-func CrossTime(times, v []float64, level float64, rising bool, tStart float64) float64 {
-	for i := 1; i < len(v); i++ {
-		if times[i] < tStart {
-			continue
-		}
-		a, b := v[i-1], v[i]
-		var hit bool
-		if rising {
-			hit = a < level && b >= level
-		} else {
-			hit = a > level && b <= level
-		}
-		if hit {
-			if b == a {
-				return times[i]
-			}
-			return times[i-1] + (times[i]-times[i-1])*(level-a)/(b-a)
+// crossing finds, one sample pair at a time, the first crossing of
+// level in one direction on a pair whose later time is at or after
+// tStart, interpolated linearly within that pair. It is the one
+// implementation of the rule behind CrossTime, Slew2080 and MeasureEdge.
+type crossing struct {
+	level  float64
+	rising bool
+	tStart float64
+	t      float64 // the crossing time, once found
+	found  bool
+}
+
+// pair tests the sample pair (t0, a) -> (t1, b), unless the crossing is
+// already found, and reports whether it is found.
+func (d *crossing) pair(t0, a, t1, b float64) bool {
+	if d.found || t1 < d.tStart {
+		return d.found
+	}
+	if d.rising {
+		d.found = a < d.level && b >= d.level
+	} else {
+		d.found = a > d.level && b <= d.level
+	}
+	if d.found {
+		d.t = t1
+		if b != a {
+			d.t = t0 + (t1-t0)*(d.level-a)/(b-a)
 		}
 	}
-	return math.NaN()
+	return d.found
+}
+
+// time returns the crossing time, or NaN if it has not been found.
+func (d *crossing) time() float64 {
+	if !d.found {
+		return math.NaN()
+	}
+	return d.t
+}
+
+// slew2080 finds, one sample pair at a time, the 20%-80% transition of
+// Slew2080: the opening crossing (20% rising, 80% falling) from tStart,
+// then the closing one from the interpolated opening time.
+type slew2080 struct {
+	open, close crossing
+	t0, v0      float64 // first sample of the previous pair
+	seen        bool    // whether a previous pair exists
+}
+
+func newSlew2080(vLow, vHigh float64, rising bool, tStart float64) slew2080 {
+	l20 := vLow + 0.2*(vHigh-vLow)
+	l80 := vLow + 0.8*(vHigh-vLow)
+	if !rising {
+		l20, l80 = l80, l20
+	}
+	return slew2080{
+		open:  crossing{level: l20, rising: rising, tStart: tStart},
+		close: crossing{level: l80, rising: rising},
+	}
+}
+
+// pair feeds the sample pair (t0, a) -> (t1, b) and reports whether
+// both crossings are found.
+func (s *slew2080) pair(t0, a, t1, b float64) bool {
+	if !s.open.found {
+		tp, vp, seen := s.t0, s.v0, s.seen
+		s.t0, s.v0, s.seen = t0, a, true
+		if !s.open.pair(t0, a, t1, b) {
+			return false
+		}
+		// The closing search starts at the interpolated opening time,
+		// which lies in this pair, so this pair is tested too. When the
+		// interpolation rounds onto t0 exactly, the previous pair ends
+		// at or after the start and is tested first.
+		s.close.tStart = s.open.t
+		if seen {
+			s.close.pair(tp, vp, t0, a)
+		}
+	}
+	return s.close.pair(t0, a, t1, b)
+}
+
+// value returns the transition time, or NaN if a crossing is missing.
+func (s *slew2080) value() float64 { return s.close.time() - s.open.time() }
+
+// CrossTime returns the first time the waveform crosses level in the
+// given direction after tStart, or NaN: the first sample pair whose
+// later time is at or after tStart and that goes from strictly below
+// level to at or above it (rising; mirrored for falling), interpolated
+// linearly within the pair.
+func CrossTime(times, v []float64, level float64, rising bool, tStart float64) float64 {
+	d := crossing{level: level, rising: rising, tStart: tStart}
+	for i := 1; i < len(v) && !d.pair(times[i-1], v[i-1], times[i], v[i]); i++ {
+	}
+	return d.time()
 }
 
 // Slew2080 returns the 20%-80% transition time of the waveform between
 // the given rail levels, for the first transition in the given direction
-// after tStart.
+// after tStart: the CrossTime of the closing level searched from the
+// CrossTime of the opening one. The times must increase strictly, as a
+// transient's do.
 func Slew2080(times, v []float64, vLow, vHigh float64, rising bool, tStart float64) float64 {
-	l20 := vLow + 0.2*(vHigh-vLow)
-	l80 := vLow + 0.8*(vHigh-vLow)
-	var t1, t2 float64
-	if rising {
-		t1 = CrossTime(times, v, l20, true, tStart)
-		t2 = CrossTime(times, v, l80, true, t1)
-	} else {
-		t1 = CrossTime(times, v, l80, false, tStart)
-		t2 = CrossTime(times, v, l20, false, t1)
+	s := newSlew2080(vLow, vHigh, rising, tStart)
+	for i := 1; i < len(v) && !s.pair(times[i-1], v[i-1], times[i], v[i]); i++ {
 	}
-	return t2 - t1
+	return s.value()
 }

@@ -2,6 +2,7 @@ package spice
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 )
@@ -50,35 +51,16 @@ func (t *Tran) SupplyEnergy(volts map[string]float64, t0, t1 float64) float64 {
 }
 
 // Transient simulates from t = 0 to tstop with a fixed step dt using the
-// trapezoidal method, recording the given nodes. The initial condition is
-// the DC operating point at t = 0. Each completed time step counts one
-// spice.tran_step event and each of its Newton iterations one
-// spice.newton_iter event (the initial DC solve counts its own).
+// trapezoidal method, recording the given nodes and every voltage
+// source's branch current. The initial condition is the DC operating
+// point at t = 0. Each completed time step counts one spice.tran_step
+// event and each of its Newton iterations one spice.newton_iter event
+// (the initial DC solve counts its own).
 func (c *Circuit) Transient(tstop, dt float64, record ...Node) (*Tran, error) {
-	if dt <= 0 || tstop <= dt {
-		return nil, fmt.Errorf("spice: bad transient window tstop=%g dt=%g", tstop, dt)
-	}
-	var steps, iters int
-	defer func() {
-		obs.Add(obs.StageSpiceTranStep, int64(steps))
-		obs.Add(obs.StageSpiceNewton, int64(iters))
-	}()
-	x, err := c.solveDC(0, nil)
+	samples, err := samplesIn(tstop, dt)
 	if err != nil {
-		return nil, fmt.Errorf("spice: transient initial condition: %w", err)
+		return nil, err
 	}
-	volt := func(x []float64, nd Node) float64 {
-		if nd == Ground {
-			return 0
-		}
-		return x[index(nd)]
-	}
-	// Initialize capacitor companion state from the DC solution.
-	for _, cp := range c.caps {
-		cp.vPrev = volt(x, cp.a) - volt(x, cp.b)
-		cp.iPrev = 0
-	}
-	samples := int(tstop/dt+0.5) + 1 // t = 0 plus the steps taken below
 	tr := &Tran{
 		Times: make([]float64, 0, samples),
 		nodes: make(map[Node][]float64, len(record)),
@@ -91,24 +73,99 @@ func (c *Circuit) Transient(tstop, dt float64, record ...Node) (*Tran, error) {
 		tr.srcI[v.name] = make([]float64, 0, samples)
 		tr.srcs = append(tr.srcs, v.name)
 	}
-	c.unknowns() // assign branch indices before sampling currents
-	snapshot := func(t float64, x []float64) {
+	err = c.transient(tstop, dt, func(t float64, x []float64) bool {
 		tr.Times = append(tr.Times, t)
 		for _, n := range record {
-			tr.nodes[n] = append(tr.nodes[n], volt(x, n))
+			tr.nodes[n] = append(tr.nodes[n], OP{x: x}.V(n))
 		}
 		for _, v := range c.vsrc {
 			tr.srcI[v.name] = append(tr.srcI[v.name], x[v.branch])
 		}
+		return false
+	})
+	if err != nil {
+		return nil, err
 	}
-	snapshot(0, x)
+	return tr, nil
+}
+
+// MeasureEdge runs the transient of Transient but records no waveform.
+// It streams node out through the CrossTime and Slew2080 rules for the
+// first transition in the given direction after tStart, between the
+// rails vLow and vHigh: t50 is its 50% crossing time and slew its
+// 20%-80% transition time. The run ends after the step on which all
+// three crossings are known; a crossing that never comes leaves the
+// full window run and its result NaN. The values equal those of
+// CrossTime and Slew2080 over the full recorded waveform, bit for bit.
+func (c *Circuit) MeasureEdge(tstop, dt float64, out Node, rising bool, vLow, vHigh, tStart float64) (t50, slew float64, err error) {
+	mid := crossing{level: vLow + 0.5*(vHigh-vLow), rising: rising, tStart: tStart}
+	sl := newSlew2080(vLow, vHigh, rising, tStart)
+	var t0, v0 float64
+	err = c.transient(tstop, dt, func(t float64, x []float64) bool {
+		v := OP{x: x}.V(out)
+		if t == 0 { // the first sample: pairs start at the first step
+			t0, v0 = t, v
+			return false
+		}
+		// Both detectors see every pair: && would starve the slew.
+		m := mid.pair(t0, v0, t, v)
+		s := sl.pair(t0, v0, t, v)
+		t0, v0 = t, v
+		return m && s
+	})
+	if err != nil {
+		return math.NaN(), math.NaN(), err
+	}
+	return mid.time(), sl.value(), nil
+}
+
+// samplesIn validates a transient window and returns the number of
+// samples a full run visits: t = 0 plus one per step.
+func samplesIn(tstop, dt float64) (int, error) {
+	if dt <= 0 || tstop <= dt {
+		return 0, fmt.Errorf("spice: bad transient window tstop=%g dt=%g", tstop, dt)
+	}
+	return int(tstop/dt+0.5) + 1, nil
+}
+
+// transient is the one trapezoidal step loop behind Transient and
+// MeasureEdge. It solves the DC operating point at t = 0 for the
+// initial condition, then steps by dt to tstop. visit sees t = 0 and
+// every accepted step, with the solution vector indexed like the MNA
+// unknowns; the vector is the circuit's workspace, valid only during
+// the call. visit returning true ends the run after that step. Because
+// each step depends only on the ones before it, a run ended early took
+// exactly the steps, bit for bit, that the full run would have taken up
+// to that point. The counts are those Transient documents.
+func (c *Circuit) transient(tstop, dt float64, visit func(t float64, x []float64) (stop bool)) error {
+	if _, err := samplesIn(tstop, dt); err != nil {
+		return err
+	}
+	var steps, iters int
+	defer func() {
+		obs.Add(obs.StageSpiceTranStep, int64(steps))
+		obs.Add(obs.StageSpiceNewton, int64(iters))
+	}()
+	x, err := c.solveDC(0, nil)
+	if err != nil {
+		return fmt.Errorf("spice: transient initial condition: %w", err)
+	}
+	// Initialize capacitor companion state from the DC solution.
+	for _, cp := range c.caps {
+		cp.vPrev = OP{x: x}.V(cp.a) - OP{x: x}.V(cp.b)
+		cp.iPrev = 0
+	}
+	c.unknowns() // assign branch indices before visit reads currents
+	if visit(0, x) {
+		return nil
+	}
 	opt := assembleOpts{srcScale: 1, transient: true, dt: dt}
 	for t := dt; t <= tstop+dt/2; t += dt {
 		opt.t = t
 		nx, k, err := c.newton(x, opt)
 		iters += k
 		if err != nil {
-			return nil, fmt.Errorf("spice: transient t=%g: %w", t, err)
+			return fmt.Errorf("spice: transient t=%g: %w", t, err)
 		}
 		steps++
 		// Update companion state: i = geq*(v_new) - (geq*vPrev + iPrev).
@@ -117,12 +174,14 @@ func (c *Circuit) Transient(tstop, dt float64, record ...Node) (*Tran, error) {
 				continue
 			}
 			geq := 2 * cp.c / dt
-			v := volt(nx, cp.a) - volt(nx, cp.b)
+			v := OP{x: nx}.V(cp.a) - OP{x: nx}.V(cp.b)
 			i := geq*v - (geq*cp.vPrev + cp.iPrev)
 			cp.vPrev, cp.iPrev = v, i
 		}
 		x = nx
-		snapshot(t, x)
+		if visit(t, x) {
+			return nil
+		}
 	}
-	return tr, nil
+	return nil
 }

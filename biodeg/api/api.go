@@ -9,17 +9,20 @@
 //
 //	v1 — initial surface: experiment listing/run, the three design-space
 //	     sweeps (alu-depth, core-depth, width), and IPC simulation.
-//	     Later extended (backward-compatibly) with the durable job
-//	     surface (JobRequest/JobStatus/JobList for POST /v1/jobs), the
-//	     versioned problem+json error envelope (Error), and pagination
-//	     on GET /v1/jobs (?limit=&after=&state=, JobList.Next). The
-//	     scale-out worker surface (its point-evaluation and status
-//	     routes, with their request and result types) was later
-//	     removed; both routes now answer 404.
+//	     Later extended (backward-compatibly) with a durable job
+//	     surface (POST /v1/jobs, paginated GET /v1/jobs, GET
+//	     /v1/jobs/{id}) and the versioned problem+json error envelope
+//	     (Error). The scale-out worker surface (its point-evaluation
+//	     and status routes, with their request and result types) was
+//	     later removed; both routes now answer 404. The job surface
+//	     (its three routes, request, status and list types) and the
+//	     Server-Sent Events stream at GET /v1/progress were removed
+//	     next: the daemon's -checkpoint journal resumes interrupted
+//	     sweeps and /metricsz serves the stage counters. All four
+//	     routes now answer 404.
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/biodeg"
@@ -341,58 +344,4 @@ type ExperimentResult struct {
 	Title   string  `json:"title"`
 	WallMS  float64 `json:"wall_ms"`
 	Tables  []Table `json:"tables"`
-}
-
-// JobExperiment is the job kind running one registry experiment; the
-// other accepted kinds are the three sweep kinds.
-const JobExperiment = "experiment"
-
-// Job states reported by JobStatus.State.
-const (
-	JobPending = "pending" // accepted, not yet started
-	JobRunning = "running" // computing; points_done grows
-	JobDone    = "done"    // result available
-	JobFailed  = "failed"  // error recorded; a retried POST requeues it
-)
-
-// JobRequest is the body of POST /v1/jobs: a durable computation that
-// survives both the submitting client and the daemon process. Kind
-// selects the work ("experiment" + Experiment, or a sweep kind +
-// Sweep). IdempotencyKey, when set, addresses the job: a client
-// retrying the POST with the same key lands on the job it already
-// created. Without a key the job is addressed by the canonical request,
-// so byte-equivalent retries still dedupe.
-type JobRequest struct {
-	Kind           string        `json:"kind"`
-	Experiment     string        `json:"experiment,omitempty"`
-	Sweep          *SweepRequest `json:"sweep,omitempty"`
-	IdempotencyKey string        `json:"idempotency_key,omitempty"`
-}
-
-// JobStatus is one job's state: the response of POST /v1/jobs and
-// GET /v1/jobs/{id}, and the element of JobList. PointsDone counts the
-// checkpoint records the job's journal holds (completed grid points and
-// finished experiments); Resumes counts daemon restarts that relaunched
-// the job. Result is populated only by GET /v1/jobs/{id} on a done job.
-type JobStatus struct {
-	Version    string          `json:"version"`
-	ID         string          `json:"id"`
-	Kind       string          `json:"kind"`
-	State      string          `json:"state"`
-	PointsDone int             `json:"points_done"`
-	Resumes    int             `json:"resumes,omitempty"`
-	Error      string          `json:"error,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
-}
-
-// JobList is the response of GET /v1/jobs (no results inline). The
-// listing is ordered by job ID (ascending, a stable content-addressed
-// ordering) and paginates: ?limit= caps the page size, ?after= resumes
-// past the given ID, ?state= filters by job state. Next, when set, is
-// the cursor for the following page (pass it as ?after=); absent on
-// the last page.
-type JobList struct {
-	Version string      `json:"version"`
-	Jobs    []JobStatus `json:"jobs"`
-	Next    string      `json:"next,omitempty"`
 }

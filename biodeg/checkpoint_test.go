@@ -3,7 +3,6 @@ package biodeg
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -80,34 +79,6 @@ func TestWithCheckpointRejectsChangedKnobs(t *testing.T) {
 	// And the public surface reports it, not just bind.
 	if _, err := chaotic.Widths(context.Background(), Organic()); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("Widths over a mismatched journal = %v, want ErrConfigMismatch", err)
-	}
-}
-
-// TestSessionJournalYieldsToContextCheckpoint checks the precedence the
-// daemon's job store relies on: a checkpoint already on the context (a
-// per-job journal) wins over the session's own.
-func TestSessionJournalYieldsToContextCheckpoint(t *testing.T) {
-	s := New(Config{Checkpoint: t.TempDir()})
-	defer s.Close()
-	jobDir := t.TempDir()
-	jobJournal, _, err := checkpoint.Open(context.Background(),
-		filepath.Join(jobDir, "journal.bdj"), checkpoint.Meta{Tool: "test", Label: "job"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jobJournal.Close()
-
-	ctx := runner.WithCheckpoint(context.Background(), jobJournal)
-	bound, err := s.bind(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runner.CheckpointFrom(bound); got != runner.Checkpoint(jobJournal) {
-		t.Fatal("session journal must not shadow a context-attached checkpoint")
-	}
-	// The session never even opened its own journal.
-	if st := s.CheckpointStats(); st != (checkpoint.Stats{}) {
-		t.Errorf("session journal opened needlessly: %+v", st)
 	}
 }
 

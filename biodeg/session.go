@@ -103,18 +103,15 @@ func digest(cfg Config) string {
 }
 
 // bind attaches the session's configuration (and journal, if any) to
-// ctx; every public method funnels through it. A checkpoint already on
-// ctx (the daemon's per-job journals) wins over the session's own.
+// ctx; every public method funnels through it.
 func (s *Session) bind(ctx context.Context) (context.Context, error) {
 	ctx = config.WithContext(ctx, s.cfg)
-	if runner.CheckpointFrom(ctx) == nil {
-		j, err := s.journal(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if j != nil {
-			ctx = runner.WithCheckpoint(ctx, j)
-		}
+	j, err := s.journal(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if j != nil {
+		ctx = runner.WithCheckpoint(ctx, j)
 	}
 	return ctx, nil
 }

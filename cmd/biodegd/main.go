@@ -7,7 +7,7 @@
 //	biodegd [-addr :8080] [-max-inflight N] [-cache N]
 //	        [-request-timeout 5m] [-drain-timeout 30s]
 //	        [-breaker-threshold N] [-breaker-cooldown 5s]
-//	        [-jobs DIR] [common flags]
+//	        [common flags]
 //
 // Endpoints:
 //
@@ -19,18 +19,16 @@
 //	POST /v1/experiments/{id}/run    run one experiment
 //	POST /v1/sweeps/{kind}           alu-depth | core-depth | width
 //	POST /v1/simulate                one benchmark through the core model
-//	POST /v1/jobs                    submit a durable job (with -jobs)
-//	GET  /v1/jobs                    list durable jobs (?limit=&after=&state=)
-//	GET  /v1/jobs/{id}               job progress and result
-//	GET  /v1/progress                Server-Sent Events progress stream
-//	GET  /debug/pprof/               runtime profiles
+//
+// Sweep progress is the per-stage counters /metricsz serves
+// (biodeg_stage_events_total{stage}); profiles come from the common
+// -pprof flag, which serves them on a separate address.
 //
 // Every non-2xx response from a /v1/* route is the versioned
 // problem+json error envelope {code, message, retry_after_s, detail}
 // with Content-Type application/problem+json; see biodeg/api.Error.
-// GET /v1/jobs pages in ascending job-ID order: ?limit= caps the page
-// (default 100, max 1000), ?after= resumes from the "next" cursor of
-// the previous page, ?state= filters by pending|running|done|failed.
+// A 500's message is the error's first line; the daemon logs the full
+// error (a recovered panic's stack included) with the request's span_id.
 //
 // Expensive responses carry X-Biodeg-Cache: hit | miss | coalesced.
 // A request shed by the admission semaphore gets 429 + Retry-After; a
@@ -42,13 +40,9 @@
 // With -checkpoint DIR every sweep journals its completed grid points,
 // so a killed daemon resumes without recomputing them. The journal is
 // bound to the -faults/-partial posture: a directory written under
-// other knobs answers 409 config_mismatch rather than merging.
-//
-// With -jobs DIR the daemon keeps a durable job store: POST /v1/jobs
-// returns an ID immediately, the computation journals every completed
-// grid point under DIR, and a daemon killed mid-job resumes it at the
-// next startup with the journaled points skipped. Idempotency keys (or
-// byte-equivalent requests) dedupe client retries onto the same job.
+// other knobs answers 409 config_mismatch rather than merging. After a
+// restart on the same directory, the next request for an interrupted
+// sweep replays its journaled points instead of recomputing them.
 //
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
@@ -88,7 +82,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	brkThreshold := flag.Int("breaker-threshold", 0, "consecutive engine failures opening the circuit breaker, 0 = default, -1 = disabled")
 	brkCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker rest before the half-open probe, 0 = default")
-	jobDir := flag.String("jobs", "", "directory backing the durable job store; empty disables /v1/jobs")
 	flag.Parse()
 
 	run, runCtx, err := opts.Start("biodegd")
@@ -109,12 +102,6 @@ func main() {
 		Injector:         opts.Faults,
 		AccessLog:        true,
 	})
-	if *jobDir != "" {
-		if err := srv.EnableJobs(*jobDir); err != nil {
-			slog.ErrorContext(runCtx, "job store init failed", "dir", *jobDir, "err", err)
-			os.Exit(1)
-		}
-	}
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv,

@@ -1,5 +1,5 @@
 // Package checkpoint persists completed units of work — sweep grid
-// points, experiment tables, daemon jobs — across process lifetimes,
+// points and experiment tables — across process lifetimes,
 // so a run killed mid-sweep (SIGKILL, OOM, node loss) resumes from its
 // journal instead of recomputing every finished point.
 //
@@ -26,9 +26,9 @@
 // creation leaves either no journal or a complete empty one — never a
 // half-written header. Record commits are appends: the frame is written
 // and fsynced before Commit returns, and the CRC framing makes the one
-// non-atomic step (a torn append) detectable. Completed-result
-// snapshots written by callers (e.g. the daemon's job results) should
-// use WriteFileAtomic for the same temp+rename+fsync discipline.
+// non-atomic step (a torn append) detectable. Whole files written by
+// callers (e.g. the cell-library cache) use WriteFileAtomic for the
+// same temp+rename+fsync discipline.
 //
 // # Config binding
 //

@@ -47,7 +47,7 @@ var (
 type Meta struct {
 	// Tool names the creating command ("replicate", "biodegd", ...).
 	Tool string `json:"tool"`
-	// Label names what the journal covers ("session", a job ID, ...).
+	// Label names what the journal covers ("session", ...).
 	Label string `json:"label"`
 	// ConfigDigest binds the journal to the configuration that produced
 	// its records (see ConfigDigest); Open rejects a mismatch.

@@ -23,12 +23,12 @@
 // Add counts untimed events into the same events family
 // (checkpoint.*, fault.<kind>, server.engine_error, and the
 // spice.gmin_step / spice.source_step convergence fallbacks); Count
-// reads one stage back. OnProgress installs the process-wide hook
-// fired after every stage observation — what biodegd's /v1/progress
-// streams. StageReport renders the families as the plain-text table
-// the commands print under -metrics and /metricsz?format=text serves.
-// Recording is lock-free once a stage's series exists and is always
-// on; only printing the report is optional.
+// reads one stage back. biodegd's /metricsz serves these counters, and
+// they are its only progress view. StageReport renders the families as
+// the plain-text table the commands print under -metrics and
+// /metricsz?format=text serves. Recording is lock-free once a stage's
+// series exists and is always on; only printing the report is
+// optional.
 //
 // # Hot path
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -53,31 +52,18 @@ var (
 		telemetry.DurationBuckets, "stage")
 )
 
-// progress is the installed progress hook. It lives outside the
-// registry data on purpose: resetting the recorded series never
-// unsubscribes it, so the daemon's SSE broker keeps receiving events.
-var progress atomic.Pointer[func(stage string, count int64, d time.Duration)]
-
-// observe records one finished Stage span: it bumps the stage counter,
-// accumulates wall time into the histogram, and fires the progress
-// hook with the new count.
+// observe records one finished Stage span: it bumps the stage counter
+// and accumulates wall time into the histogram.
 func observe(stage string, d time.Duration) {
-	n := stageEvents.With(stage).Inc()
+	stageEvents.With(stage).Inc()
 	stageDurations.With(stage).Observe(d.Seconds())
-	if fn := progress.Load(); fn != nil {
-		(*fn)(stage, n, d)
-	}
 }
 
 // Add bumps a stage's counter by n without timing, for counted events
 // that have no meaningful duration (checkpoint replays, injected
-// faults, engine errors, solver fallbacks). The progress hook fires
-// with a zero duration.
+// faults, engine errors, solver fallbacks).
 func Add(stage string, n int64) {
-	total := stageEvents.With(stage).Add(n)
-	if fn := progress.Load(); fn != nil {
-		(*fn)(stage, total, 0)
-	}
+	stageEvents.With(stage).Add(n)
 }
 
 // Count returns a stage's current cumulative count (0 when the stage
@@ -87,19 +73,6 @@ func Count(stage string) int64 {
 		return c.Value()
 	}
 	return 0
-}
-
-// OnProgress installs fn as the process-wide progress hook, called
-// after every Stage span's End and every Add with the stage name, its
-// new cumulative count, and the observation's duration (0 for Add).
-// Pass nil to remove the hook. The callback runs on the observing
-// goroutine and must be fast and concurrency-safe.
-func OnProgress(fn func(stage string, count int64, d time.Duration)) {
-	if fn == nil {
-		progress.Store(nil)
-		return
-	}
-	progress.Store(&fn)
 }
 
 // stageSnapshot is one stage's totals at a point in time.

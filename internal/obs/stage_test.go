@@ -11,7 +11,7 @@ import (
 )
 
 // resetStages clears every recorded stage series on the process-default
-// registry. The progress hook survives it.
+// registry.
 func resetStages() {
 	stageEvents.Reset()
 	stageDurations.Reset()
@@ -136,49 +136,36 @@ func TestBucketIndex(t *testing.T) {
 	}
 }
 
-// progressRecorder installs a progress hook collecting the counts of
-// one stage and removes it when the test ends.
-func progressRecorder(t *testing.T, stage string) func() []int64 {
-	var mu sync.Mutex
-	var events []int64
-	OnProgress(func(s string, count int64, d time.Duration) {
-		if s != stage {
-			return
-		}
-		mu.Lock()
-		events = append(events, count)
-		mu.Unlock()
-	})
-	t.Cleanup(func() { OnProgress(nil) })
-	return func() []int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]int64(nil), events...)
-	}
-}
-
+// TestProgressHook pins what a progress reader sees through Count: a
+// Stage span's End and an Add land in one cumulative stage count.
 func TestProgressHook(t *testing.T) {
 	resetStages()
-	events := progressRecorder(t, StagePipeline)
 	_, sp := Start(context.Background(), "partition", Stage(StagePipeline))
 	sp.End()
+	if got := Count(StagePipeline); got != 1 {
+		t.Errorf("Count(pipeline) = %d after one span, want 1", got)
+	}
 	Add(StagePipeline, 2)
-	if got := events(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("progress events = %v, want [1 3]", got)
+	if got := Count(StagePipeline); got != 3 {
+		t.Errorf("Count(pipeline) = %d after Add(2), want 3", got)
 	}
 }
 
-// TestProgressHookSurvivesReset pins the reset/OnProgress contract: the
-// hook lives outside the counter registry, so a reset clears the
-// counters but keeps the subscriber — the SSE progress broker must not
-// go deaf mid-stream. Counts restart from 1.
+// TestProgressHookSurvivesReset pins the reset contract: a reset
+// clears the stage series, and concurrent observers after it recreate
+// the series with counts restarting from 1.
 func TestProgressHookSurvivesReset(t *testing.T) {
 	resetStages()
-	events := progressRecorder(t, StagePipeline)
 	observe(StagePipeline, time.Millisecond)
+	if got := Count(StagePipeline); got != 1 {
+		t.Fatalf("pre-reset Count(pipeline) = %d, want 1", got)
+	}
 	resetStages()
+	if got := Count(StagePipeline); got != 0 {
+		t.Fatalf("Count(pipeline) = %d right after reset, want 0", got)
+	}
 	// Concurrent observers after the reset keep the -race detector
-	// honest about the hook pointer and the recreated series.
+	// honest about the recreated series.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -189,22 +176,8 @@ func TestProgressHookSurvivesReset(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got := events()
-	if len(got) != 5 {
-		t.Fatalf("got %d progress events across reset, want 5: %v", len(got), got)
-	}
-	if got[0] != 1 {
-		t.Errorf("first pre-reset count = %d, want 1", got[0])
-	}
-	post := got[1:]
-	seen := map[int64]bool{}
-	for _, c := range post {
-		seen[c] = true
-	}
-	for want := int64(1); want <= 4; want++ {
-		if !seen[want] {
-			t.Errorf("post-reset counts = %v, want a permutation of [1 2 3 4] (counts restart after reset)", post)
-		}
+	if got := Count(StagePipeline); got != 4 {
+		t.Errorf("post-reset Count(pipeline) = %d, want 4 (counts restart after reset)", got)
 	}
 }
 

@@ -26,9 +26,7 @@ type Checkpoint interface {
 type cpKey struct{}
 
 // WithCheckpoint returns a context under which Checkpointed replays
-// from and commits to cp. biodeg.Session attaches
-// its journal here; the daemon's job store attaches per-job journals,
-// which take precedence because the session only fills an empty slot.
+// from and commits to cp. biodeg.Session attaches its journal here.
 func WithCheckpoint(ctx context.Context, cp Checkpoint) context.Context {
 	return context.WithValue(ctx, cpKey{}, cp)
 }

@@ -31,7 +31,7 @@ var (
 
 // Engine is the computation surface the server fronts. The production
 // engine delegates to a biodeg.Session; tests substitute fakes so
-// transport behavior (admission, coalescing, caching, streaming) is
+// transport behavior (admission, coalescing, caching, draining) is
 // exercised without multi-second characterization sweeps.
 type Engine interface {
 	// Experiments lists the registry.
@@ -98,6 +98,53 @@ func (e *SessionEngine) RunExperiment(ctx context.Context, id string) (*api.Expe
 // request allocate and evaluate millions of points; the paper's
 // deepest sweep is 30.
 const maxSweepBound = 64
+
+// maxPredictorBits caps pred_bits and btb_bits on /v1/simulate: each
+// sizes a predictor table of 1<<bits entries, and 20 bits is 1 MB of
+// gshare counters.
+const maxPredictorBits = 20
+
+// maxCoreField caps every other /v1/simulate core config field (widths,
+// stage counts, window sizes, latencies, cache sizes in KB, line
+// bytes). The baseline's largest is a 64-entry ROB; the cap keeps one
+// request's simulator tables within a few megabytes, and a line of at
+// most 1024 bytes always fits the smallest (1 KB) cache.
+const maxCoreField = 1024
+
+// checkCore rejects a materialized core config the simulator cannot run
+// as asked: a negative field, a predictor table above maxPredictorBits,
+// or any other field above maxCoreField. The error names the offending
+// wire field.
+func checkCore(c biodeg.CoreConfig) error {
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"front_width", c.FrontWidth, maxCoreField},
+		{"back_width", c.BackWidth, maxCoreField},
+		{"front_stages", c.FrontStages, maxCoreField},
+		{"issue_stages", c.IssueStages, maxCoreField},
+		{"exec_stages", c.ExecStages, maxCoreField},
+		{"rob", c.ROB, maxCoreField},
+		{"iq", c.IQ, maxCoreField},
+		{"lsq", c.LSQ, maxCoreField},
+		{"pred_bits", c.PredBits, maxPredictorBits},
+		{"btb_bits", c.BTBBits, maxPredictorBits},
+		{"ras", c.RAS, maxCoreField},
+		{"mul_lat", c.MulLat, maxCoreField},
+		{"div_lat", c.DivLat, maxCoreField},
+		{"cache_kb", c.CacheKB, maxCoreField},
+		{"line_bytes", c.LineBytes, maxCoreField},
+		{"hit_lat", c.HitLat, maxCoreField},
+		{"miss_lat", c.MissLat, maxCoreField},
+		{"icache_kb", c.ICacheKB, maxCoreField},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("%w: config.%s = %d, want 0 to %d", ErrBadRequest, f.name, f.v, f.max)
+		}
+	}
+	return nil
+}
 
 // sweepDefaults fills the sweep-request bounds left unset (<= 0): a
 // 12-stage ALU sweep and core depths 9-15.
@@ -168,7 +215,11 @@ func (e *SessionEngine) Simulate(ctx context.Context, req api.SimulateRequest) (
 		return nil, fmt.Errorf("%w: unknown benchmark %q (have %v)",
 			ErrNotFound, req.Bench, biodeg.Benchmarks())
 	}
-	st, err := e.Session.SimulateIPC(ctx, req.Bench, req.Config.Core())
+	cfg := req.Config.Core()
+	if err := checkCore(cfg); err != nil {
+		return nil, err
+	}
+	st, err := e.Session.SimulateIPC(ctx, req.Bench, cfg)
 	if err != nil {
 		return nil, err
 	}

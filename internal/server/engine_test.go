@@ -12,6 +12,7 @@ import (
 	"repro/biodeg/api"
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // The SessionEngine tests stick to paths that avoid technology
@@ -100,7 +101,8 @@ func engineErrorClass(t *testing.T, eng Engine, path, body string) (status int, 
 // an experiment runs is a 500 internal that the breaker counts; a
 // checkpoint journal written under other result-shaping knobs is a 409
 // config_mismatch on the experiment and the sweep route alike, and the
-// breaker does not count it; a sweep bound above maxSweepBound is a 400
+// breaker does not count it; a sweep bound above maxSweepBound and a
+// simulate core config with a negative or oversized field are 400s
 // before anything is computed.
 func TestSessionEngineErrorClasses(t *testing.T) {
 	if testing.Short() {
@@ -145,6 +147,22 @@ func TestSessionEngineErrorClasses(t *testing.T) {
 			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
 		{"oversized depth bound", "/v1/sweeps/core-depth", `{"tech":"silicon","max_depth":65}`, NewSessionEngine(nil),
 			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"negative pred_bits", "/v1/simulate", `{"bench":"dhrystone","config":{"pred_bits":-1}}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"oversized pred_bits", "/v1/simulate", `{"bench":"dhrystone","config":{"pred_bits":64}}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"oversized btb_bits", "/v1/simulate", `{"bench":"dhrystone","config":{"btb_bits":21}}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"negative rob", "/v1/simulate", `{"bench":"dhrystone","config":{"rob":-3}}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"negative front_width", "/v1/simulate", `{"bench":"dhrystone","config":{"front_width":-2}}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"oversized cache_kb", "/v1/simulate", `{"bench":"dhrystone","config":{"cache_kb":1025}}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		// The widest corner of the benchmark's serve-mixed tuple space.
+		{"largest serve-mixed tuple", "/v1/simulate",
+			`{"bench":"dhrystone","config":{"front_width":6,"back_width":7,"front_stages":12,"pred_bits":14}}`,
+			NewSessionEngine(nil), http.StatusOK, "", "closed", 0},
 	} {
 		status, code, breaker, engineErrs := engineErrorClass(t, tc.eng, tc.path, tc.body)
 		if status != tc.status || code != tc.code {
@@ -154,5 +172,43 @@ func TestSessionEngineErrorClasses(t *testing.T) {
 			t.Errorf("%s: breaker %s after %d engine errors, want %s after %d",
 				tc.name, breaker, engineErrs, tc.breaker, tc.engineErrs)
 		}
+	}
+}
+
+// TestCheckpointResumeAcrossRestart drives the daemon's crash-resume
+// path over HTTP. A server over a -checkpoint session answers a short
+// ALU sweep; a second session and server on the same directory stand in
+// for the restarted process and answer a longer sweep. The restarted
+// server must replay the journaled points and answer byte-for-byte what
+// a server without a checkpoint answers.
+func TestCheckpointResumeAcrossRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the sweep route characterizes the silicon library")
+	}
+	sweep := func(eng Engine, body string) string {
+		t.Helper()
+		_, ts := newTestServer(t, eng, Options{})
+		resp := post(t, ts.URL+"/v1/sweeps/alu-depth", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", body, resp.StatusCode, slurp(t, resp))
+		}
+		return slurp(t, resp)
+	}
+	dir := t.TempDir()
+	first := biodeg.New(biodeg.Config{Checkpoint: dir})
+	sweep(NewSessionEngine(first), `{"tech":"silicon","max_stages":3}`)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := biodeg.New(biodeg.Config{Checkpoint: dir})
+	t.Cleanup(func() { restarted.Close() })
+	before := obs.Count(obs.StageCheckpointSkipped)
+	resumed := sweep(NewSessionEngine(restarted), `{"tech":"silicon","max_stages":5}`)
+	if d := obs.Count(obs.StageCheckpointSkipped) - before; d < 3 {
+		t.Errorf("restarted server replayed %d journaled points, want at least 3", d)
+	}
+	if fresh := sweep(NewSessionEngine(nil), `{"tech":"silicon","max_stages":5}`); resumed != fresh {
+		t.Errorf("resumed body differs from an unjournaled server's:\nresumed %s\nfresh   %s", resumed, fresh)
 	}
 }

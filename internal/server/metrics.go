@@ -16,8 +16,8 @@ import (
 // telemetry registry, scraped at GET /metricsz. Families are
 // registered once at package init; the per-request path only touches
 // atomic handles. The daemon owns its process, so these are
-// process-global like the metrics progress hook — a second Server in
-// one process (tests) shares the same series.
+// process-global — a second Server in one process (tests) shares the
+// same series.
 var (
 	httpRequests = telemetry.Default().Counter("biodeg_http_requests_total",
 		"HTTP requests served, by route pattern and status code.", "route", "code")
@@ -47,8 +47,7 @@ var (
 const responseCache = "response"
 
 // statusWriter captures the response status (and body size) for the
-// RED middleware while passing Flush through, so the SSE progress
-// stream keeps streaming behind it.
+// RED middleware.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
@@ -69,14 +68,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(b)
 	w.bytes += int64(n)
 	return n, err
-}
-
-// Flush implements http.Flusher when the underlying writer does (the
-// SSE handler requires it).
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
 }
 
 // routeLabel resolves the registered mux pattern serving r (e.g.

@@ -85,12 +85,9 @@ func TestMetricszExposition(t *testing.T) {
 		resp := post(t, ts.URL+"/v1/sweeps/alu-depth", `{"tech":"organic","max_stages":2}`)
 		slurp(t, resp)
 	}
-	// One 404 for the error counter.
-	resp, err := http.Get(ts.URL + "/v1/experiments/nope/run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	// One 404 for the error counter (the run route is POST-only; a GET
+	// would answer 405).
+	slurp(t, post(t, ts.URL+"/v1/experiments/nope/run", ""))
 
 	after := scrape(t, ts.URL)
 

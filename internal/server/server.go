@@ -4,7 +4,7 @@
 // biodeg/api, designed to absorb heavy concurrent traffic in front of
 // computations that each cost seconds to minutes.
 //
-// The request path layers four defenses between the socket and the
+// The request path layers five defenses between the socket and the
 // engine:
 //
 //  1. A bounded LRU of rendered responses, keyed by the SHA-256 digest
@@ -28,9 +28,8 @@
 // at the route level (site "server:{path}") inside the singleflight
 // leader; GET /v1/faultz reports injected and observed fault counters.
 //
-// Progress of the underlying sweeps streams to any number of clients
-// over Server-Sent Events at GET /v1/progress, fed by the process-wide
-// metrics progress hook.
+// Progress of the underlying sweeps is the per-stage counters
+// (biodeg_stage_events_total{stage}) that GET /metricsz serves.
 package server
 
 import (
@@ -39,8 +38,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"strconv"
 	"strings"
@@ -98,7 +97,6 @@ type Server struct {
 	sem      chan struct{}
 	flight   runner.Memo[string, []byte]
 	cache    *resultCache
-	progress *progressBroker
 	brk      *breaker.Breaker
 	inj      *fault.Injector
 	inflight atomic.Int64
@@ -108,13 +106,9 @@ type Server struct {
 	engineErrs atomic.Int64
 	compSeq    atomic.Int64 // led computations, the fault-draw attempt ordinal
 	started    time.Time
-	// jobs is the durable job store (nil until EnableJobs).
-	jobs *jobStore
 }
 
-// New builds the server around eng and installs the progress broker as
-// the process-wide metrics hook (the daemon owns its process, so the
-// hook slot is the server's to take).
+// New builds the server around eng.
 func New(eng Engine, opts Options) *Server {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = 2 * runtime.GOMAXPROCS(0)
@@ -127,17 +121,15 @@ func New(eng Engine, opts Options) *Server {
 		brk = newEngineBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	s := &Server{
-		eng:      eng,
-		opts:     opts,
-		mux:      http.NewServeMux(),
-		sem:      make(chan struct{}, opts.MaxInflight),
-		cache:    newResultCache(opts.CacheSize),
-		progress: newProgressBroker(),
-		brk:      brk,
-		inj:      opts.Injector,
-		started:  time.Now(),
+		eng:     eng,
+		opts:    opts,
+		mux:     http.NewServeMux(),
+		sem:     make(chan struct{}, opts.MaxInflight),
+		cache:   newResultCache(opts.CacheSize),
+		brk:     brk,
+		inj:     opts.Injector,
+		started: time.Now(),
 	}
-	obs.OnProgress(s.progress.hook)
 	admCapacity.Set(int64(opts.MaxInflight))
 	s.routes()
 	return s
@@ -146,39 +138,16 @@ func New(eng Engine, opts Options) *Server {
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetricsz)
-	s.mux.HandleFunc("GET /v1/progress", s.handleProgress)
 	s.mux.HandleFunc("GET /v1/faultz", s.handleFaultz)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("POST /v1/experiments/{id}/run", s.handleRunExperiment)
 	s.mux.HandleFunc("POST /v1/sweeps/{kind}", s.handleSweep)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/jobs", s.handleJobCreate)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	// Method-less catch-all: unmatched requests get the error envelope
 	// (404, or 405 + Allow when the path exists under other methods)
 	// instead of the mux's plain-text defaults. Registering it disables
 	// the mux's own 405 synthesis, so handleFallback probes for it.
 	s.mux.HandleFunc("/", s.handleFallback)
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("POST /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// EnableJobs opens the durable job store rooted at dir and resumes
-// every job the previous process left incomplete, each in its own
-// goroutine. Without EnableJobs the /v1/jobs routes answer 404. Use one
-// store directory per daemon process.
-func (s *Server) EnableJobs(dir string) error {
-	st, err := newJobStore(dir, s.eng)
-	if err != nil {
-		return err
-	}
-	s.jobs = st
-	return nil
 }
 
 // ServeHTTP implements http.Handler. Every request passes through the
@@ -388,7 +357,15 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route str
 		if errors.Is(err, ErrUnavailable) {
 			w.Header().Set("Retry-After", s.brk.RetryAfter())
 		}
-		writeError(w, errStatus(err), err.Error())
+		status, msg := errStatus(err), err.Error()
+		if status == http.StatusInternalServerError {
+			// The full error (a recovered panic carries its goroutine
+			// stack) goes to the log under the request's span; the
+			// envelope keeps its first line.
+			slog.ErrorContext(r.Context(), "engine failure", "path", r.URL.Path, "err", msg)
+			msg, _, _ = strings.Cut(msg, "\n")
+		}
+		writeError(w, status, msg)
 		return
 	}
 	if led {
@@ -422,7 +399,9 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 }
 
 // decode unmarshals body into v, tolerating an empty body (all-default
-// request) and rejecting unknown fields so typos fail loudly.
+// request) and rejecting unknown fields so typos fail loudly. The body
+// must hold exactly one JSON value: anything after it but whitespace is
+// a 400, so a concatenated or truncated-then-padded body never runs.
 func decode(w http.ResponseWriter, body []byte, v any) bool {
 	if len(body) == 0 {
 		return true
@@ -431,6 +410,10 @@ func decode(w http.ResponseWriter, body []byte, v any) bool {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "parsing request: "+err.Error())
+		return false
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "parsing request: trailing data after the JSON body")
 		return false
 	}
 	return true

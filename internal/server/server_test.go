@@ -1,15 +1,14 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +17,8 @@ import (
 
 	"repro/biodeg/api"
 	"repro/internal/obs"
+	"repro/internal/runner"
+	"repro/internal/wire"
 )
 
 // fakeEngine counts calls and can hold computations open until released.
@@ -77,7 +78,6 @@ func newTestServer(t *testing.T, eng Engine, opts Options) (*Server, *httptest.S
 	s := New(eng, opts)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	t.Cleanup(func() { obs.OnProgress(nil) })
 	return s, ts
 }
 
@@ -249,63 +249,11 @@ func TestAdmission429(t *testing.T) {
 	slurp(t, resp)
 }
 
-// TestProgressSSEOrdering streams three instrumented work units and
-// checks they arrive as ordered SSE progress events.
-func TestProgressSSEOrdering(t *testing.T) {
-	_, ts := newTestServer(t, &fakeEngine{}, Options{})
-
-	resp, err := http.Get(ts.URL + "/v1/progress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	// Consume the opening comment line before emitting, so subscription
-	// is definitely active.
-	for sc.Scan() && !strings.HasPrefix(sc.Text(), ":") {
-	}
-
-	for i := 1; i <= 3; i++ {
-		_, sp := obs.Start(context.Background(), "emit", obs.Stage(fmt.Sprintf("stage%d", i)))
-		sp.End()
-	}
-
-	var events []ProgressEvent
-	for sc.Scan() && len(events) < 3 {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev ProgressEvent
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatalf("bad event %q: %v", line, err)
-		}
-		events = append(events, ev)
-	}
-	if len(events) != 3 {
-		t.Fatalf("got %d events, want 3 (scan err %v)", len(events), sc.Err())
-	}
-	for i, ev := range events {
-		want := fmt.Sprintf("stage%d", i+1)
-		if ev.Stage != want {
-			t.Errorf("event %d stage = %q, want %q", i, ev.Stage, want)
-		}
-		if i > 0 && ev.Seq <= events[i-1].Seq {
-			t.Errorf("event %d seq %d not after %d", i, ev.Seq, events[i-1].Seq)
-		}
-	}
-}
-
 // TestGracefulDrain checks http.Server.Shutdown waits for an in-flight
 // computation to finish and lets its response out before returning.
 func TestGracefulDrain(t *testing.T) {
 	eng := &fakeEngine{release: make(chan struct{})}
 	s := New(eng, Options{})
-	t.Cleanup(func() { obs.OnProgress(nil) })
 	httpSrv := &http.Server{Handler: s}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -492,99 +440,6 @@ func TestFallbackEnvelope(t *testing.T) {
 	slurp(t, resp)
 }
 
-// TestJobsPagination: GET /v1/jobs pages in stable ascending-ID order
-// through the ?limit/?after cursor protocol and filters on ?state.
-func TestJobsPagination(t *testing.T) {
-	s, ts := newTestServer(t, &journalingEngine{}, Options{})
-	if err := s.EnableJobs(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-
-	var ids []string
-	for i := 0; i < 5; i++ {
-		resp := post(t, ts.URL+"/v1/jobs",
-			fmt.Sprintf(`{"kind":"alu-depth","idempotency_key":"page-%d"}`, i))
-		var st api.JobStatus
-		if err := json.Unmarshal([]byte(slurp(t, resp)), &st); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, st.ID)
-	}
-	for _, id := range ids {
-		waitJob(t, ts.URL, id)
-	}
-	sort.Strings(ids)
-
-	page := func(query string) api.JobList {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/jobs" + query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1/jobs%s: status %d: %s", query, resp.StatusCode, slurp(t, resp))
-		}
-		var list api.JobList
-		if err := json.Unmarshal([]byte(slurp(t, resp)), &list); err != nil {
-			t.Fatal(err)
-		}
-		return list
-	}
-
-	// Walk the cursor: 2 + 2 + 1, ascending, no duplicates, no cursor on
-	// the last page.
-	var walked []string
-	after := ""
-	for hop := 0; ; hop++ {
-		list := page("?limit=2&after=" + after)
-		if len(list.Jobs) == 0 && list.Next != "" {
-			t.Fatal("empty page with a next cursor")
-		}
-		for _, j := range list.Jobs {
-			walked = append(walked, j.ID)
-		}
-		if list.Next == "" {
-			if len(list.Jobs) > 2 {
-				t.Errorf("page of %d jobs exceeds limit 2", len(list.Jobs))
-			}
-			break
-		}
-		if list.Next != list.Jobs[len(list.Jobs)-1].ID {
-			t.Errorf("next cursor %q is not the last returned ID", list.Next)
-		}
-		after = list.Next
-		if hop > 5 {
-			t.Fatal("cursor walk did not terminate")
-		}
-	}
-	if !sort.StringsAreSorted(walked) {
-		t.Errorf("walked IDs not ascending: %v", walked)
-	}
-	if fmt.Sprint(walked) != fmt.Sprint(ids) {
-		t.Errorf("cursor walk = %v, want %v", walked, ids)
-	}
-
-	if list := page("?state=done"); len(list.Jobs) != 5 {
-		t.Errorf("state=done returned %d jobs, want 5", len(list.Jobs))
-	}
-	if list := page("?state=failed"); len(list.Jobs) != 0 {
-		t.Errorf("state=failed returned %d jobs, want 0", len(list.Jobs))
-	}
-
-	for _, query := range []string{"?limit=0", "?limit=nope", "?state=bogus"} {
-		resp, err := http.Get(ts.URL + "/v1/jobs" + query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET /v1/jobs%s: status %d, want 400", query, resp.StatusCode)
-		}
-		if e := parseEnvelope(t, resp); e.Code != api.CodeBadRequest {
-			t.Errorf("GET /v1/jobs%s: code %q", query, e.Code)
-		}
-	}
-}
-
 // TestEveryErrorIsEnveloped sweeps failing requests across the /v1/*
 // surface and asserts each non-2xx response parses as the envelope
 // with the code matching its status.
@@ -599,8 +454,12 @@ func TestEveryErrorIsEnveloped(t *testing.T) {
 		{http.MethodPost, "/v1/experiments/nope/run", "", http.StatusNotFound},
 		{http.MethodPost, "/v1/sweeps/no-such-kind", `{"tech":"organic"}`, http.StatusNotFound},
 		{http.MethodPost, "/v1/simulate", `{"bench":`, http.StatusBadRequest},
-		{http.MethodGet, "/v1/jobs", "", http.StatusNotFound}, // jobs disabled
-		{http.MethodGet, "/v1/jobs/deadbeef", "", http.StatusNotFound},
+		{http.MethodPost, "/v1/simulate", `{"bench":"dhrystone"}{"bench":"gzip"}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/simulate", `{"bench":"dhrystone"} trailing`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/sweeps/alu-depth", `{"tech":"organic"}]`, http.StatusBadRequest},
+		// Retired routes fall through to the 404 envelope.
+		{http.MethodGet, "/v1/progress", "", http.StatusNotFound},
+		{http.MethodGet, "/debug/pprof/", "", http.StatusNotFound},
 		{http.MethodPut, "/v1/simulate", "{}", http.StatusMethodNotAllowed},
 		{http.MethodGet, "/totally/unknown", "", http.StatusNotFound},
 	}
@@ -613,8 +472,30 @@ func TestEveryErrorIsEnveloped(t *testing.T) {
 			t.Fatalf("%s %s: status %d, want %d (%s)", tc.method, tc.path, resp.StatusCode, tc.status, slurp(t, resp))
 		}
 		e := parseEnvelope(t, resp)
-		if e.Code == "" || e.Message == "" {
-			t.Errorf("%s %s: envelope missing code or message: %+v", tc.method, tc.path, e)
+		if e.Code != wire.CodeFor(tc.status) || e.Message == "" {
+			t.Errorf("%s %s: envelope %+v, want code %q and a message", tc.method, tc.path, e, wire.CodeFor(tc.status))
+		}
+	}
+}
+
+// TestJobRoutesDisabledWithoutStore checks that the retired job routes
+// answer with the 404 envelope: no server carries a job store any more.
+func TestJobRoutesDisabledWithoutStore(t *testing.T) {
+	_, ts := newTestServer(t, &fakeEngine{}, Options{})
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/jobs", `{"kind":"alu-depth"}`},
+		{http.MethodGet, "/v1/jobs", ""},
+		{http.MethodGet, "/v1/jobs/x", ""},
+	} {
+		resp, err := do(t, tc.method, ts.URL+tc.path, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404 (%s)", tc.method, tc.path, resp.StatusCode, slurp(t, resp))
+		}
+		if e := parseEnvelope(t, resp); e.Code != wire.CodeFor(http.StatusNotFound) {
+			t.Errorf("%s %s: envelope %+v, want code %q", tc.method, tc.path, e, wire.CodeFor(http.StatusNotFound))
 		}
 	}
 }
@@ -634,4 +515,40 @@ func do(t *testing.T, method, url, body string) (*http.Response, error) {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	return http.DefaultClient.Do(req)
+}
+
+// panicEngine fails every simulation with a recovered worker panic,
+// whose message carries the goroutine stack.
+type panicEngine struct{ fakeEngine }
+
+func (*panicEngine) Simulate(context.Context, api.SimulateRequest) (*api.SimulateResult, error) {
+	return nil, fmt.Errorf("simulate: %w", &runner.PanicError{
+		Value: "runtime error: negative shift amount",
+		Stack: []byte("goroutine 7 [running]:\nrepro/internal/uarch.newPredictor(...)"),
+	})
+}
+
+// TestInternalErrorEnvelopeOmitsStack: a 500's envelope carries the
+// error's first line only, and the full error, stack included, goes to
+// the log under the request's span_id.
+func TestInternalErrorEnvelopeOmitsStack(t *testing.T) {
+	var logs strings.Builder
+	old := slog.Default()
+	slog.SetDefault(slog.New(obs.NewLogHandler(slog.NewTextHandler(&logs, nil))))
+	t.Cleanup(func() { slog.SetDefault(old) })
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+
+	_, ts := newTestServer(t, &panicEngine{}, Options{})
+	resp := post(t, ts.URL+"/v1/simulate", `{"bench":"dhrystone"}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	e := parseEnvelope(t, resp)
+	if want := "simulate: runner: task 0 panicked: runtime error: negative shift amount"; e.Message != want {
+		t.Errorf("envelope message = %q, want %q", e.Message, want)
+	}
+	if got := logs.String(); !strings.Contains(got, "goroutine 7 [running]") || !strings.Contains(got, "span_id=") {
+		t.Errorf("log lacks the stack or the span_id:\n%s", got)
+	}
 }

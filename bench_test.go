@@ -256,24 +256,47 @@ func BenchmarkParallelExperiments(b *testing.B) {
 	b.ReportMetric(float64(benchConfig.WorkerCount()), "workers")
 }
 
-// BenchmarkWorkloadSimulation measures raw trace-driven simulation
-// throughput (functional execution + cycle model).
-func BenchmarkWorkloadSimulation(b *testing.B) {
+// recordGzip runs gzip on the functional ISA and returns its recorded
+// stream.
+func recordGzip(b *testing.B) *uarch.Recorded {
+	b.Helper()
 	w := workload.ByName("gzip")
-	cfg := uarch.DefaultConfig()
-	cfg.FrontWidth = 2
-	cfg.BackWidth = 4
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		m, err := w.NewMachine()
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := uarch.Run(&uarch.MachineSource{M: m, Max: w.MaxInstr}, cfg)
-		instrs += st.Instrs
+	m, err := w.NewMachine()
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	rec, err := uarch.Record(m, w.MaxInstr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Verify(m); err != nil {
+		b.Fatal(err)
+	}
+	return rec
+}
+
+// BenchmarkWorkloadSimulation measures the two halves of an IPC
+// simulation: recording a workload on the functional ISA, which a
+// process does once per workload, and replaying the recorded stream
+// through the cycle model, which every configuration does.
+func BenchmarkWorkloadSimulation(b *testing.B) {
+	b.Run("record", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			recordGzip(b)
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		rec := recordGzip(b)
+		cfg := uarch.DefaultConfig()
+		cfg.FrontWidth = 2
+		cfg.BackWidth = 4
+		b.ResetTimer()
+		var instrs uint64
+		for i := 0; i < b.N; i++ {
+			instrs += uarch.Run(rec, cfg).Instrs
+		}
+		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	})
 }
 
 // --- Ablations (design choices called out in DESIGN.md) ---
@@ -303,7 +326,8 @@ func BenchmarkAblationWireStrength(b *testing.B) {
 // BenchmarkAblationPredictorSize varies the gshare size: a weaker
 // predictor steepens the IPC-versus-depth penalty.
 func BenchmarkAblationPredictorSize(b *testing.B) {
-	w := workload.ByName("gzip")
+	rec := recordGzip(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ipc := map[int]float64{}
 		for _, bits := range []int{6, 10, 14} {
@@ -312,12 +336,7 @@ func BenchmarkAblationPredictorSize(b *testing.B) {
 			cfg.BackWidth = 4
 			cfg.PredBits = bits
 			cfg.FrontStages = 8
-			m, err := w.NewMachine()
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := uarch.Run(&uarch.MachineSource{M: m, Max: w.MaxInstr}, cfg)
-			ipc[bits] = st.IPC
+			ipc[bits] = uarch.Run(rec, cfg).IPC
 		}
 		b.ReportMetric(ipc[6], "ipc-6b")
 		b.ReportMetric(ipc[14], "ipc-14b")

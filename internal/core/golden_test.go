@@ -31,12 +31,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.tbl fro
 
 // goldenIDs are the experiments whose rendered tables are pinned.
 // Device/cell analyses (fig3-fig9) are cheap and fully analytic; fig12
-// exercises the synthesis + STA + pipelining stack end to end.
-var goldenIDs = []string{"fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig12"}
+// exercises the synthesis + STA + pipelining stack end to end; fig11,
+// fig13 and energy are the experiments that carry simulated IPC.
+var goldenIDs = []string{"fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig12", "fig11", "fig13", "energy"}
 
 // expensiveGolden marks the IDs skipped under -short (they need
 // characterized libraries or full depth sweeps).
-var expensiveGolden = map[string]bool{"fig9": true, "fig12": true}
+var expensiveGolden = map[string]bool{"fig9": true, "fig12": true, "fig11": true, "fig13": true, "energy": true}
 
 // renderAll concatenates an experiment's rendered tables — the exact
 // bytes replicate prints and the digest manifest hashes.

@@ -38,6 +38,10 @@ type ipcKey struct {
 // of convoying on one package-level mutex.
 var ipcMemo runner.Memo[ipcKey, uarch.Stats]
 
+// traceMemo holds each workload's recorded stream, so a process runs a
+// workload on the functional ISA once and every simulation replays it.
+var traceMemo runner.Memo[string, *uarch.Recorded]
+
 // BenchIPC runs (with caching) one workload through the cycle-level
 // model and returns its statistics.
 func BenchIPC(bench string, cfg uarch.Config) (uarch.Stats, error) {
@@ -49,38 +53,60 @@ func BenchIPC(bench string, cfg uarch.Config) (uarch.Stats, error) {
 // requester's span.
 func BenchIPCCtx(ctx context.Context, bench string, cfg uarch.Config) (uarch.Stats, error) {
 	return ipcMemo.Do(ipcKey{bench, cfg}, func() (uarch.Stats, error) {
-		return BenchIPCUncachedCtx(ctx, bench, cfg)
+		return simulate(ctx, bench, cfg, recordOnce)
 	})
 }
 
-// BenchIPCUncachedCtx runs the full cycle-level simulation every call,
-// bypassing the process-wide memo. The sweeps never want this; it
-// exists for benchmarking the simulator itself (the layer ledger of
-// bash bench/run.sh, see bench/README.md), where a memo hit would
-// measure a map lookup instead of the model.
+// BenchIPCUncachedCtx records the workload and runs the full
+// cycle-level simulation every call, bypassing both process-wide memos.
+// The sweeps never want this; it exists for benchmarking the simulator
+// itself (the layer ledger of bash bench/run.sh, see bench/README.md),
+// where a memo hit would measure a map lookup instead of the model.
 func BenchIPCUncachedCtx(ctx context.Context, bench string, cfg uarch.Config) (uarch.Stats, error) {
+	return simulate(ctx, bench, cfg, record)
+}
+
+// simulate replays the stream load returns for bench under one "ipc"
+// span, so a recording is timed inside the simulation that waits on it.
+func simulate(ctx context.Context, bench string, cfg uarch.Config, load func(string) (*uarch.Recorded, error)) (uarch.Stats, error) {
 	_, sp := obs.Start(ctx, "ipc",
 		obs.KV("bench", bench),
 		obs.Int("fe", cfg.FrontWidth), obs.Int("be", cfg.BackWidth),
 		obs.Stage(obs.StageIPC))
 	defer sp.End()
-	w := workload.ByName(bench)
-	if w == nil {
-		return uarch.Stats{}, fmt.Errorf("core: unknown benchmark %q", bench)
-	}
-	m, err := w.NewMachine()
+	rec, err := load(bench)
 	if err != nil {
 		return uarch.Stats{}, err
 	}
-	src := &uarch.MachineSource{M: m, Max: w.MaxInstr}
-	st := uarch.Run(src, cfg)
-	if src.Err != nil {
-		return uarch.Stats{}, fmt.Errorf("core: %s: %w", bench, src.Err)
+	return uarch.Run(rec, cfg), nil
+}
+
+// recordOnce returns bench's stream, recording it on the process's first
+// request; a failed recording is not kept, so the next request retries.
+func recordOnce(bench string) (*uarch.Recorded, error) {
+	return traceMemo.Do(bench, func() (*uarch.Recorded, error) { return record(bench) })
+}
+
+// record runs bench on the functional ISA, verifies its checksum and
+// returns the stream it executed.
+func record(bench string) (*uarch.Recorded, error) {
+	w := workload.ByName(bench)
+	if w == nil {
+		return nil, fmt.Errorf("core: unknown benchmark %q", bench)
+	}
+	m, err := w.NewMachine()
+	if err != nil {
+		return nil, err
+	}
+	rec, err := uarch.Record(m, w.MaxInstr)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", bench, err)
 	}
 	if err := w.Verify(m); err != nil {
-		return uarch.Stats{}, err
+		return nil, err
 	}
-	return st, nil
+	obs.Add(obs.StageIPCRecord, 1)
+	return rec, nil
 }
 
 // Benchmarks returns the benchmark names in reporting order.

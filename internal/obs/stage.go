@@ -39,6 +39,11 @@ const (
 	// working harder for the same circuits.
 	StageSpiceNewton   = "spice.newton_iter"
 	StageSpiceTranStep = "spice.tran_step"
+
+	// IPC work counter (internal/core): workloads run on the functional
+	// ISA and recorded for replay. A process records each workload once,
+	// so a count above the workload count marks recordings repeated.
+	StageIPCRecord = "ipc.record"
 )
 
 // The two per-stage families on the process-default registry: every

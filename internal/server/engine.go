@@ -113,8 +113,9 @@ const maxCoreField = 1024
 
 // checkCore rejects a materialized core config the simulator cannot run
 // as asked: a negative field, a predictor table above maxPredictorBits,
-// or any other field above maxCoreField. The error names the offending
-// wire field.
+// any other field above maxCoreField, or a cache size or line that is
+// not a power of two (the caches index sets with a mask, so any other
+// size leaves sets unused). The error names the offending wire field.
 func checkCore(c biodeg.CoreConfig) error {
 	for _, f := range []struct {
 		name   string
@@ -141,6 +142,14 @@ func checkCore(c biodeg.CoreConfig) error {
 	} {
 		if f.v < 0 || f.v > f.max {
 			return fmt.Errorf("%w: config.%s = %d, want 0 to %d", ErrBadRequest, f.name, f.v, f.max)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"cache_kb", c.CacheKB}, {"line_bytes", c.LineBytes}, {"icache_kb", c.ICacheKB}} {
+		if f.v&(f.v-1) != 0 {
+			return fmt.Errorf("%w: config.%s = %d, want a power of two", ErrBadRequest, f.name, f.v)
 		}
 	}
 	return nil

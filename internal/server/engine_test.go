@@ -102,8 +102,9 @@ func engineErrorClass(t *testing.T, eng Engine, path, body string) (status int, 
 // checkpoint journal written under other result-shaping knobs is a 409
 // config_mismatch on the experiment and the sweep route alike, and the
 // breaker does not count it; a sweep bound above maxSweepBound and a
-// simulate core config with a negative or oversized field are 400s
-// before anything is computed.
+// simulate core config with a negative or oversized field, or a cache
+// geometry that is not a power of two, are 400s before anything is
+// computed.
 func TestSessionEngineErrorClasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the sweep route characterizes the silicon library")
@@ -158,6 +159,12 @@ func TestSessionEngineErrorClasses(t *testing.T) {
 		{"negative front_width", "/v1/simulate", `{"bench":"dhrystone","config":{"front_width":-2}}`, NewSessionEngine(nil),
 			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
 		{"oversized cache_kb", "/v1/simulate", `{"bench":"dhrystone","config":{"cache_kb":1025}}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"non-power-of-two cache_kb", "/v1/simulate", `{"bench":"gzip","config":{"cache_kb":12}}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"non-power-of-two line_bytes", "/v1/simulate", `{"bench":"gzip","config":{"line_bytes":24}}`, NewSessionEngine(nil),
+			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+		{"non-power-of-two icache_kb", "/v1/simulate", `{"bench":"gzip","config":{"icache_kb":3}}`, NewSessionEngine(nil),
 			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
 		// The widest corner of the benchmark's serve-mixed tuple space.
 		{"largest serve-mixed tuple", "/v1/simulate",

@@ -5,16 +5,17 @@
 // evaluation (Section 5.1), which the core package combines with
 // synthesized clock periods.
 //
-// Key entry points: DefaultConfig is the 9-stage baseline Config; Run
-// simulates a TraceSource under a Config and returns Stats (IPC,
-// mispredicts, cache misses); MachineSource adapts an isa.Machine into
-// a TraceSource.
+// Key entry points: DefaultConfig is the 9-stage baseline Config;
+// Record steps an isa.Machine until it halts (or hits an instruction
+// limit) and returns its Recorded stream; Run replays a Recorded under
+// a Config and returns Stats (IPC, mispredicts, cache misses). Append
+// builds a Recorded one record at a time, for synthetic streams.
 //
-// Concurrency contract: Run keeps all simulator state in locals, so
-// concurrent simulations of distinct TraceSources are safe and are how
-// the sweeps parallelize their 7-benchmark x many-configuration IPC
-// grids — but a single TraceSource (and the isa.Machine behind a
-// MachineSource) must not be shared across simultaneous Runs. Config
-// and Stats are plain values. Per-configuration results are memoized
-// by internal/core, not here.
+// Concurrency contract: a Recorded is immutable once built and is
+// shared by concurrent Runs; Run keeps all simulator state in locals.
+// That is how the sweeps parallelize their 7-benchmark x
+// many-configuration IPC grids over one recording per workload. Append
+// and Record are single-goroutine builders. Config and Stats are plain
+// values. Per-configuration results and recordings are memoized by
+// internal/core, not here.
 package uarch

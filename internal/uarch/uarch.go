@@ -1,6 +1,11 @@
 package uarch
 
-import "repro/internal/isa"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/isa"
+)
 
 // Config parameterizes the core. The paper's baseline is a 9-stage,
 // front-end width 1, 3-pipe out-of-order core.
@@ -77,9 +82,63 @@ type Stats struct {
 	IFMisses    uint64 // instruction-cache misses (0 with a perfect icache)
 }
 
-// TraceSource yields dynamic instructions in program order.
-type TraceSource interface {
-	Next() (isa.Trace, bool)
+// Recorded is a dynamic instruction stream in compact form: each
+// distinct record (MemAddr zeroed) is stored once, the stream is one
+// uint16 index into those records per instruction, and loads and stores
+// carry their effective addresses in program order. Build one with
+// Record or Append; once built it is read-only, so concurrent Runs may
+// share it.
+type Recorded struct {
+	static []isa.Trace
+	idx    []uint16
+	addr   []uint32
+	slots  map[uint32][]uint16 // static indexes per PC, for Append
+}
+
+// Append adds one dynamic instruction to the end of the stream. It fails
+// when the stream would need more than 65,536 distinct records.
+func (r *Recorded) Append(tr isa.Trace) error {
+	addr := tr.MemAddr
+	tr.MemAddr = 0
+	slot := -1
+	for _, s := range r.slots[tr.PC] {
+		if r.static[s] == tr {
+			slot = int(s)
+			break
+		}
+	}
+	if slot < 0 {
+		if len(r.static) > math.MaxUint16 {
+			return fmt.Errorf("uarch: trace has more than %d distinct records", math.MaxUint16+1)
+		}
+		if r.slots == nil {
+			r.slots = make(map[uint32][]uint16)
+		}
+		slot = len(r.static)
+		r.static = append(r.static, tr)
+		r.slots[tr.PC] = append(r.slots[tr.PC], uint16(slot))
+	}
+	r.idx = append(r.idx, uint16(slot))
+	if cls := tr.Inst.Op.Class(); cls == isa.ClassLoad || cls == isa.ClassStore {
+		r.addr = append(r.addr, addr)
+	}
+	return nil
+}
+
+// Record steps m until it halts or has run limit instructions and returns
+// the stream it executed.
+func Record(m *isa.Machine, limit uint64) (*Recorded, error) {
+	r := &Recorded{}
+	for n := uint64(0); n < limit && !m.Halted; n++ {
+		tr, err := m.Step()
+		if err != nil {
+			return nil, err
+		}
+		if err := r.Append(tr); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // ring holds per-index timestamps for window-occupancy constraints.
@@ -160,7 +219,7 @@ func newPredictor(cfg Config) *predictor {
 
 // predict returns whether the fetch unit would have followed the
 // correct path for this branch, and trains the structures.
-func (p *predictor) predict(tr isa.Trace) bool {
+func (p *predictor) predict(tr *isa.Trace) bool {
 	op := tr.Inst.Op
 	pc := tr.PC
 	correct := true
@@ -246,8 +305,9 @@ func (c *dcache) access(addr uint32) bool {
 	return hit
 }
 
-// Run simulates the trace on the configured core and returns statistics.
-func Run(src TraceSource, cfg Config) Stats {
+// Run simulates the recorded stream on the configured core and returns
+// statistics.
+func Run(rec *Recorded, cfg Config) Stats {
 	var st Stats
 	pred := newPredictor(cfg)
 	cache := newDcache(cfg)
@@ -287,11 +347,8 @@ func Run(src TraceSource, cfg Config) Stats {
 	var i uint64 // dynamic instruction index
 	var memIdx uint64
 
-	for {
-		tr, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, s := range rec.idx {
+		tr := &rec.static[s]
 		in := tr.Inst
 		cls := in.Op.Class()
 		// --- Fetch ---
@@ -406,7 +463,7 @@ func Run(src TraceSource, cfg Config) Stats {
 		case isa.ClassLoad:
 			issue = memPorts.alloc(ready)
 			st.Loads++
-			if cache.access(tr.MemAddr) {
+			if cache.access(rec.addr[memIdx]) {
 				lat = uint64(1 + cfg.HitLat + cfg.ExecStages)
 			} else {
 				st.LoadMisses++
@@ -414,7 +471,7 @@ func Run(src TraceSource, cfg Config) Stats {
 			}
 		case isa.ClassStore:
 			issue = memPorts.alloc(ready)
-			cache.access(tr.MemAddr)
+			cache.access(rec.addr[memIdx])
 		case isa.ClassBranch:
 			issue = brPorts.alloc(ready)
 		default:
@@ -477,28 +534,6 @@ func Run(src TraceSource, cfg Config) Stats {
 		st.MissRate = float64(st.LoadMisses) / float64(st.Loads)
 	}
 	return st
-}
-
-// MachineSource adapts a loaded functional machine into a TraceSource.
-type MachineSource struct {
-	M   *isa.Machine
-	Max uint64
-	n   uint64
-	Err error
-}
-
-// Next implements TraceSource.
-func (s *MachineSource) Next() (isa.Trace, bool) {
-	if s.M.Halted || s.n >= s.Max || s.Err != nil {
-		return isa.Trace{}, false
-	}
-	tr, err := s.M.Step()
-	if err != nil {
-		s.Err = err
-		return isa.Trace{}, false
-	}
-	s.n++
-	return tr, true
 }
 
 func b2u(b bool) uint32 {

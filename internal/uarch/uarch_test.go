@@ -1,24 +1,12 @@
 package uarch
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/workload"
 )
-
-type sliceSource struct {
-	trs []isa.Trace
-	i   int
-}
-
-func (s *sliceSource) Next() (isa.Trace, bool) {
-	if s.i >= len(s.trs) {
-		return isa.Trace{}, false
-	}
-	s.i++
-	return s.trs[s.i-1], true
-}
 
 // independentALU builds n ADDs with no dependencies (different regs).
 func independentALU(n int) []isa.Trace {
@@ -40,7 +28,32 @@ func dependentChain(n int) []isa.Trace {
 }
 
 func run(trs []isa.Trace, cfg Config) Stats {
-	return Run(&sliceSource{trs: trs}, cfg)
+	var rec Recorded
+	for _, tr := range trs {
+		if err := rec.Append(tr); err != nil {
+			panic(err)
+		}
+	}
+	return Run(&rec, cfg)
+}
+
+// record runs the named workload on the functional ISA, verifies its
+// checksum and returns its recorded stream.
+func record(t testing.TB, name string) *Recorded {
+	t.Helper()
+	w := workload.ByName(name)
+	m, err := w.NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Record(m, w.MaxInstr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Verify(m); err != nil {
+		t.Fatalf("functional result corrupted by recording: %v", err)
+	}
+	return rec
 }
 
 func TestIPCBoundedByFrontWidth(t *testing.T) {
@@ -173,26 +186,14 @@ func TestCacheMissesCostCycles(t *testing.T) {
 
 func TestWorkloadIPCRange(t *testing.T) {
 	for _, name := range []string{"gzip", "mcf", "dhrystone"} {
-		w := workload.ByName(name)
-		m, err := w.NewMachine()
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := DefaultConfig()
 		cfg.FrontWidth = 2
 		cfg.BackWidth = 4
-		src := &MachineSource{M: m, Max: w.MaxInstr}
-		st := Run(src, cfg)
-		if src.Err != nil {
-			t.Fatal(src.Err)
-		}
+		st := Run(record(t, name), cfg)
 		t.Logf("%s: IPC %.3f, MPKI %.1f, miss rate %.3f (%d instrs)",
 			name, st.IPC, st.MPKI, st.MissRate, st.Instrs)
 		if st.IPC < 0.1 || st.IPC > 2.0 {
 			t.Errorf("%s: IPC %.3f outside plausible range", name, st.IPC)
-		}
-		if err := w.Verify(m); err != nil {
-			t.Errorf("functional result corrupted by tracing: %v", err)
 		}
 	}
 }
@@ -200,16 +201,10 @@ func TestWorkloadIPCRange(t *testing.T) {
 func TestMcfLowerIPCThanDhrystone(t *testing.T) {
 	ipc := map[string]float64{}
 	for _, name := range []string{"mcf", "dhrystone"} {
-		w := workload.ByName(name)
-		m, err := w.NewMachine()
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := DefaultConfig()
 		cfg.FrontWidth = 2
 		cfg.BackWidth = 4
-		st := Run(&MachineSource{M: m, Max: w.MaxInstr}, cfg)
-		ipc[name] = st.IPC
+		ipc[name] = Run(record(t, name), cfg).IPC
 	}
 	if ipc["mcf"] >= ipc["dhrystone"] {
 		t.Errorf("pointer chasing should have lower IPC: mcf %.3f vs dhrystone %.3f",
@@ -308,16 +303,11 @@ func TestRASPredictsReturns(t *testing.T) {
 }
 
 func TestDeterministicSimulation(t *testing.T) {
-	w := workload.ByName("parser")
 	cfg := DefaultConfig()
 	cfg.FrontWidth, cfg.BackWidth = 3, 5
 	var cycles [2]uint64
 	for k := 0; k < 2; k++ {
-		m, err := w.NewMachine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cycles[k] = Run(&MachineSource{M: m, Max: w.MaxInstr}, cfg).Cycles
+		cycles[k] = Run(record(t, "parser"), cfg).Cycles
 	}
 	if cycles[0] != cycles[1] {
 		t.Fatalf("simulation not deterministic: %d vs %d", cycles[0], cycles[1])
@@ -362,16 +352,12 @@ func TestStoresDontWriteRegisters(t *testing.T) {
 }
 
 func TestICacheMissesStallFetch(t *testing.T) {
-	w := workload.ByName("gzip")
+	rec := record(t, "gzip")
 	run := func(ikb int) Stats {
-		m, err := w.NewMachine()
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := DefaultConfig()
 		cfg.FrontWidth, cfg.BackWidth = 2, 4
 		cfg.ICacheKB = ikb
-		return Run(&MachineSource{M: m, Max: w.MaxInstr}, cfg)
+		return Run(rec, cfg)
 	}
 	perfect := run(0)
 	real := run(4)
@@ -387,5 +373,58 @@ func TestICacheMissesStallFetch(t *testing.T) {
 	// Tiny loops fit: miss count stays far below instruction count.
 	if float64(real.IFMisses) > 0.01*float64(real.Instrs) {
 		t.Fatalf("icache thrashing on loop code: %d misses", real.IFMisses)
+	}
+}
+
+func TestReplayAllocsIndependentOfLength(t *testing.T) {
+	// gzip runs about 241k instructions and dhrystone about 540k: equal
+	// allocation counts mean replay allocates nothing per instruction.
+	cfg := DefaultConfig()
+	allocs := map[string]float64{}
+	for _, name := range []string{"gzip", "dhrystone"} {
+		rec := record(t, name)
+		allocs[name] = testing.AllocsPerRun(3, func() { Run(rec, cfg) })
+	}
+	if allocs["gzip"] != allocs["dhrystone"] {
+		t.Fatalf("replay allocations grow with trace length: gzip %v, dhrystone %v",
+			allocs["gzip"], allocs["dhrystone"])
+	}
+}
+
+func TestConcurrentReplaysShareRecording(t *testing.T) {
+	rec := record(t, "gzip")
+	cfg := DefaultConfig()
+	cfg.FrontWidth, cfg.BackWidth = 2, 4
+	want := Run(rec, cfg)
+	var wg sync.WaitGroup
+	got := make([]Stats, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = Run(rec, cfg)
+		}()
+	}
+	wg.Wait()
+	for g, st := range got {
+		if st != want {
+			t.Errorf("goroutine %d: %+v, want %+v", g, st, want)
+		}
+	}
+}
+
+func TestAppendRejectsTooManyRecords(t *testing.T) {
+	var rec Recorded
+	for i := 0; i < 1<<16; i++ {
+		if err := rec.Append(isa.Trace{PC: uint32(4 * i), Inst: isa.Inst{Op: isa.ADD, Rd: 5}}); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if err := rec.Append(isa.Trace{PC: 4 << 16, Inst: isa.Inst{Op: isa.ADD, Rd: 5}}); err == nil {
+		t.Fatal("65,537th distinct record accepted")
+	}
+	// A repeat of a stored record still fits.
+	if err := rec.Append(isa.Trace{PC: 0, Inst: isa.Inst{Op: isa.ADD, Rd: 5}}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,14 +19,19 @@
 //	     Server-Sent Events stream at GET /v1/progress were removed
 //	     next: the daemon's -checkpoint journal resumes interrupted
 //	     sweeps and /metricsz serves the stage counters. All four
-//	     routes now answer 404.
+//	     routes now answer 404. The circuit breaker was removed
+//	     last: /healthz and /v1/faultz no longer carry a "breaker" key,
+//	     and a 503 unavailable now means only that the leading client
+//	     of a coalesced computation disconnected; every other engine
+//	     failure is a 500 internal.
 package api
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 
 	"repro/biodeg"
-	"repro/internal/wire"
 )
 
 // Version identifies the wire format emitted by this package.
@@ -39,33 +44,98 @@ const (
 	SweepWidth     = "width"
 )
 
-// Error is the uniform failure body: every non-2xx response from a
-// /v1/* route carries one, served as Content-Type
-// application/problem+json. Code is a stable machine-readable class
-// (see the Code* constants); Message is human-readable; RetryAfterS
-// mirrors the Retry-After header when the server set one.
-type Error = wire.Error
+// ProblemContentType is the media type of every error envelope
+// (RFC 9457 problem-details style, JSON member names from this API).
+const ProblemContentType = "application/problem+json"
 
-// ProblemContentType is the Content-Type of error envelopes.
-const ProblemContentType = wire.ProblemContentType
-
-// Stable error codes carried by Error.Code.
+// Stable machine-readable error codes carried by Error.Code. Clients
+// switch on Code; Message and Detail are for humans and may change
+// wording between releases.
 const (
-	CodeBadRequest       = wire.CodeBadRequest       // 400
-	CodeNotFound         = wire.CodeNotFound         // 404
-	CodeMethodNotAllowed = wire.CodeMethodNotAllowed // 405
-	CodeConfigMismatch   = wire.CodeConfigMismatch   // 409
-	CodePayloadTooLarge  = wire.CodePayloadTooLarge  // 413
-	CodeOverloaded       = wire.CodeOverloaded       // 429
-	CodeInternal         = wire.CodeInternal         // 500
-	CodeUnavailable      = wire.CodeUnavailable      // 503
-	CodeTimeout          = wire.CodeTimeout          // 504
+	// CodeBadRequest: the request could not be interpreted (malformed
+	// JSON, unknown field, invalid bounds, bad query parameter) — 400.
+	CodeBadRequest = "bad_request"
+	// CodeNotFound: the route or referenced resource does not exist — 404.
+	CodeNotFound = "not_found"
+	// CodeMethodNotAllowed: the path exists under another HTTP method —
+	// 405 (the Allow header lists the supported ones).
+	CodeMethodNotAllowed = "method_not_allowed"
+	// CodeConfigMismatch: the serving process's checkpoint journal was
+	// written under other result-shaping knobs (fault spec, partial
+	// mode) than its own — 409.
+	CodeConfigMismatch = "config_mismatch"
+	// CodePayloadTooLarge: the request body exceeded the server bound — 413.
+	CodePayloadTooLarge = "payload_too_large"
+	// CodeOverloaded: shed by the admission semaphore; retry after
+	// RetryAfterS — 429.
+	CodeOverloaded = "overloaded"
+	// CodeInternal: the computation failed — 500.
+	CodeInternal = "internal"
+	// CodeUnavailable: the leading client of a coalesced computation
+	// disconnected before it finished — 503; retrying recomputes.
+	CodeUnavailable = "unavailable"
+	// CodeTimeout: the computation exceeded the request deadline — 504.
+	CodeTimeout = "timeout"
 )
 
-// ParseError decodes an error-envelope body. ok is false when the body
-// is not an envelope (a proxy's HTML error page, a pre-envelope
-// server); callers then fall back to the raw body.
-func ParseError(body []byte) (*Error, bool) { return wire.Parse(body) }
+// Error is the uniform failure envelope: every non-2xx response from a
+// /v1/* route (and the health/metrics routes) is one of these, served
+// as Content-Type application/problem+json.
+type Error struct {
+	// Code is the stable machine-readable class (Code* constants).
+	Code string `json:"code"`
+	// Message is the human-readable summary.
+	Message string `json:"message"`
+	// RetryAfterS, when nonzero, mirrors the Retry-After header: how
+	// many seconds to wait before retrying (429).
+	RetryAfterS float64 `json:"retry_after_s,omitempty"`
+	// Detail carries optional context (offending value, expected digest).
+	Detail string `json:"detail,omitempty"`
+}
+
+// Error implements the error interface, so parsed envelopes propagate
+// as Go errors on the client side.
+func (e *Error) Error() string {
+	if e.Detail != "" {
+		return fmt.Sprintf("%s: %s (%s)", e.Code, e.Message, e.Detail)
+	}
+	return fmt.Sprintf("%s: %s", e.Code, e.Message)
+}
+
+// CodeFor maps an HTTP status to its envelope code.
+func CodeFor(status int) string {
+	switch status {
+	case http.StatusBadRequest:
+		return CodeBadRequest
+	case http.StatusNotFound:
+		return CodeNotFound
+	case http.StatusMethodNotAllowed:
+		return CodeMethodNotAllowed
+	case http.StatusConflict:
+		return CodeConfigMismatch
+	case http.StatusRequestEntityTooLarge:
+		return CodePayloadTooLarge
+	case http.StatusTooManyRequests:
+		return CodeOverloaded
+	case http.StatusServiceUnavailable:
+		return CodeUnavailable
+	case http.StatusGatewayTimeout:
+		return CodeTimeout
+	default:
+		return CodeInternal
+	}
+}
+
+// ParseError decodes a non-2xx response body as the envelope. ok is
+// false when the body is not an envelope (a proxy's HTML error page, a
+// pre-envelope server); callers then fall back to the raw body.
+func ParseError(body []byte) (*Error, bool) {
+	var e Error
+	if err := json.Unmarshal(body, &e); err != nil || e.Code == "" {
+		return nil, false
+	}
+	return &e, true
+}
 
 // SweepRequest parameterizes one design-space sweep. Tech selects the
 // characterized process; the depth bounds apply to the kind that reads

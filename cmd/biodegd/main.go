@@ -6,7 +6,6 @@
 //
 //	biodegd [-addr :8080] [-max-inflight N] [-cache N]
 //	        [-request-timeout 5m] [-drain-timeout 30s]
-//	        [-breaker-threshold N] [-breaker-cooldown 5s]
 //	        [common flags]
 //
 // Endpoints:
@@ -14,7 +13,7 @@
 //	GET  /healthz                    liveness + traffic counters + build info
 //	GET  /metricsz                   Prometheus text exposition (?format=text
 //	                                 for the per-stage wall-time report)
-//	GET  /v1/faultz                  chaos counters + breaker state
+//	GET  /v1/faultz                  chaos counters (injected + observed)
 //	GET  /v1/experiments             registry listing
 //	POST /v1/experiments/{id}/run    run one experiment
 //	POST /v1/sweeps/{kind}           alu-depth | core-depth | width
@@ -31,9 +30,10 @@
 // error (a recovered panic's stack included) with the request's span_id.
 //
 // Expensive responses carry X-Biodeg-Cache: hit | miss | coalesced.
-// A request shed by the admission semaphore gets 429 + Retry-After; a
-// request rejected by the open circuit breaker (consecutive engine
-// failures) gets 503 + Retry-After. SIGINT/SIGTERM drains in-flight
+// A request shed by the admission semaphore gets 429 + Retry-After.
+// Every engine failure is a 500 for that request alone, however many
+// precede it; a 503 means the leading client of a coalesced
+// computation disconnected. SIGINT/SIGTERM drains in-flight
 // requests (bounded by -drain-timeout) before exit, then prints the
 // -metrics report and writes any requested trace/manifest sinks.
 //
@@ -80,8 +80,6 @@ func main() {
 	cacheSize := flag.Int("cache", 256, "rendered-response LRU capacity")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Minute, "per-computation deadline, 0 = none")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-	brkThreshold := flag.Int("breaker-threshold", 0, "consecutive engine failures opening the circuit breaker, 0 = default, -1 = disabled")
-	brkCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker rest before the half-open probe, 0 = default")
 	flag.Parse()
 
 	run, runCtx, err := opts.Start("biodegd")
@@ -94,13 +92,11 @@ func main() {
 	// the flags resolved to, fixed for the daemon's lifetime.
 	session := biodeg.New(opts.Config)
 	srv := server.New(server.NewSessionEngine(session), server.Options{
-		MaxInflight:      *maxInflight,
-		CacheSize:        *cacheSize,
-		RequestTimeout:   *reqTimeout,
-		BreakerThreshold: *brkThreshold,
-		BreakerCooldown:  *brkCooldown,
-		Injector:         opts.Faults,
-		AccessLog:        true,
+		MaxInflight:    *maxInflight,
+		CacheSize:      *cacheSize,
+		RequestTimeout: *reqTimeout,
+		Injector:       opts.Faults,
+		AccessLog:      true,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,

@@ -6,8 +6,9 @@
 // packages themselves.
 //
 // The client is a polite citizen of a loaded daemon: when a request is
-// shed (429, admission semaphore full) or rejected by the open circuit
-// breaker (503), it honors the Retry-After header — in either of its
+// shed (429, admission semaphore full) or answered 503 (it joined a
+// computation whose leading client disconnected, so a retry leads a
+// fresh one), it honors the Retry-After header — in either of its
 // RFC 9110 forms, delay-seconds or an HTTP-date — capped per sleep,
 // with an exponential-backoff fallback when the header is absent, and
 // retries up to maxRetries times within the -max-wait total budget
@@ -122,7 +123,7 @@ func post(client *http.Client, url string, v, out any) string {
 }
 
 // doWithRetry issues send() until the response is not a retryable
-// overload signal (429 shed, 503 breaker), sleeping per Retry-After
+// signal (429 shed, 503 disconnected leader), sleeping per Retry-After
 // between tries, then decodes it into out. Retrying stops when the
 // attempt count or the -max-wait sleep budget runs out; non-retryable
 // failures are fatal.

@@ -29,15 +29,18 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.tbl from this run")
 
-// goldenIDs are the experiments whose rendered tables are pinned.
-// Device/cell analyses (fig3-fig9) are cheap and fully analytic; fig12
-// exercises the synthesis + STA + pipelining stack end to end; fig11,
-// fig13 and energy are the experiments that carry simulated IPC.
-var goldenIDs = []string{"fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig12", "fig11", "fig13", "energy"}
+// goldenIDs are the experiments whose rendered tables are pinned: all
+// fifteen of the registry. Device/cell analyses (fig3-fig9, variation,
+// dynamic) are cheap and fully analytic; fig12 and fig15 exercise the
+// synthesis + STA + pipelining stack end to end; fig11, fig13, fig14,
+// energy and absfreq run the core depth and width sweeps.
+var goldenIDs = []string{"fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig12", "fig11", "fig13",
+	"fig14", "fig15", "variation", "dynamic", "energy", "absfreq"}
 
 // expensiveGolden marks the IDs skipped under -short (they need
 // characterized libraries or full depth sweeps).
-var expensiveGolden = map[string]bool{"fig9": true, "fig12": true, "fig11": true, "fig13": true, "energy": true}
+var expensiveGolden = map[string]bool{"fig9": true, "fig12": true, "fig11": true, "fig13": true,
+	"fig14": true, "fig15": true, "energy": true, "absfreq": true}
 
 // renderAll concatenates an experiment's rendered tables — the exact
 // bytes replicate prints and the digest manifest hashes.

@@ -1,7 +1,7 @@
 // Package fault is the reproduction's deterministic fault-injection
 // framework: seeded, probability-based error, latency, and panic
 // injection keyed by stage-site names, used to chaos-test the execution
-// path (runner retries, partial sweeps, the daemon's circuit breaker)
+// path (runner retries, partial sweeps, the daemon's 500 envelopes)
 // without any nondeterminism between runs.
 //
 // # Model

@@ -302,9 +302,9 @@ func (in *Injector) Inject(ctx context.Context, site string) error {
 
 // Kill is the panic value of a KindKill injection. Recovery layers
 // that normally convert panics to errors (internal/runner's task
-// recovery, runner.Memo, the server's leader recovery) check IsKill
-// and re-panic, so a Kill propagates to the top of its goroutine and
-// aborts the process — the closest in-process analogue of a SIGKILL.
+// recovery, runner.Memo) check IsKill and re-panic, so a Kill
+// propagates to the top of its goroutine and aborts the process — the
+// closest in-process analogue of a SIGKILL.
 type Kill struct {
 	Site    string
 	Attempt int

@@ -117,6 +117,10 @@ func secondsToDuration(s float64) time.Duration {
 //
 //	stage         count    total      mean       max
 //	sta              58    42.1s     726ms      2.1s   [1ms:3 10ms:12 ...]
+//	ipc.record        7        -         -         -
+//
+// A counter-only stage (one that Add counts but no span times) shows
+// "-" for its times and no histogram; column 2 is its count either way.
 func StageReport() string {
 	snaps := snapshots()
 	if len(snaps) == 0 {
@@ -126,6 +130,10 @@ func StageReport() string {
 	fmt.Fprintf(&b, "%-14s %8s %10s %10s %10s  histogram (>=bucket lower bound)\n",
 		"stage", "count", "total", "mean", "max")
 	for _, s := range snaps {
+		if s.buckets == nil {
+			fmt.Fprintf(&b, "%-14s %8d %10s %10s %10s\n", s.stage, s.count, "-", "-", "-")
+			continue
+		}
 		mean := time.Duration(0)
 		if s.count > 0 {
 			mean = s.total / time.Duration(s.count)

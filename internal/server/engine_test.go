@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"path/filepath"
@@ -69,12 +68,12 @@ func TestSessionEngineSimulate(t *testing.T) {
 	}
 }
 
-// engineErrorClass posts body to path on a server fronting eng (breaker
-// threshold 1) and returns the response status, its envelope code and
-// the breaker state and engine-error count /v1/faultz reports after.
-func engineErrorClass(t *testing.T, eng Engine, path, body string) (status int, code, breaker string, engineErrs int64) {
+// engineErrorClass posts body to path on a server fronting eng and
+// returns the response status, its envelope code and the engine-error
+// count /v1/faultz reports after.
+func engineErrorClass(t *testing.T, eng Engine, path, body string) (status int, code string, engineErrs int64) {
 	t.Helper()
-	_, ts := newTestServer(t, eng, Options{BreakerThreshold: 1})
+	_, ts := newTestServer(t, eng, Options{})
 	resp := post(t, ts.URL+path, body)
 	status = resp.StatusCode
 	if status != http.StatusOK {
@@ -82,26 +81,16 @@ func engineErrorClass(t *testing.T, eng Engine, path, body string) (status int, 
 	} else {
 		slurp(t, resp)
 	}
-	var faultz struct {
-		Breaker  BreakerStatus    `json:"breaker"`
-		Observed map[string]int64 `json:"observed"`
-	}
-	resp, err := http.Get(ts.URL + "/v1/faultz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(slurp(t, resp)), &faultz); err != nil {
-		t.Fatal(err)
-	}
-	return status, code, faultz.Breaker.State, faultz.Observed["engine_errors"]
+	_, observed := faultz(t, ts.URL)
+	return status, code, observed["engine_errors"]
 }
 
 // TestSessionEngineErrorClasses drives the production engine through
 // the HTTP path. An unknown experiment is a 404; an engine fault while
-// an experiment runs is a 500 internal that the breaker counts; a
-// checkpoint journal written under other result-shaping knobs is a 409
-// config_mismatch on the experiment and the sweep route alike, and the
-// breaker does not count it; a sweep bound above maxSweepBound and a
+// an experiment runs is a 500 internal that counts as an engine error;
+// a checkpoint journal written under other result-shaping knobs is a
+// 409 config_mismatch on the experiment and the sweep route alike, and
+// does not count; a sweep bound above maxSweepBound and a
 // simulate core config with a negative or oversized field, or a cache
 // geometry that is not a power of two, are 400s before anything is
 // computed.
@@ -133,51 +122,50 @@ func TestSessionEngineErrorClasses(t *testing.T) {
 		name, path, body string
 		eng              Engine
 		status           int
-		code, breaker    string
+		code             string
 		engineErrs       int64
 	}{
 		{"unknown experiment", "/v1/experiments/nope/run", "", NewSessionEngine(nil),
-			http.StatusNotFound, api.CodeNotFound, "closed", 0},
+			http.StatusNotFound, api.CodeNotFound, 0},
 		{"injected fault", "/v1/experiments/fig3/run", "", NewSessionEngine(faulty),
-			http.StatusInternalServerError, api.CodeInternal, "open", 1},
+			http.StatusInternalServerError, api.CodeInternal, 1},
 		{"stale journal, experiment", "/v1/experiments/fig3/run", "", NewSessionEngine(mismatched),
-			http.StatusConflict, api.CodeConfigMismatch, "closed", 0},
+			http.StatusConflict, api.CodeConfigMismatch, 0},
 		{"stale journal, sweep", "/v1/sweeps/alu-depth", `{"tech":"silicon","max_stages":2}`, NewSessionEngine(mismatched),
-			http.StatusConflict, api.CodeConfigMismatch, "closed", 0},
+			http.StatusConflict, api.CodeConfigMismatch, 0},
 		{"oversized alu bound", "/v1/sweeps/alu-depth", `{"tech":"silicon","max_stages":65}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"oversized depth bound", "/v1/sweeps/core-depth", `{"tech":"silicon","max_depth":65}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"negative pred_bits", "/v1/simulate", `{"bench":"dhrystone","config":{"pred_bits":-1}}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"oversized pred_bits", "/v1/simulate", `{"bench":"dhrystone","config":{"pred_bits":64}}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"oversized btb_bits", "/v1/simulate", `{"bench":"dhrystone","config":{"btb_bits":21}}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"negative rob", "/v1/simulate", `{"bench":"dhrystone","config":{"rob":-3}}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"negative front_width", "/v1/simulate", `{"bench":"dhrystone","config":{"front_width":-2}}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"oversized cache_kb", "/v1/simulate", `{"bench":"dhrystone","config":{"cache_kb":1025}}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"non-power-of-two cache_kb", "/v1/simulate", `{"bench":"gzip","config":{"cache_kb":12}}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"non-power-of-two line_bytes", "/v1/simulate", `{"bench":"gzip","config":{"line_bytes":24}}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		{"non-power-of-two icache_kb", "/v1/simulate", `{"bench":"gzip","config":{"icache_kb":3}}`, NewSessionEngine(nil),
-			http.StatusBadRequest, api.CodeBadRequest, "closed", 0},
+			http.StatusBadRequest, api.CodeBadRequest, 0},
 		// The widest corner of the benchmark's serve-mixed tuple space.
 		{"largest serve-mixed tuple", "/v1/simulate",
 			`{"bench":"dhrystone","config":{"front_width":6,"back_width":7,"front_stages":12,"pred_bits":14}}`,
-			NewSessionEngine(nil), http.StatusOK, "", "closed", 0},
+			NewSessionEngine(nil), http.StatusOK, "", 0},
 	} {
-		status, code, breaker, engineErrs := engineErrorClass(t, tc.eng, tc.path, tc.body)
+		status, code, engineErrs := engineErrorClass(t, tc.eng, tc.path, tc.body)
 		if status != tc.status || code != tc.code {
 			t.Errorf("%s: %d %s, want %d %s", tc.name, status, code, tc.status, tc.code)
 		}
-		if breaker != tc.breaker || engineErrs != tc.engineErrs {
-			t.Errorf("%s: breaker %s after %d engine errors, want %s after %d",
-				tc.name, breaker, engineErrs, tc.breaker, tc.engineErrs)
+		if engineErrs != tc.engineErrs {
+			t.Errorf("%s: %d engine errors, want %d", tc.name, engineErrs, tc.engineErrs)
 		}
 	}
 }

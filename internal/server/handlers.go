@@ -15,12 +15,11 @@ func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 // handleFaultz reports the chaos posture: what the injector has fired
 // (per kind and per stage) and what the serving path has observed
-// (engine errors, shed requests, retries) plus the breaker state.
+// (engine errors, shed requests, retries).
 func (s *Server) handleFaultz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"version":  "v1",
 		"injected": s.inj.Snapshot(),
-		"breaker":  s.brk.Status(),
 		"observed": map[string]int64{
 			"engine_errors": s.engineErrs.Load(),
 			"shed":          s.shed.Load(),

@@ -36,10 +36,6 @@ var (
 		"Admission semaphore capacity (-max-inflight).").With()
 	admShed = telemetry.Default().Counter("biodeg_admission_shed_total",
 		"Requests shed with 429 because the semaphore was full.").With()
-	breakerGauge = telemetry.Default().Gauge("biodeg_breaker_state",
-		"Circuit breaker state: 0 closed, 1 open, 2 half-open.").With()
-	breakerTrips = telemetry.Default().Counter("biodeg_breaker_trips_total",
-		"Times the circuit breaker tripped open.").With()
 )
 
 // responseCache is the label value of the rendered-response LRU in

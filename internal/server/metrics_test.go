@@ -109,9 +109,6 @@ func TestMetricszExposition(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^biodeg_http_errors_total\{route="[^"]*",code="404"\} [0-9]+$`).MatchString(after) {
 		t.Errorf("no 404 error series after a 404 response:\n%s", after)
 	}
-	if !strings.Contains(after, "# TYPE biodeg_breaker_state gauge") {
-		t.Error("breaker state gauge missing from exposition")
-	}
 
 	// Per-route latency histogram: cumulative buckets, +Inf == _count,
 	// and the healthz series counted the healthz requests.

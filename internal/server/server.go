@@ -4,7 +4,7 @@
 // biodeg/api, designed to absorb heavy concurrent traffic in front of
 // computations that each cost seconds to minutes.
 //
-// The request path layers five defenses between the socket and the
+// The request path layers four defenses between the socket and the
 // engine:
 //
 //  1. A bounded LRU of rendered responses, keyed by the SHA-256 digest
@@ -19,10 +19,11 @@
 //     LRU holds the rendered body.
 //  4. A per-request deadline derived from the request context, so a
 //     stuck sweep cannot pin a connection forever.
-//  5. A circuit breaker over the engine: consecutive engine-class
-//     failures open it, open requests fast-fail with 503 + Retry-After
-//     for a cooldown, then one half-open probe decides whether to
-//     close. Client errors (400/404) and disconnects never count.
+//
+// The engine's computations are deterministic and in-process: a failure
+// repeats for its input and no other, so every engine failure is a 500
+// for that request alone. A 503 means only that the leading client of a
+// coalesced computation disconnected.
 //
 // For chaos testing, an optional fault injector (internal/fault) fires
 // at the route level (site "server:{path}") inside the singleflight
@@ -46,12 +47,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/biodeg/api"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/server/breaker"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // CacheHeader reports how a cacheable response was produced: "hit"
@@ -75,13 +75,6 @@ type Options struct {
 	// injector of its run configuration, so route-level and sweep-level
 	// injections count on one injector.
 	Injector *fault.Injector
-	// BreakerThreshold is the consecutive engine-failure count that
-	// opens the circuit breaker. 0 means DefaultBreakerThreshold;
-	// negative disables the breaker entirely.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before its
-	// half-open probe. 0 means DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 	// AccessLog emits one structured (slog) line per served request,
 	// carrying the route, status, latency, and — when tracing is on —
 	// the request span's id. The daemon turns it on; tests leave it off.
@@ -97,7 +90,6 @@ type Server struct {
 	sem      chan struct{}
 	flight   runner.Memo[string, []byte]
 	cache    *resultCache
-	brk      *breaker.Breaker
 	inj      *fault.Injector
 	inflight atomic.Int64
 	shed     atomic.Int64
@@ -116,17 +108,12 @@ func New(eng Engine, opts Options) *Server {
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = 256
 	}
-	var brk *breaker.Breaker
-	if opts.BreakerThreshold >= 0 {
-		brk = newEngineBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
-	}
 	s := &Server{
 		eng:     eng,
 		opts:    opts,
 		mux:     http.NewServeMux(),
 		sem:     make(chan struct{}, opts.MaxInflight),
 		cache:   newResultCache(opts.CacheSize),
-		brk:     brk,
 		inj:     opts.Injector,
 		started: time.Now(),
 	}
@@ -182,14 +169,14 @@ func writeJSONBytes(w http.ResponseWriter, status int, b []byte) {
 // header already set on w. Served as application/problem+json so
 // clients can distinguish the envelope from result bodies.
 func writeError(w http.ResponseWriter, status int, msg string) {
-	e := wire.Error{Code: wire.CodeFor(status), Message: msg}
+	e := api.Error{Code: api.CodeFor(status), Message: msg}
 	if ra := w.Header().Get("Retry-After"); ra != "" {
 		if secs, err := strconv.Atoi(ra); err == nil {
 			e.RetryAfterS = float64(secs)
 		}
 	}
 	b, _ := json.Marshal(e)
-	w.Header().Set("Content-Type", wire.ProblemContentType)
+	w.Header().Set("Content-Type", api.ProblemContentType)
 	w.WriteHeader(status)
 	w.Write(b) //nolint:errcheck // client gone; nothing to do
 }
@@ -227,7 +214,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"inflight":   s.inflight.Load(),
 		"shed_total": s.shed.Load(),
 		"cached":     s.cache.Len(),
-		"breaker":    s.brk.Status().State,
 	})
 }
 
@@ -260,8 +246,6 @@ func errStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, errConfigMismatch):
 		return http.StatusConflict
-	case errors.Is(err, ErrUnavailable):
-		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -314,49 +298,30 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route str
 	site := "server:" + r.URL.Path
 	body, err := s.flight.Do(key, func() ([]byte, error) {
 		led = true
-		// Breaker and fault injection wrap only the leader: coalesced
-		// waiters share the leader's outcome without multiplying failure
-		// counts or fault draws.
-		if err := s.brk.Allow(); err != nil {
+		// Fault injection wraps only the leader: coalesced waiters share
+		// the leader's outcome without multiplying fault draws. The draw
+		// is keyed by (site, attempt); the site is just the route, so use
+		// the computation ordinal as the attempt — each led computation
+		// gets an independent draw (rate applies per computation, not
+		// once per path) while a fixed request sequence still replays
+		// exactly. A panic here or in compute becomes the Memo's
+		// *runner.PanicError; a fault.Kill is re-panicked, never absorbed.
+		if err := s.inj.Inject(fault.WithAttempt(ctx, int(s.compSeq.Add(1))), site); err != nil {
 			return nil, err
 		}
-		v, err := func() (v any, err error) {
-			defer func() {
-				// An injected KindPanic (or engine bug) must still report
-				// an outcome to the breaker, so recover here rather than
-				// relying on the Memo's own recovery.
-				if p := recover(); p != nil {
-					if fault.IsKill(p) {
-						// A simulated hard crash must not be absorbed.
-						panic(p)
-					}
-					err = fmt.Errorf("recovered panic: %v", p)
-				}
-			}()
-			// The injection draw is keyed by (site, attempt); the site is
-			// just the route, so use the computation ordinal as the attempt
-			// — each led computation gets an independent draw (rate applies
-			// per computation, not once per path) while a fixed request
-			// sequence still replays exactly.
-			if err := s.inj.Inject(fault.WithAttempt(ctx, int(s.compSeq.Add(1))), site); err != nil {
-				return nil, err
-			}
-			return compute(ctx)
-		}()
-		s.brk.Done(err)
+		v, err := compute(ctx)
 		if err != nil {
-			if isEngineFailure(err) {
-				s.engineErrs.Add(1)
-				obs.Add("server.engine_error", 1)
-			}
 			return nil, err
 		}
 		return json.Marshal(v)
 	})
+	// Count on the leader only, so coalesced waiters do not multiply
+	// one failure.
+	if led && isEngineFailure(err) {
+		s.engineErrs.Add(1)
+		obs.Add("server.engine_error", 1)
+	}
 	if err != nil {
-		if errors.Is(err, ErrUnavailable) {
-			w.Header().Set("Retry-After", s.brk.RetryAfter())
-		}
 		status, msg := errStatus(err), err.Error()
 		if status == http.StatusInternalServerError {
 			// The full error (a recovered panic carries its goroutine
@@ -381,6 +346,18 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route str
 		w.Header().Set(CacheHeader, "coalesced")
 	}
 	writeJSONBytes(w, http.StatusOK, body)
+}
+
+// isEngineFailure classifies err for the engine_errors count of
+// /v1/faultz: engine bugs, injected faults, and timeouts count; client
+// mistakes (400/404), config-digest conflicts (409), and client
+// disconnects do not.
+func isEngineFailure(err error) bool {
+	return err != nil &&
+		!errors.Is(err, ErrBadRequest) &&
+		!errors.Is(err, ErrNotFound) &&
+		!errors.Is(err, errConfigMismatch) &&
+		!errors.Is(err, context.Canceled)
 }
 
 // readBody slurps a bounded request body.

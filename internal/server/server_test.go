@@ -18,7 +18,6 @@ import (
 	"repro/biodeg/api"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/wire"
 )
 
 // fakeEngine counts calls and can hold computations open until released.
@@ -472,8 +471,8 @@ func TestEveryErrorIsEnveloped(t *testing.T) {
 			t.Fatalf("%s %s: status %d, want %d (%s)", tc.method, tc.path, resp.StatusCode, tc.status, slurp(t, resp))
 		}
 		e := parseEnvelope(t, resp)
-		if e.Code != wire.CodeFor(tc.status) || e.Message == "" {
-			t.Errorf("%s %s: envelope %+v, want code %q and a message", tc.method, tc.path, e, wire.CodeFor(tc.status))
+		if e.Code != api.CodeFor(tc.status) || e.Message == "" {
+			t.Errorf("%s %s: envelope %+v, want code %q and a message", tc.method, tc.path, e, api.CodeFor(tc.status))
 		}
 	}
 }
@@ -494,8 +493,8 @@ func TestJobRoutesDisabledWithoutStore(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s %s: status %d, want 404 (%s)", tc.method, tc.path, resp.StatusCode, slurp(t, resp))
 		}
-		if e := parseEnvelope(t, resp); e.Code != wire.CodeFor(http.StatusNotFound) {
-			t.Errorf("%s %s: envelope %+v, want code %q", tc.method, tc.path, e, wire.CodeFor(http.StatusNotFound))
+		if e := parseEnvelope(t, resp); e.Code != api.CodeFor(http.StatusNotFound) {
+			t.Errorf("%s %s: envelope %+v, want code %q", tc.method, tc.path, e, api.CodeFor(http.StatusNotFound))
 		}
 	}
 }

@@ -1,15 +1,12 @@
 package biodeg
 
 import (
-	"fmt"
-
 	"repro/internal/cells"
 	"repro/internal/core"
 	"repro/internal/liberty"
 	"repro/internal/obs"
 	"repro/internal/spice"
 	"repro/internal/uarch"
-	"repro/internal/workload"
 )
 
 // Technology is a characterized process (cell library + wire model).
@@ -57,17 +54,6 @@ type CoreConfig = uarch.Config
 
 // DefaultCore returns the paper's 9-stage baseline core configuration.
 func DefaultCore() CoreConfig { return uarch.DefaultConfig() }
-
-// RunWorkload executes a benchmark functionally and checks its result
-// checksum against the Go reference implementation.
-func RunWorkload(bench string) error {
-	w := workload.ByName(bench)
-	if w == nil {
-		return fmt.Errorf("biodeg: unknown benchmark %q", bench)
-	}
-	_, err := w.Run()
-	return err
-}
 
 // Experiment metadata and table types re-exported for report consumers.
 type (

@@ -19,17 +19,6 @@ func TestInverterDCThroughAPI(t *testing.T) {
 	}
 }
 
-func TestWorkloadsThroughAPI(t *testing.T) {
-	for _, b := range Benchmarks() {
-		if err := RunWorkload(b); err != nil {
-			t.Errorf("%s: %v", b, err)
-		}
-	}
-	if err := RunWorkload("no-such-bench"); err == nil {
-		t.Error("unknown workload should error")
-	}
-}
-
 func TestSimulateIPC(t *testing.T) {
 	cfg := DefaultCore()
 	cfg.FrontWidth = 2

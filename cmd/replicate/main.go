@@ -7,6 +7,11 @@
 // Usage:
 //
 //	replicate [-only fig3,fig11,...] [-json] [common flags]
+//	replicate -lib organic|silicon [common flags]   # Synopsys .lib to stdout
+//
+// With -lib, replicate writes the technology's characterized cell
+// library in Synopsys Liberty syntax to stdout and runs no experiment.
+// An unknown -lib technology or -only ID exits 2 before any work.
 //
 // With -json, the rendered report is replaced by a JSON array of
 // versioned biodeg/api.ExperimentResult values — the same wire shape
@@ -20,37 +25,72 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/biodeg"
 	"repro/biodeg/api"
 	"repro/internal/cli"
+	"repro/internal/liberty"
 )
+
+// techs names the technologies -lib accepts.
+var techs = map[string]func() *biodeg.Technology{"organic": biodeg.Organic, "silicon": biodeg.Silicon}
+
+// usage reports a bad flag value and exits 2, the flag package's code
+// for a usage error.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "replicate: "+format+"\n", args...)
+	os.Exit(2)
+}
 
 func main() {
 	opts := cli.Register(flag.CommandLine)
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all, in registry order)")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array of api.ExperimentResult instead of the rendered report")
+	lib := flag.String("lib", "", "write the `tech` (organic or silicon) cell library as Synopsys Liberty to stdout instead of running experiments")
 	flag.Parse()
+	tech := techs[*lib]
+	if *lib != "" && tech == nil {
+		usage("-lib: unknown technology %q (valid: organic, silicon)", *lib)
+	}
+	var ids []string
+	if *only != "" {
+		var valid []string
+		for _, e := range biodeg.Experiments() {
+			valid = append(valid, e.ID)
+		}
+		ids = strings.Split(*only, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+			if !slices.Contains(valid, ids[i]) {
+				usage("-only: unknown experiment %q (valid: %s)", ids[i], strings.Join(valid, ", "))
+			}
+		}
+	}
 	run, ctx, err := opts.Start("replicate")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "replicate: %v\n", err)
 		os.Exit(1)
+	}
+	if tech != nil {
+		if err := errors.Join(liberty.WriteSynopsys(os.Stdout, biodeg.Library(tech())), run.Finish()); err != nil {
+			fmt.Fprintf(os.Stderr, "replicate: %v\n", err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	start := time.Now()
 	session := biodeg.New(opts.Config)
 	defer session.Close() //nolint:errcheck // committed records are already durable
 	var results []biodeg.ExperimentResult
-	if *only != "" {
-		ids := strings.Split(*only, ",")
-		for i := range ids {
-			ids[i] = strings.TrimSpace(ids[i])
-		}
+	if ids != nil {
 		results, err = session.RunExperiments(ctx, ids...)
 	} else {
 		results, err = session.RunAll(ctx)

@@ -23,7 +23,7 @@ func serialWidthSweep(t *Tech) ([]WidthPoint, error) {
 				return nil, err
 			}
 			period, tp := pipeline.CoreTiming(context.Background(), blocks, dff, pipeline.Config{Wire: t.Wire, UseWire: true})
-			mean, err := MeanIPC(uarchConfig(fe, be, nil))
+			mean, err := MeanIPCCtx(context.Background(), uarchConfig(fe, be, nil))
 			if err != nil {
 				return nil, err
 			}

@@ -40,6 +40,10 @@
 //   - panic: the site panics (a crashed worker; internal/runner
 //     converts it to a *runner.PanicError).
 //
+// A fourth kind, kill, is never enabled by default: it writes the site
+// to stderr and exits the process with KillExitCode, the in-process
+// stand-in for a SIGKILL that crash-resume drills rely on.
+//
 // When several kinds are enabled, the firing kind is chosen by a second
 // deterministic hash of the same key.
 //

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,11 +30,11 @@ const (
 	KindLatency
 	// KindPanic makes the site panic.
 	KindPanic
-	// KindKill makes the site panic with a Kill value — a process-abort
-	// style crash that bypasses runner (and Memo) recovery, so chaos
-	// tests can simulate a hard mid-write crash (SIGKILL, OOM) instead
-	// of an error the retry machinery absorbs. Never part of the
-	// default kind set; it must be named explicitly (kinds=...+kill).
+	// KindKill exits the process at the site with KillExitCode, so
+	// chaos tests can simulate a hard mid-write crash (SIGKILL, OOM)
+	// instead of an error the retry machinery absorbs: no recovery
+	// layer, deferred call or drain runs. Never part of the default
+	// kind set; it must be named explicitly (kinds=...+kill).
 	KindKill
 	numKinds
 )
@@ -52,6 +53,10 @@ func (k Kind) String() string {
 	}
 	return "kind" + strconv.Itoa(int(k))
 }
+
+// KillExitCode is the exit status of a KindKill injection: the shell's
+// status for a process ended by SIGKILL.
+const KillExitCode = 137
 
 // DefaultLatency is the injected stall when the spec names none.
 const DefaultLatency = 10 * time.Millisecond
@@ -267,7 +272,8 @@ func (in *Injector) record(ctx context.Context, site string, kind Kind) {
 
 // Inject executes the (site, attempt) decision: it returns nil when no
 // fault fires, returns an ErrInjected-wrapped error for KindError,
-// sleeps (bounded by ctx) for KindLatency, and panics for KindPanic.
+// sleeps (bounded by ctx) for KindLatency, panics for KindPanic, and
+// writes the site to stderr and exits the process for KindKill.
 // The attempt number is read from ctx (WithAttempt; internal/runner
 // sets it per retry), so retried sites get fresh draws. Nil-safe.
 func (in *Injector) Inject(ctx context.Context, site string) error {
@@ -294,32 +300,10 @@ func (in *Injector) Inject(ctx context.Context, site string) error {
 	case KindPanic:
 		panic(fmt.Sprintf("fault: injected panic at %s (attempt %d)", site, attempt))
 	case KindKill:
-		panic(Kill{Site: site, Attempt: attempt})
-	default:
-		return fmt.Errorf("%w: %s at %s (attempt %d)", ErrInjected, KindError, site, attempt)
+		fmt.Fprintf(os.Stderr, "fault: injected kill at %s (attempt %d)\n", site, attempt)
+		os.Exit(KillExitCode)
 	}
-}
-
-// Kill is the panic value of a KindKill injection. Recovery layers
-// that normally convert panics to errors (internal/runner's task
-// recovery, runner.Memo) check IsKill and re-panic, so a Kill
-// propagates to the top of its goroutine and aborts the process — the
-// closest in-process analogue of a SIGKILL.
-type Kill struct {
-	Site    string
-	Attempt int
-}
-
-// String renders the crash cause seen in the process's dying stack.
-func (k Kill) String() string {
-	return fmt.Sprintf("fault: injected kill at %s (attempt %d)", k.Site, k.Attempt)
-}
-
-// IsKill reports whether a recovered panic value is a Kill — recovery
-// layers must re-panic such values rather than absorb them.
-func IsKill(r any) bool {
-	_, ok := r.(Kill)
-	return ok
+	return fmt.Errorf("%w: %s at %s (attempt %d)", ErrInjected, KindError, site, attempt)
 }
 
 // StageCount is one per-stage injection total of a Counters snapshot.

@@ -2,36 +2,42 @@ package fault
 
 import (
 	"context"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
 
-func TestKillKindPanicsWithKillValue(t *testing.T) {
-	spec, err := Parse("seed=3,rate=1,kinds=kill")
-	if err != nil {
-		t.Fatal(err)
+// TestMain lets this test binary double as the victim of
+// TestKillKindExitsProcess: with the env var set it draws a kill fault,
+// which must end the process at the injection site.
+func TestMain(m *testing.M) {
+	if os.Getenv("FAULT_KILL_SUBPROCESS") == "1" {
+		spec, err := Parse("seed=3,rate=1,kinds=kill")
+		if err != nil {
+			os.Exit(3)
+		}
+		New(spec).Inject(context.Background(), "depth-point:test") //nolint:errcheck // exits
+		// Reaching here means the kill returned.
+		os.Exit(4)
 	}
-	in := New(spec)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("kinds=kill at rate=1 must panic")
-		}
-		if !IsKill(r) {
-			t.Fatalf("recovered %T %v, want a Kill", r, r)
-		}
-		k := r.(Kill)
-		if k.Site != "depth-point:test" {
-			t.Errorf("Kill.Site = %q", k.Site)
-		}
-		if !strings.Contains(k.String(), "depth-point:test") {
-			t.Errorf("Kill.String() = %q, should name the site", k.String())
-		}
-		if got := in.Snapshot(); got.Kill != 1 || got.Total != 1 {
-			t.Errorf("counters after kill = %+v, want Kill=1", got)
-		}
-	}()
-	in.Inject(context.Background(), "depth-point:test") //nolint:errcheck // panics
+	os.Exit(m.Run())
+}
+
+// TestKillKindExitsProcess: a kill injection exits the process with
+// KillExitCode, after writing a line that names the site and attempt.
+func TestKillKindExitsProcess(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "FAULT_KILL_SUBPROCESS=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != KillExitCode {
+		t.Fatalf("victim ended with %v, want exit status %d; output:\n%s", err, KillExitCode, out)
+	}
+	if want := "fault: injected kill at depth-point:test (attempt 0)\n"; string(out) != want {
+		t.Errorf("victim output %q, want %q", out, want)
+	}
 }
 
 func TestKillNotInDefaultKinds(t *testing.T) {
@@ -53,16 +59,5 @@ func TestKillNotInDefaultKinds(t *testing.T) {
 	}
 	if s := spec2.String(); !strings.Contains(s, "kill") {
 		t.Errorf("String() = %q lost the kill kind", s)
-	}
-}
-
-func TestIsKill(t *testing.T) {
-	if !IsKill(Kill{Site: "x"}) {
-		t.Error("IsKill(Kill) = false")
-	}
-	for _, r := range []any{nil, "panic string", 42, struct{}{}} {
-		if IsKill(r) {
-			t.Errorf("IsKill(%v) = true", r)
-		}
 	}
 }

@@ -21,9 +21,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// killVictim runs a sweep whose every task draws a kill fault. The
-// runner's recovery layers must re-panic it — a simulated hard crash is
-// not a retryable task failure — so the process aborts here.
+// killVictim runs a sweep whose every task draws a kill fault. A
+// simulated hard crash is not a retryable task failure: the process
+// exits at the injection site, before the pool's recovery sees it.
 func killVictim() {
 	spec, err := fault.Parse("seed=1,rate=1,kinds=kill")
 	if err != nil {
@@ -41,9 +41,9 @@ func killVictim() {
 }
 
 // TestKillEscapesRunnerRecovery re-executes this test binary as a
-// subprocess and asserts an injected kill takes the whole process down
-// — through the pool's panic recovery, not around it — the way a real
-// mid-run crash would.
+// subprocess and asserts an injected kill inside a pool task takes the
+// whole process down with fault.KillExitCode, the way a real mid-run
+// crash would.
 func TestKillEscapesRunnerRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -63,6 +63,9 @@ func TestKillEscapesRunnerRecovery(t *testing.T) {
 		t.Fatal("victim could not parse the kill spec")
 	case 4:
 		t.Fatal("a recovery layer absorbed the Kill; the process must crash")
+	case fault.KillExitCode:
+	default:
+		t.Fatalf("subprocess exit status %d, want %d; output:\n%s", ee.ExitCode(), fault.KillExitCode, out)
 	}
 	if !strings.Contains(string(out), "fault: injected kill") {
 		t.Errorf("crash output should name the kill site, got:\n%s", out)

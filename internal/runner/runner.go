@@ -45,8 +45,9 @@ func Workers() int { return config.Default().WorkerCount() }
 // its own), else the process default.
 func WorkersFor(ctx context.Context) int { return config.Get(ctx).WorkerCount() }
 
-// PanicError wraps a panic recovered inside a worker so callers see an
-// ordinary error (with the panicking task's index) instead of a crash.
+// PanicError wraps a recovered panic so callers see an ordinary error
+// instead of a crash. Index is the panicking task's index in Map, or
+// -1 for a panic Memo.Do recovered, which belongs to no task.
 type PanicError struct {
 	Index int
 	Value any
@@ -54,6 +55,9 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
+	if e.Index < 0 {
+		return fmt.Sprintf("runner: computation panicked: %v\n%s", e.Value, e.Stack)
+	}
 	return fmt.Sprintf("runner: task %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
@@ -237,12 +241,6 @@ func pool(ctx context.Context, n, chunk int, partial bool, fn func(ctx context.C
 	attempt := func(ctx context.Context, i, a int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				if fault.IsKill(r) {
-					// A KindKill fault simulates a hard crash: re-panic so
-					// it aborts the process instead of becoming a retryable
-					// task error.
-					panic(r)
-				}
 				stack := make([]byte, 64<<10)
 				stack = stack[:runtime.Stack(stack, false)]
 				err = &PanicError{Index: i, Value: r, Stack: stack}
@@ -380,12 +378,9 @@ func (mm *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if fault.IsKill(r) {
-					panic(r) // simulated hard crash; see pool's attempt
-				}
 				stack := make([]byte, 64<<10)
 				stack = stack[:runtime.Stack(stack, false)]
-				e.err = &PanicError{Value: r, Stack: stack}
+				e.err = &PanicError{Index: -1, Value: r, Stack: stack}
 			}
 		}()
 		e.val, e.err = fn()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,6 +197,17 @@ func TestMemoPanicBecomesError(t *testing.T) {
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
+	}
+}
+
+// TestMemoPanicNamesNoTask: a Memo runs no indexed task, so its panic
+// error's first line names the computation, not a task index.
+func TestMemoPanicNamesNoTask(t *testing.T) {
+	var m Memo[string, int]
+	_, err := m.Do("k", func() (int, error) { panic("ouch") })
+	first, _, _ := strings.Cut(err.Error(), "\n")
+	if want := "runner: computation panicked: ouch"; first != want {
+		t.Errorf("first line %q, want %q", first, want)
 	}
 }
 

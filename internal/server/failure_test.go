@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -148,22 +147,4 @@ func TestRouteInjectedPanic(t *testing.T) {
 	if _, observed := faultz(t, ts.URL); observed["engine_errors"] != 1 {
 		t.Errorf("observed engine_errors = %d, want 1", observed["engine_errors"])
 	}
-}
-
-// TestRouteInjectedKillPropagates: a fault.Kill at the route site is a
-// simulated hard crash, so no layer of the serving path absorbs it.
-func TestRouteInjectedKillPropagates(t *testing.T) {
-	spec, err := fault.Parse("seed=1,rate=1,kinds=kill,stages=server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(&fakeEngine{}, Options{Injector: fault.New(spec)})
-	defer func() {
-		if p := recover(); !fault.IsKill(p) {
-			t.Errorf("recovered %v, want a fault.Kill", p)
-		}
-	}()
-	req := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(`{"bench":"dhrystone"}`))
-	s.ServeHTTP(httptest.NewRecorder(), req)
-	t.Error("ServeHTTP returned; the Kill was absorbed")
 }

@@ -305,7 +305,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route str
 		// gets an independent draw (rate applies per computation, not
 		// once per path) while a fixed request sequence still replays
 		// exactly. A panic here or in compute becomes the Memo's
-		// *runner.PanicError; a fault.Kill is re-panicked, never absorbed.
+		// *runner.PanicError; a kill fault exits the process here.
 		if err := s.inj.Inject(fault.WithAttempt(ctx, int(s.compSeq.Add(1))), site); err != nil {
 			return nil, err
 		}

@@ -522,6 +522,7 @@ type panicEngine struct{ fakeEngine }
 
 func (*panicEngine) Simulate(context.Context, api.SimulateRequest) (*api.SimulateResult, error) {
 	return nil, fmt.Errorf("simulate: %w", &runner.PanicError{
+		Index: -1,
 		Value: "runtime error: negative shift amount",
 		Stack: []byte("goroutine 7 [running]:\nrepro/internal/uarch.newPredictor(...)"),
 	})
@@ -544,7 +545,7 @@ func TestInternalErrorEnvelopeOmitsStack(t *testing.T) {
 		t.Fatalf("status %d, want 500", resp.StatusCode)
 	}
 	e := parseEnvelope(t, resp)
-	if want := "simulate: runner: task 0 panicked: runtime error: negative shift amount"; e.Message != want {
+	if want := "simulate: runner: computation panicked: runtime error: negative shift amount"; e.Message != want {
 		t.Errorf("envelope message = %q, want %q", e.Message, want)
 	}
 	if got := logs.String(); !strings.Contains(got, "goroutine 7 [running]") || !strings.Contains(got, "span_id=") {

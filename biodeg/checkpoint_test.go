@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/config"
@@ -112,7 +111,7 @@ func TestDigestTracksConfig(t *testing.T) {
 	if d := digest(Config{PartialResults: true}); d == base {
 		t.Error("partial-results posture did not move the digest")
 	}
-	if d := digest(Config{Workers: 7, LibCache: "/tmp/lib", StageTimeout: time.Second}); d != base {
+	if d := digest(Config{Workers: 7, LibCache: "/tmp/lib"}); d != base {
 		t.Error("execution-shaping knobs moved the digest")
 	}
 	// Pinned values: journals written by earlier builds (which carried

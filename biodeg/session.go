@@ -16,8 +16,8 @@ import (
 )
 
 // Config is the session's runtime configuration: worker count, metrics
-// reporting, library cache, resilience (fault injector, retries,
-// per-stage timeout, partial results) and checkpointing. The zero
+// reporting, library cache, resilience (fault injector, partial
+// results) and checkpointing. The zero
 // value means all defaults. The commands pass the Config their
 // flags resolved to (internal/cli); library users set its fields.
 type Config = config.Config
@@ -67,7 +67,7 @@ func ParseFaults(s string) (FaultSpec, error) { return fault.Parse(s) }
 
 // WithFaults builds the deterministic fault injector for spec, the
 // value of Config.Faults (nil for a disabled spec). Chaos sweeps
-// usually pair it with Config.PartialResults and Config.Retries.
+// usually pair it with Config.PartialResults.
 func WithFaults(spec FaultSpec) *fault.Injector { return fault.New(spec) }
 
 // journal lazily opens the session's checkpoint journal — once, from
@@ -92,8 +92,7 @@ func (s *Session) journal(ctx context.Context) (*checkpoint.Journal, error) {
 
 // digest binds a session journal to the configuration knobs that shape
 // result values: the fault spec and the partial-results mode. Worker
-// count, cache directories and timeouts do not change values and are
-// not bound. The key names and value spellings are part of every
+// count and cache directories do not change values and are not bound. The key names and value spellings are part of every
 // journal header written so far; changing them orphans those journals.
 func digest(cfg Config) string {
 	return checkpoint.ConfigDigest(map[string]string{

@@ -46,8 +46,8 @@
 //
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
-// -trace, -jsonl, -manifest, -pprof, -faults, -retries,
-// -stage-timeout, -partial, -checkpoint, -log-format, -log-level.
+// -trace, -jsonl, -manifest, -pprof, -faults, -partial,
+// -checkpoint, -log-format, -log-level.
 // Every daemon log line goes through log/slog (-log-format json for
 // machine-readable logs) and carries the span_id of its enclosing
 // span, so logs correlate with -trace output. With -faults the daemon

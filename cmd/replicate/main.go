@@ -19,8 +19,8 @@
 //
 // Common flags (each defaults from the matching BIODEG_* environment
 // variable; explicit flags win): -workers, -metrics, -libcache,
-// -trace, -jsonl, -manifest, -pprof, -faults, -retries,
-// -stage-timeout, -partial, -checkpoint, -log-format, -log-level.
+// -trace, -jsonl, -manifest, -pprof, -faults, -partial,
+// -checkpoint, -log-format, -log-level.
 package main
 
 import (

@@ -37,10 +37,9 @@ import (
 
 // Options is the parsed common flag set: the runtime knobs, bound
 // straight into the embedded config.Config, plus the observability
-// sinks, which only this package reads. Until Start resolves them,
-// Config.Retries may be -1 (auto) and Config.Faults is unset; after
-// Start the embedded Config is the effective
-// configuration the run installed.
+// sinks, which only this package reads. Until Start parses -faults,
+// Config.Faults is unset; after Start the embedded Config is the
+// effective configuration the run installed.
 type Options struct {
 	config.Config
 
@@ -55,16 +54,10 @@ type Options struct {
 	envErr error  // the BIODEG_* values the flag parsers rejected
 }
 
-// AutoRetries is the retry budget -retries=-1 resolves to when fault
-// injection is on (a 10% error rate with two retries leaves roughly a
-// 0.1% per-point failure probability — visible but not disruptive).
-const AutoRetries = 2
-
 // knob is one row of the common flag table: the flag, the environment
 // variable providing its default, its usage line, the Options field it
-// binds (a *int, *bool, *string or *time.Duration) and the value the
-// run manifest records for it. A nil manifest records a string field
-// as is.
+// binds (a *int, *bool or *string) and the value the run manifest
+// records for it. A nil manifest records a string field as is.
 type knob struct {
 	flag, env, usage string
 	field            func(*Options) any
@@ -90,10 +83,6 @@ var knobs = []knob{
 		func(o *Options) any { return &o.Pprof }, nil},
 	{"faults", "BIODEG_FAULTS", "inject deterministic faults, e.g. seed=1,rate=0.1,kinds=error+latency,stages=depth-point",
 		func(o *Options) any { return &o.faults }, func(o *Options) string { return o.Faults.Spec().String() }},
-	{"retries", "BIODEG_RETRIES", "per-task retry budget; -1 = auto (2 with -faults, else 0)",
-		func(o *Options) any { return &o.Retries }, func(o *Options) string { return positive(o.Retries) }},
-	{"stage-timeout", "BIODEG_STAGE_TIMEOUT", "per-attempt deadline for each sweep task, 0 = none",
-		func(o *Options) any { return &o.StageTimeout }, func(o *Options) string { return positiveDuration(o.StageTimeout) }},
 	{"partial", "BIODEG_PARTIAL", "annotate failed grid points and keep sweeping instead of aborting; implied by -faults",
 		func(o *Options) any { return &o.PartialResults }, func(o *Options) string { return boolEnv(o.PartialResults) }},
 	{"checkpoint", "BIODEG_CHECKPOINT", "directory holding the crash-safe sweep journal; a rerun with the same directory resumes, skipping journaled points",
@@ -112,7 +101,6 @@ var knobs = []knob{
 // Options.Start.
 func Register(fs *flag.FlagSet) *Options {
 	o := &Options{LogFormat: "text", LogLevel: "info"}
-	o.Retries = -1
 	for _, k := range knobs {
 		usage := k.usage + " (env " + k.env + ")"
 		switch p := k.field(o).(type) {
@@ -122,8 +110,6 @@ func Register(fs *flag.FlagSet) *Options {
 			fs.BoolVar(p, k.flag, *p, usage)
 		case *string:
 			fs.StringVar(p, k.flag, *p, usage)
-		case *time.Duration:
-			fs.DurationVar(p, k.flag, *p, usage)
 		}
 		if v := os.Getenv(k.env); v != "" {
 			f := fs.Lookup(k.flag)
@@ -182,12 +168,11 @@ type Run struct {
 
 // Start applies the parsed options and opens the run's root span. It
 // resolves the embedded Config — parsing -faults into the live
-// injector, -retries=-1 into AutoRetries under injection (a chaos run
-// should demonstrate recovery, not just failure) and 0 otherwise, and
-// implying -partial under -faults so a bare chaos replicate completes
-// with annotations instead of dying on the first fault — and installs
-// it as the process default configuration, so code paths without a
-// context (lazy technology characterization) observe the flags too.
+// injector and implying -partial under -faults so a bare chaos
+// replicate completes with annotations instead of dying on the first
+// fault — and installs it as the process default configuration, so
+// code paths without a context (lazy technology characterization)
+// observe the flags too.
 // It enables span tracing if any sink wants it, starts the pprof
 // server, and returns the Run and a context carrying the root span and
 // the effective configuration.
@@ -203,12 +188,6 @@ func (o *Options) Start(tool string) (*Run, context.Context, error) {
 		return nil, nil, fmt.Errorf("cli: -faults: %w", err)
 	}
 	o.Faults = fault.New(spec)
-	if o.Retries < 0 {
-		o.Retries = 0
-		if o.Faults != nil {
-			o.Retries = AutoRetries
-		}
-	}
 	o.PartialResults = o.PartialResults || o.Faults != nil
 	config.SetDefault(o.Config)
 	if o.Trace != "" || o.JSONL != "" || o.Manifest != "" {
@@ -275,13 +254,6 @@ func (r *Run) Finish() error {
 func positive(n int) string {
 	if n > 0 {
 		return strconv.Itoa(n)
-	}
-	return ""
-}
-
-func positiveDuration(d time.Duration) string {
-	if d > 0 {
-		return d.String()
 	}
 	return ""
 }

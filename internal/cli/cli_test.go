@@ -129,26 +129,23 @@ func start(t *testing.T, o *Options) context.Context {
 	return ctx
 }
 
-func TestFaultsImplyPartialAndAutoRetries(t *testing.T) {
+func TestFaultsImplyPartial(t *testing.T) {
 	pinEnv(t)
 
-	// Without -faults: no retries, no partial results, no injector.
+	// Without -faults: no partial results, no injector.
 	o := register(t)
 	start(t, o)
-	if o.Retries != 0 || o.PartialResults || o.Faults != nil {
+	if o.PartialResults || o.Faults != nil {
 		t.Errorf("quiet config = %+v, want zero resilience posture", o.Config)
 	}
 
-	// With -faults: partial results implied, -retries=-1 resolves to
-	// AutoRetries, and the live injector lands in Config.Faults, on the
-	// process default and the run context alike.
+	// With -faults: partial results implied, and the live injector
+	// lands in Config.Faults, on the process default and the run
+	// context alike.
 	o = register(t, "-faults", "seed=9,rate=0.5,stages=alu-point")
 	ctx := start(t, o)
 	if !o.PartialResults {
 		t.Error("-faults should imply partial results")
-	}
-	if o.Retries != AutoRetries {
-		t.Errorf("retries = %d under -faults, want auto %d", o.Retries, AutoRetries)
 	}
 	if got := o.Faults.Spec().Seed; got != 9 {
 		t.Errorf("injector seed = %d, want 9", got)
@@ -157,15 +154,10 @@ func TestFaultsImplyPartialAndAutoRetries(t *testing.T) {
 		t.Error("Start did not install the run's injector as default and on the context")
 	}
 
-	// Explicit -retries beats the auto default; -partial stands alone.
-	o = register(t, "-faults", "seed=1,rate=0.1", "-retries", "7")
-	start(t, o)
-	if o.Retries != 7 {
-		t.Errorf("explicit retries = %d, want 7", o.Retries)
-	}
+	// -partial stands alone.
 	o = register(t, "-partial")
 	start(t, o)
-	if !o.PartialResults || o.Retries != 0 {
+	if !o.PartialResults || o.Faults != nil {
 		t.Errorf("bare -partial config = %+v", o.Config)
 	}
 }
@@ -185,17 +177,6 @@ func TestEnvMetricsFalse(t *testing.T) {
 	t.Setenv("BIODEG_METRICS", "false")
 	if o := register(t); o.Metrics {
 		t.Error("BIODEG_METRICS=false turned the report on")
-	}
-}
-
-// TestEnvRetriesZero: BIODEG_RETRIES=0 means zero retries, exactly as
-// -retries 0 does, even under -faults.
-func TestEnvRetriesZero(t *testing.T) {
-	pinEnv(t)
-	t.Setenv("BIODEG_RETRIES", "0")
-	ctx := start(t, register(t, "-faults", "seed=1,rate=0.1"))
-	if got := config.Get(ctx).Retries; got != 0 {
-		t.Errorf("BIODEG_RETRIES=0 gave %d retries, want 0", got)
 	}
 }
 
@@ -318,23 +299,21 @@ func TestManifestKnobsPinned(t *testing.T) {
 			"-workers", "3", "-metrics", "-libcache", path("libs"),
 			"-trace", path("t.json"), "-jsonl", path("t.jsonl"), "-manifest", path("m.json"),
 			"-pprof", "127.0.0.1:0", "-faults", "seed=2,rate=0.25,kinds=error",
-			"-retries", "4", "-stage-timeout", "30s", "-partial", "-checkpoint", path("ckpt"),
+			"-partial", "-checkpoint", path("ckpt"),
 			"-log-format", "json", "-log-level", "debug",
 		}, map[string]string{
-			"BIODEG_WORKERS":       "3",
-			"BIODEG_METRICS":       "1",
-			"BIODEG_LIBCACHE":      path("libs"),
-			"BIODEG_TRACE":         path("t.json"),
-			"BIODEG_TRACE_JSONL":   path("t.jsonl"),
-			"BIODEG_MANIFEST":      path("m.json"),
-			"BIODEG_PPROF":         "127.0.0.1:0",
-			"BIODEG_FAULTS":        "seed=2,rate=0.25,kinds=error,latency=10ms",
-			"BIODEG_RETRIES":       "4",
-			"BIODEG_STAGE_TIMEOUT": "30s",
-			"BIODEG_PARTIAL":       "1",
-			"BIODEG_CHECKPOINT":    path("ckpt"),
-			"BIODEG_LOG_FORMAT":    "json",
-			"BIODEG_LOG_LEVEL":     "debug",
+			"BIODEG_WORKERS":     "3",
+			"BIODEG_METRICS":     "1",
+			"BIODEG_LIBCACHE":    path("libs"),
+			"BIODEG_TRACE":       path("t.json"),
+			"BIODEG_TRACE_JSONL": path("t.jsonl"),
+			"BIODEG_MANIFEST":    path("m.json"),
+			"BIODEG_PPROF":       "127.0.0.1:0",
+			"BIODEG_FAULTS":      "seed=2,rate=0.25,kinds=error,latency=10ms",
+			"BIODEG_PARTIAL":     "1",
+			"BIODEG_CHECKPOINT":  path("ckpt"),
+			"BIODEG_LOG_FORMAT":  "json",
+			"BIODEG_LOG_LEVEL":   "debug",
 		}},
 	} {
 		run, _, err := register(t, tc.args...).Start("test")
@@ -357,7 +336,7 @@ func TestCommonFlagSet(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
 		"checkpoint", "faults", "jsonl", "libcache", "log-format", "log-level", "manifest",
-		"metrics", "partial", "pprof", "retries", "stage-timeout", "trace", "workers",
+		"metrics", "partial", "pprof", "trace", "workers",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("common flags = %v\nwant %v", got, want)

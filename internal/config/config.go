@@ -1,8 +1,7 @@
 // Package config carries the reproduction's runtime knobs — worker
 // count, metrics reporting, library disk cache, the resilience posture
-// (retries, per-stage timeouts, partial-result sweeps, the live fault
-// injector) and checkpointing — as one value, Config, which is the
-// only declaration of each knob. internal/cli binds the common flags
+// (partial-result sweeps and the live fault injector) and checkpointing
+// — as one value, Config, which is the only declaration of each knob. internal/cli binds the common flags
 // straight into a Config's fields; biodeg.Session binds one.
 //
 // A Config travels two ways. Per-call configuration rides a context
@@ -21,15 +20,13 @@ import (
 	"context"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
 )
 
 // Config is one coherent set of runtime knobs. The zero value means
 // "all defaults": GOMAXPROCS workers, no metrics report, no library
-// disk cache, no retries, no per-stage timeout, fail-fast sweeps, no
-// fault injection.
+// disk cache, fail-fast sweeps, no fault injection.
 type Config struct {
 	Workers  int    // worker-pool size; <= 0 means GOMAXPROCS
 	Metrics  bool   // print the per-stage wall-time report
@@ -37,15 +34,6 @@ type Config struct {
 
 	// Resilience knobs (see internal/runner and internal/fault).
 
-	// Retries is the per-task retry budget after the first failed
-	// attempt; <= 0 disables retrying.
-	Retries int
-	// RetryBase is the exponential-backoff window base; <= 0 means
-	// DefaultRetryBase.
-	RetryBase time.Duration
-	// StageTimeout bounds each task attempt; <= 0 means no deadline
-	// beyond the caller's context.
-	StageTimeout time.Duration
 	// PartialResults makes the design-space sweeps annotate failed grid
 	// points and keep going instead of aborting on the first error.
 	PartialResults bool
@@ -62,32 +50,12 @@ type Config struct {
 	Checkpoint string
 }
 
-// DefaultRetryBase is the backoff window base when RetryBase is unset:
-// attempt k waits within (2^k x 25ms)/2 .. 2^k x 25ms.
-const DefaultRetryBase = 25 * time.Millisecond
-
 // WorkerCount resolves the effective worker-pool size.
 func (c Config) WorkerCount() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// RetryCount resolves the effective retry budget (never negative).
-func (c Config) RetryCount() int {
-	if c.Retries > 0 {
-		return c.Retries
-	}
-	return 0
-}
-
-// BackoffBase resolves the effective backoff window base.
-func (c Config) BackoffBase() time.Duration {
-	if c.RetryBase > 0 {
-		return c.RetryBase
-	}
-	return DefaultRetryBase
 }
 
 // def is the process-wide default, read when a context carries no

@@ -1,7 +1,7 @@
 // Package fault is the reproduction's deterministic fault-injection
 // framework: seeded, probability-based error, latency, and panic
 // injection keyed by stage-site names, used to chaos-test the execution
-// path (runner retries, partial sweeps, the daemon's 500 envelopes)
+// path (partial sweeps, panic recovery, the daemon's 500 envelopes)
 // without any nondeterminism between runs.
 //
 // # Model
@@ -24,9 +24,10 @@
 // (seed, site, attempt): the decision hashes those three values to a
 // uniform draw and compares it against the rate. The same seed
 // therefore reproduces the same fault sites run after run — regardless
-// of worker count, scheduling, or wall-clock — while retries (which
-// bump the attempt number carried in the context by internal/runner)
-// get an independent draw, so transient faults are actually transient.
+// of worker count, scheduling, or wall-clock. A sweep site runs once
+// and draws attempt 0; the daemon passes each computation's sequence
+// number as the attempt (WithAttempt), so repeated requests on one
+// route draw independently.
 //
 // # Kinds
 //
@@ -35,8 +36,8 @@
 //
 //   - error: the site returns ErrInjected (a hard point failure),
 //   - latency: the site stalls for Spec.Latency before proceeding
-//     (a slow cell, honored against context cancellation so per-stage
-//     timeouts still bound it),
+//     (a slow cell, honored against context cancellation so the
+//     daemon's request timeout still bounds it),
 //   - panic: the site panics (a crashed worker; internal/runner
 //     converts it to a *runner.PanicError).
 //

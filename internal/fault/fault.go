@@ -32,7 +32,7 @@ const (
 	KindPanic
 	// KindKill exits the process at the site with KillExitCode, so
 	// chaos tests can simulate a hard mid-write crash (SIGKILL, OOM)
-	// instead of an error the retry machinery absorbs: no recovery
+	// instead of an error a partial sweep annotates: no recovery
 	// layer, deferred call or drain runs. Never part of the default
 	// kind set; it must be named explicitly (kinds=...+kill).
 	KindKill
@@ -142,7 +142,8 @@ func Parse(s string) (Spec, error) {
 			spec.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "rate":
 			spec.Rate, err = strconv.ParseFloat(val, 64)
-			if err == nil && (spec.Rate < 0 || spec.Rate > 1) {
+			// Negated so NaN, which fails every comparison, is out of range.
+			if err == nil && !(spec.Rate >= 0 && spec.Rate <= 1) {
 				err = fmt.Errorf("rate %v out of [0,1]", spec.Rate)
 			}
 		case "kinds":
@@ -165,6 +166,9 @@ func Parse(s string) (Spec, error) {
 			}
 		case "latency":
 			spec.Latency, err = time.ParseDuration(val)
+			if err == nil && spec.Latency < 0 {
+				err = fmt.Errorf("latency %v is negative", spec.Latency)
+			}
 		case "stages":
 			spec.Stages = strings.Split(val, "+")
 		default:
@@ -274,8 +278,8 @@ func (in *Injector) record(ctx context.Context, site string, kind Kind) {
 // fault fires, returns an ErrInjected-wrapped error for KindError,
 // sleeps (bounded by ctx) for KindLatency, panics for KindPanic, and
 // writes the site to stderr and exits the process for KindKill.
-// The attempt number is read from ctx (WithAttempt; internal/runner
-// sets it per retry), so retried sites get fresh draws. Nil-safe.
+// The attempt number is read from ctx (WithAttempt; 0 when unset), so
+// repeated decisions at one site can draw independently. Nil-safe.
 func (in *Injector) Inject(ctx context.Context, site string) error {
 	if in == nil || !in.match(site) {
 		return nil
@@ -346,12 +350,13 @@ func (in *Injector) Snapshot() Counters {
 	return c
 }
 
-// attemptKey carries the current retry attempt through a context.
+// attemptKey carries the draw ordinal through a context.
 type attemptKey struct{}
 
-// WithAttempt returns a context marking retry attempt n (0 = first
-// try); internal/runner attaches it around every task attempt so
-// injection decisions differ between attempts at the same site.
+// WithAttempt returns a context marking draw ordinal n (0, the value
+// of an unmarked context, is the first draw). The daemon marks each
+// computation it leads with its sequence number, so repeated requests
+// on one route draw independently; sweep sites run once and draw 0.
 func WithAttempt(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, attemptKey{}, n)
 }

@@ -46,13 +46,26 @@ func TestParseDefaultsAndErrors(t *testing.T) {
 	if s, err := Parse(""); err != nil || s.Enabled() {
 		t.Fatalf("empty spec: %+v, %v", s, err)
 	}
-	for _, bad := range []string{
-		"seed=1", "rate=2,seed=1", "seed=x,rate=0.1",
-		"seed=1,rate=0.1,kinds=bogus", "seed=1,rate=0.1,latency=fast",
-		"seed=1,rate=0.1,wat=1", "justtext",
+	// Each rejection names the offending element (the whole spec when
+	// no single element is at fault).
+	for _, bad := range []struct{ spec, elem string }{
+		{"seed=1", "seed=1"},
+		{"rate=2,seed=1", "rate=2"},
+		{"seed=x,rate=0.1", "seed=x"},
+		{"seed=1,rate=0.1,kinds=bogus", "kinds=bogus"},
+		{"seed=1,rate=0.1,latency=fast", "latency=fast"},
+		{"seed=1,rate=0.1,wat=1", "wat=1"},
+		{"justtext", "justtext"},
+		{"seed=1,rate=NaN", "rate=NaN"},
+		{"seed=1,rate=0.1,latency=-5ms", "latency=-5ms"},
 	} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) accepted", bad)
+		_, err := Parse(bad.spec)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted", bad.spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), bad.elem) {
+			t.Errorf("Parse(%q) error %q does not name %q", bad.spec, err, bad.elem)
 		}
 	}
 }
@@ -78,7 +91,7 @@ func TestDeterministicSites(t *testing.T) {
 	if diff == 0 {
 		t.Error("different seeds produced identical fault sites everywhere")
 	}
-	// Retries draw independently: some site that faults at attempt 0
+	// Attempts draw independently: some site that faults at attempt 0
 	// must pass at a later attempt.
 	recovered := false
 	for i := 0; i < 200 && !recovered; i++ {

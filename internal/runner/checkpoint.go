@@ -46,10 +46,7 @@ func CheckpointFrom(ctx context.Context) Checkpoint {
 // result types the sweeps use (float64 survives Go's JSON round-trip
 // exactly; the tables are NaN-free by construction). A value that no
 // longer decodes into T (the record predates a type change the config
-// digest failed to capture) is recomputed rather than trusted. Called
-// inside a Map task it sits within the pool's retry loop, so a retried
-// task re-checks the journal: a commit that raced a crash is found on
-// the retry rather than recomputed.
+// digest failed to capture) is recomputed rather than trusted.
 func Checkpointed[T any](ctx context.Context, key string, compute func(ctx context.Context) (T, error)) (T, error) {
 	cp := CheckpointFrom(ctx)
 	if cp == nil || key == "" {

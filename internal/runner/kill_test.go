@@ -22,8 +22,8 @@ func TestMain(m *testing.M) {
 }
 
 // killVictim runs a sweep whose every task draws a kill fault. A
-// simulated hard crash is not a retryable task failure: the process
-// exits at the injection site, before the pool's recovery sees it.
+// simulated hard crash is not a task failure: the process exits at the
+// injection site, before the pool's panic recovery sees it.
 func killVictim() {
 	spec, err := fault.Parse("seed=1,rate=1,kinds=kill")
 	if err != nil {

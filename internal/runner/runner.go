@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"strconv"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -33,12 +31,6 @@ var (
 	tasksTotal = telemetry.Default().Counter("biodeg_runner_tasks_total",
 		"Completed pool tasks by outcome.", "outcome")
 )
-
-// Workers returns the process-default worker-pool size: the installed
-// config.Default().Workers when positive, else runtime.GOMAXPROCS(0).
-// The pool itself sizes per call from the context (WorkersFor), so two
-// sessions with different worker counts share no pool state.
-func Workers() int { return config.Default().WorkerCount() }
 
 // WorkersFor resolves the worker count Map will use for ctx: the
 // context-carried config when one is attached (biodeg.Session attaches
@@ -62,7 +54,7 @@ func (e *PanicError) Error() string {
 }
 
 // TaskError records one failed task of a partial run: the task index
-// and its final error (after the retry budget was spent).
+// and its error.
 type TaskError struct {
 	Index int
 	Err   error
@@ -72,37 +64,6 @@ func (e *TaskError) Error() string { return fmt.Sprintf("task %d: %v", e.Index, 
 
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *TaskError) Unwrap() error { return e.Err }
-
-// MaxBackoff caps a single retry wait regardless of attempt count.
-const MaxBackoff = 2 * time.Second
-
-// Backoff returns the wait before retrying after failed attempt
-// `attempt` (0 = the first try failed): equal jitter over an
-// exponential window, i.e. a deterministic point in
-// [w/2, w] for w = min(base << attempt, MaxBackoff). The jitter derives
-// from (key, attempt), not from a global RNG, so a chaos run's retry
-// timing is reproducible and concurrent tasks still decorrelate.
-func Backoff(base time.Duration, attempt int, key string) time.Duration {
-	if base <= 0 {
-		base = config.DefaultRetryBase
-	}
-	window := base
-	for i := 0; i < attempt && window < MaxBackoff; i++ {
-		window <<= 1
-	}
-	if window > MaxBackoff {
-		window = MaxBackoff
-	}
-	half := window / 2
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d", key, attempt)
-	// splitmix64 finalizer: FNV alone diffuses trailing bytes poorly.
-	v := h.Sum64() + 0x9e3779b97f4a7c15
-	v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9
-	v = (v ^ (v >> 27)) * 0x94d049bb133111eb
-	v ^= v >> 31
-	return half + time.Duration(v%uint64(half+1))
-}
 
 // ErrLabel compresses err to a single short line for span attributes
 // and per-point table annotations: panics reduce to their value (no
@@ -144,13 +105,9 @@ func ErrLabel(err error) string {
 // and a worker picking it up, so a trace shows the queue-wait versus
 // execute split per task.
 //
-// Resilience is configured per call through the context-carried
-// config: with Retries > 0, a failed attempt (error or recovered
-// panic) is retried after an exponential-backoff-with-jitter wait
-// (Backoff), each wait visible as a "runner.retry" span feeding the
-// "retry" metrics stage; with StageTimeout > 0, every attempt runs
-// under its own deadline. Each attempt carries its attempt number via
-// internal/fault's context key, so injected faults re-draw per retry.
+// Each task runs exactly once: every layer below is a deterministic
+// function of its inputs, so a retry would recompute the same failure,
+// and the only deadline is the one the caller's context carries.
 func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if _, err := pool(ctx, n, chunkSize(ctx, n), false, into(out, fn)); err != nil {
@@ -159,12 +116,12 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 	return out, nil
 }
 
-// MapPartial is Map without fail-fast: every task runs to completion
-// (or exhausts its retry budget), successes land in the result slice at
-// their index, and failures come back as TaskErrors sorted by index —
-// the degraded-sweep primitive behind config.PartialResults. The error
-// return is non-nil only when the parent context was cancelled, in
-// which case both slices are incomplete.
+// MapPartial is Map without fail-fast: every task runs to completion,
+// successes land in the result slice at their index, and failures come
+// back as TaskErrors sorted by index — the degraded-sweep primitive
+// behind config.PartialResults. The error return is non-nil only when
+// the parent context was cancelled, in which case both slices are
+// incomplete.
 func MapPartial[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []*TaskError, error) {
 	out := make([]T, n)
 	errs, err := pool(ctx, n, chunkSize(ctx, n), true, into(out, fn))
@@ -204,14 +161,10 @@ func pool(ctx context.Context, n, chunk int, partial bool, fn func(ctx context.C
 		return nil, ctx.Err()
 	}
 	numChunks := (n + chunk - 1) / chunk
-	cfg := config.Get(ctx)
-	workers := cfg.WorkerCount()
+	workers := WorkersFor(ctx)
 	if workers > numChunks {
 		workers = numChunks
 	}
-	retries := cfg.RetryCount()
-	backoffBase := cfg.BackoffBase()
-	stageTimeout := cfg.StageTimeout
 	traced := obs.Enabled()
 	submit := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
@@ -237,8 +190,8 @@ func pool(ctx context.Context, n, chunk int, partial bool, fn func(ctx context.C
 			cancel()
 		})
 	}
-	// attempt is one bounded, panic-recovered try of task i.
-	attempt := func(ctx context.Context, i, a int) (err error) {
+	// call is one panic-recovered run of task i.
+	call := func(ctx context.Context, i int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				stack := make([]byte, 64<<10)
@@ -246,13 +199,7 @@ func pool(ctx context.Context, n, chunk int, partial bool, fn func(ctx context.C
 				err = &PanicError{Index: i, Value: r, Stack: stack}
 			}
 		}()
-		actx := fault.WithAttempt(ctx, a)
-		if stageTimeout > 0 {
-			var cancel context.CancelFunc
-			actx, cancel = context.WithTimeout(actx, stageTimeout)
-			defer cancel()
-		}
-		return fn(actx, i)
+		return fn(ctx, i)
 	}
 	var ran atomic.Int64
 	run := func(i int) {
@@ -261,40 +208,14 @@ func pool(ctx context.Context, n, chunk int, partial bool, fn func(ctx context.C
 		workersBusy.Inc()
 		defer workersBusy.Dec()
 		tctx := ctx
-		var sp *obs.Span
 		if traced {
-			wait := time.Since(submit)
+			var sp *obs.Span
 			tctx, sp = obs.Start(ctx, "runner.task",
 				obs.Int("index", i),
-				obs.KV("queue_wait_us", strconv.FormatInt(wait.Microseconds(), 10)))
+				obs.KV("queue_wait_us", strconv.FormatInt(time.Since(submit).Microseconds(), 10)))
 			defer sp.End()
 		}
-		var err error
-		for a := 0; ; a++ {
-			err = attempt(tctx, i, a)
-			if err == nil || a >= retries || ctx.Err() != nil {
-				if sp != nil && a > 0 {
-					sp.Set("attempts", strconv.Itoa(a+1))
-				}
-				break
-			}
-			d := Backoff(backoffBase, a, "task:"+strconv.Itoa(i))
-			// The retry span covers the backoff wait and feeds the
-			// "retry" metrics stage, so chaos runs show retries in both
-			// the trace tree and /metricsz.
-			_, rsp := obs.Start(tctx, "runner.retry",
-				obs.Stage("retry"),
-				obs.Int("index", i), obs.Int("attempt", a+1),
-				obs.KV("backoff", d.String()), obs.KV("cause", ErrLabel(err)))
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-			t.Stop()
-			rsp.End()
-		}
-		if err != nil {
+		if err := call(tctx, i); err != nil {
 			tasksTotal.With("error").Inc()
 			fail(i, err)
 		} else {

@@ -8,14 +8,13 @@ import (
 	"net/http"
 
 	"repro/biodeg/api"
-	"repro/internal/obs"
 )
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 // handleFaultz reports the chaos posture: what the injector has fired
 // (per kind and per stage) and what the serving path has observed
-// (engine errors, shed requests, retries).
+// (engine errors and shed requests).
 func (s *Server) handleFaultz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"version":  "v1",
@@ -23,7 +22,6 @@ func (s *Server) handleFaultz(w http.ResponseWriter, r *http.Request) {
 		"observed": map[string]int64{
 			"engine_errors": s.engineErrs.Load(),
 			"shed":          s.shed.Load(),
-			"retries":       obs.Count("retry"),
 		},
 	})
 }

@@ -166,8 +166,9 @@ func Parse(s string) (Spec, error) {
 			}
 		case "latency":
 			spec.Latency, err = time.ParseDuration(val)
-			if err == nil && spec.Latency < 0 {
-				err = fmt.Errorf("latency %v is negative", spec.Latency)
+			// Zero would read back as DefaultLatency; omit the key for that.
+			if err == nil && spec.Latency <= 0 {
+				err = fmt.Errorf("latency %v is not positive", spec.Latency)
 			}
 		case "stages":
 			spec.Stages = strings.Split(val, "+")

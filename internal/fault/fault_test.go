@@ -58,6 +58,8 @@ func TestParseDefaultsAndErrors(t *testing.T) {
 		{"justtext", "justtext"},
 		{"seed=1,rate=NaN", "rate=NaN"},
 		{"seed=1,rate=0.1,latency=-5ms", "latency=-5ms"},
+		{"seed=1,rate=0.1,latency=0", "latency=0"},
+		{"seed=1,rate=0.1,latency=0s", "latency=0s"},
 	} {
 		_, err := Parse(bad.spec)
 		if err == nil {

@@ -44,6 +44,9 @@ const (
 	// ISA and recorded for replay. A process records each workload once,
 	// so a count above the workload count marks recordings repeated.
 	StageIPCRecord = "ipc.record"
+	// IPC simulations answered from an uncontended run at another
+	// back-end width, whose Stats they share exactly (internal/core).
+	StageIPCShared = "ipc.shared"
 )
 
 // The two per-stage families on the process-default registry: every

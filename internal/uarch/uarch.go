@@ -141,6 +141,110 @@ func Record(m *isa.Machine, limit uint64) (*Recorded, error) {
 	return r, nil
 }
 
+// Geometry is the part of a Config that decides the predictor and cache
+// outcomes of a stream: which branches mispredict, which loads miss and
+// which fetches miss the instruction cache. None of it depends on
+// timing, so configurations that share a Geometry share one Lowered.
+type Geometry struct {
+	PredBits, BTBBits, RAS       int
+	CacheKB, LineBytes, ICacheKB int
+}
+
+// Geometry returns c's predictor and cache geometry.
+func (c Config) Geometry() Geometry {
+	return Geometry{
+		PredBits: c.PredBits, BTBBits: c.BTBBits, RAS: c.RAS,
+		CacheKB: c.CacheKB, LineBytes: c.LineBytes, ICacheKB: c.ICacheKB,
+	}
+}
+
+// op is one static record decoded for the timing loop.
+type op struct {
+	cls          isa.Class
+	rd, rs1, rs2 uint8 // rs2 is 0 when the opcode reads no second register
+	rem          uint8 // instructions left in the record's 8-instruction fetch row
+	taken        bool  // taken control flow: ends the fetch group
+}
+
+// Lowered is a Recorded stream with its predictor and cache outcomes
+// resolved for one Geometry: a decode table per static record and one
+// outcome bit per dynamic instruction. Build one with Lower; it is
+// read-only, so concurrent Replays may share it.
+type Lowered struct {
+	geom Geometry
+	ops  []op
+	idx  []uint16
+	// miss has bit i set when dynamic instruction i is a mispredicted
+	// branch or a load that missed the data cache; ifMiss has it set when
+	// instruction i's fetch missed the instruction cache (nil with a
+	// perfect icache).
+	miss, ifMiss []uint64
+	// counts holds the outcome totals: every Stats field but Cycles, IPC
+	// and the ratios.
+	counts Stats
+}
+
+// Lower decodes rec's records and runs its branches, loads, stores and
+// fetches through the predictor and caches of geometry g, in program
+// order. It reads rec and never changes it.
+func Lower(rec *Recorded, g Geometry) *Lowered {
+	l := &Lowered{
+		geom: g,
+		ops:  make([]op, len(rec.static)),
+		idx:  rec.idx,
+		miss: make([]uint64, (len(rec.idx)+63)/64),
+	}
+	for k := range rec.static {
+		tr := &rec.static[k]
+		in := tr.Inst
+		o := op{cls: in.Op.Class(), rd: in.Rd, rs1: in.Rs1, rem: uint8(8 - tr.PC/4%8)}
+		if in.Op.UsesRs2() {
+			o.rs2 = in.Rs2
+		}
+		o.taken = o.cls == isa.ClassBranch && tr.Taken
+		l.ops[k] = o
+	}
+	pred := newPredictor(g)
+	dcache := newCache(g.CacheKB, g.LineBytes)
+	var icache *cache
+	if g.ICacheKB > 0 {
+		icache = newCache(g.ICacheKB, g.LineBytes)
+		l.ifMiss = make([]uint64, len(l.miss))
+	}
+	st := &l.counts
+	var memIdx int
+	for i, s := range rec.idx {
+		tr := &rec.static[s]
+		bit := uint64(1) << (i & 63)
+		if icache != nil && !icache.access(tr.PC) {
+			st.IFMisses++
+			l.ifMiss[i>>6] |= bit
+		}
+		switch l.ops[s].cls {
+		case isa.ClassBranch:
+			if tr.Inst.Op.IsCond() {
+				st.CondBr++
+			}
+			if !pred.predict(tr) {
+				st.Mispredicts++
+				l.miss[i>>6] |= bit
+			}
+		case isa.ClassLoad:
+			st.Loads++
+			if !dcache.access(rec.addr[memIdx]) {
+				st.LoadMisses++
+				l.miss[i>>6] |= bit
+			}
+			memIdx++
+		case isa.ClassStore:
+			dcache.access(rec.addr[memIdx])
+			memIdx++
+		}
+	}
+	st.Instrs = uint64(len(rec.idx))
+	return l
+}
+
 // ring holds per-index timestamps for window-occupancy constraints.
 // Capacity rounds the window up to a power of two so the hot-path index
 // is a mask instead of a division; a slot stays live for at least
@@ -165,32 +269,85 @@ func (r *ring) push(i uint64, v uint64) { r.buf[i&r.mask] = v }
 // last capacity pushes; an index never pushed reads 0).
 func (r *ring) at(i uint64) uint64 { return r.buf[i&r.mask] }
 
-// portSched tracks per-cycle usage of an execution port class.
+// portSched tracks per-cycle usage of an execution port class in a ring
+// of cycles. Each slot packs cycle<<16 | ports used in that cycle.
+//
+// A slot whose cycle is below the current instruction's fetch cycle is
+// dead: fetch never decreases and every request is at least fetch +
+// FrontStages + 1, so no later request can name it. A probe that lands
+// on a live slot of another cycle doubles the ring instead of
+// overwriting it, so the schedule is exact however far ahead requests
+// reach.
 type portSched struct {
-	width int
-	used  []uint16
-	tag   []uint64
+	width uint64
+	slot  []uint64
 	mask  uint64
+	full  bool   // some probe found its cycle full
+	peak  uint64 // most ports used in one cycle
 }
 
+// portWindow is a port ring's starting size in cycles.
+const portWindow = 256
+
+// newPortSched returns a port class of width ports. The width clamps at
+// 65,535, the most claims one slot can count; a cycle's claims stay far
+// below that unless the ROB holds tens of thousands of entries.
 func newPortSched(width int) *portSched {
-	const window = 1 << 14
-	return &portSched{width: width, used: make([]uint16, window), tag: make([]uint64, window), mask: window - 1}
+	return &portSched{width: uint64(min(width, 1<<16-1)), slot: make([]uint64, portWindow), mask: portWindow - 1}
 }
 
-// alloc finds the earliest cycle >= c with a free port and claims it.
-func (p *portSched) alloc(c uint64) uint64 {
-	for {
-		idx := c & p.mask
-		if p.tag[idx] != c {
-			p.tag[idx] = c
-			p.used[idx] = 0
+// occupy claims one port in each cycle of [from, to), each claim as
+// alloc makes it.
+func (p *portSched) occupy(from, to, live uint64) {
+	for c := from; c < to; c++ {
+		if !p.claim(c, live) {
+			p.alloc(c, live)
 		}
-		if int(p.used[idx]) < p.width {
-			p.used[idx]++
-			return c
+	}
+}
+
+// claim claims a port in cycle c if c's slot is dead or holds c with a
+// port free. A failed claim changes nothing. It is alloc's fast path,
+// small enough to inline where alloc is not.
+func (p *portSched) claim(c, live uint64) bool {
+	s := &p.slot[c&p.mask]
+	if *s < live<<16 {
+		*s = c << 16 // the slot of a dead cycle
+	}
+	n := *s - c<<16 // c's claims so far, or huge when another cycle holds s
+	if n >= p.width {
+		return false
+	}
+	*s++
+	p.peak = max(p.peak, n+1)
+	return true
+}
+
+// alloc finds the earliest cycle >= c with a free port and claims it;
+// live is the current instruction's fetch cycle, and c > live.
+func (p *portSched) alloc(c, live uint64) uint64 {
+	for !p.claim(c, live) {
+		if p.slot[c&p.mask]>>16 == c {
+			p.full = true // cycle c is full
+			c++
+		} else {
+			p.grow(live) // another live cycle holds c's slot
 		}
-		c++
+	}
+	return c
+}
+
+// grow doubles the ring, keeping the slots of cycles >= live. Two live
+// cycles never share a slot of the doubled ring, because they did not
+// share one of the old ring.
+func (p *portSched) grow(live uint64) {
+	old := p.slot
+	p.slot = make([]uint64, 2*len(old))
+	p.mask = uint64(len(p.slot) - 1)
+	for _, s := range old {
+		if t := s >> 16; t >= live {
+			p.slot[t&p.mask] = s
+		}
 	}
 }
 
@@ -206,14 +363,14 @@ type predictor struct {
 	rasTop  int
 }
 
-func newPredictor(cfg Config) *predictor {
+func newPredictor(g Geometry) *predictor {
 	return &predictor{
-		pht:     make([]uint8, 1<<cfg.PredBits),
-		phtMask: 1<<cfg.PredBits - 1,
-		btbTag:  make([]uint32, 1<<cfg.BTBBits),
-		btbTgt:  make([]uint32, 1<<cfg.BTBBits),
-		btbMask: 1<<cfg.BTBBits - 1,
-		ras:     make([]uint32, cfg.RAS),
+		pht:     make([]uint8, 1<<g.PredBits),
+		phtMask: 1<<g.PredBits - 1,
+		btbTag:  make([]uint32, 1<<g.BTBBits),
+		btbTgt:  make([]uint32, 1<<g.BTBBits),
+		btbMask: 1<<g.BTBBits - 1,
+		ras:     make([]uint32, g.RAS),
 	}
 }
 
@@ -273,21 +430,21 @@ func (p *predictor) btbInsert(pc, target uint32) {
 	p.btbTgt[idx] = target
 }
 
-// dcache is a direct-mapped data cache.
-type dcache struct {
+// cache is a direct-mapped cache.
+type cache struct {
 	tags  []uint32
 	valid []bool
 	shift uint
 	mask  uint32
 }
 
-func newDcache(cfg Config) *dcache {
-	sets := cfg.CacheKB * 1024 / cfg.LineBytes
+func newCache(kb, lineBytes int) *cache {
+	sets := kb * 1024 / lineBytes
 	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
+	for 1<<shift < lineBytes {
 		shift++
 	}
-	return &dcache{
+	return &cache{
 		tags:  make([]uint32, sets),
 		valid: make([]bool, sets),
 		shift: shift,
@@ -296,7 +453,7 @@ func newDcache(cfg Config) *dcache {
 }
 
 // access returns true on hit and allocates the line.
-func (c *dcache) access(addr uint32) bool {
+func (c *cache) access(addr uint32) bool {
 	line := addr >> c.shift
 	set := line & c.mask
 	hit := c.valid[set] && c.tags[set] == line
@@ -306,22 +463,46 @@ func (c *dcache) access(addr uint32) bool {
 }
 
 // Run simulates the recorded stream on the configured core and returns
-// statistics.
+// statistics: Lower under cfg's Geometry, then Replay.
 func Run(rec *Recorded, cfg Config) Stats {
-	var st Stats
-	pred := newPredictor(cfg)
-	cache := newDcache(cfg)
+	st, _ := Replay(Lower(rec, cfg.Geometry()), cfg)
+	return st
+}
 
-	var icache *dcache
-	if cfg.ICacheKB > 0 {
-		iCfg := cfg
-		iCfg.CacheKB = cfg.ICacheKB
-		icache = newDcache(iCfg)
+// Replay times a lowered stream on the configured core; l must have been
+// lowered for cfg.Geometry().
+//
+// BackWidth enters the timing only as the ALU port count and the
+// divider count, max(1, BackWidth-2) each. When no ALU probe found its
+// cycle full and no divide waited for a divider, every configuration
+// equal to cfg but for a BackWidth >= minBack has these same Stats,
+// where minBack-2 is the larger of the most ALU ports used in one cycle
+// and one more than the most dividers busy at a divide. Otherwise
+// minBack is 0.
+func Replay(l *Lowered, cfg Config) (st Stats, minBack int) {
+	if g := cfg.Geometry(); g != l.geom {
+		panic(fmt.Sprintf("uarch: replaying a stream lowered for %+v under %+v", l.geom, g))
 	}
-
-	aluPorts := newPortSched(max(1, cfg.BackWidth-2))
+	st = l.counts
+	width := max(1, cfg.BackWidth-2)
+	aluPorts := newPortSched(width)
 	memPorts := newPortSched(1)
 	brPorts := newPortSched(1)
+
+	// Issue port and latency per instruction class; a load that misses
+	// takes loadMissLat instead.
+	ports := [...]*portSched{
+		isa.ClassALU: aluPorts, isa.ClassMul: aluPorts, isa.ClassDiv: aluPorts,
+		isa.ClassLoad: memPorts, isa.ClassStore: memPorts,
+		isa.ClassBranch: brPorts, isa.ClassSys: aluPorts,
+	}
+	exec := uint64(cfg.ExecStages)
+	lats := [...]uint64{
+		isa.ClassALU: 1 + exec, isa.ClassMul: uint64(cfg.MulLat) + exec, isa.ClassDiv: uint64(cfg.DivLat) + exec,
+		isa.ClassLoad: uint64(1+cfg.HitLat) + exec, isa.ClassStore: 1 + exec,
+		isa.ClassBranch: 1 + exec, isa.ClassSys: 1 + exec,
+	}
+	loadMissLat := uint64(1+cfg.MissLat) + exec
 
 	retireHist := newRing(cfg.ROB) // retire time per instr, ROB lookback
 	issueHist := newRing(cfg.IQ)   // issue time per instr, IQ lookback
@@ -332,78 +513,62 @@ func Run(rec *Recorded, cfg Config) Stats {
 	var regReady [32]uint64
 
 	// Fetch state.
-	var cycle uint64 = 1 // current fetch cycle
+	var fetch uint64 = 1 // current fetch cycle
 	slots := cfg.FrontWidth
-	var redirect uint64 // earliest fetch cycle after a mispredict
+	var redirect uint64    // earliest fetch cycle after a mispredict
+	var takenBubble uint64 // fetch bubble after a taken branch
 
 	// Retire state.
 	var lastRetire uint64
 	retireSlots := cfg.FrontWidth
-	var retireCycle uint64
 	// One iterative divider per ALU pipe (AnyCore's complex pipes).
-	divFree := make([]uint64, max(1, cfg.BackWidth-2))
-	var takenBubble uint64 // fetch bubble after a taken branch
+	divFree := make([]uint64, width)
+	divWaited := false
+	var divPeak uint64 // one more than the most dividers busy at a divide
 
 	var i uint64 // dynamic instruction index
 	var memIdx uint64
 
-	for _, s := range rec.idx {
-		tr := &rec.static[s]
-		in := tr.Inst
-		cls := in.Op.Class()
+	for _, s := range l.idx {
+		o := &l.ops[s]
+		outcome := l.miss[i>>6]>>(i&63)&1 != 0
 		// --- Fetch ---
-		fetch := cycle
 		if takenBubble > 0 {
-			cycle += takenBubble
-			fetch = cycle
+			fetch += takenBubble
 			slots = cfg.FrontWidth
 			takenBubble = 0
 		}
 		if redirect > fetch {
 			fetch = redirect
-			cycle = redirect
 			slots = cfg.FrontWidth
 		}
 		// ROB occupancy: instr i needs instr i-ROB retired.
 		if i >= uint64(cfg.ROB) {
 			if r := retireHist.at(i - uint64(cfg.ROB)); r+1 > fetch {
 				fetch = r + 1
-				cycle = fetch
 				slots = cfg.FrontWidth
 			}
 		}
 		if slots == 0 {
-			cycle++
-			fetch = cycle
-			if fetch < redirect {
-				fetch = redirect
-				cycle = redirect
-			}
+			fetch++
 			slots = cfg.FrontWidth
 		}
 		if slots == cfg.FrontWidth {
 			// Fetch is served from aligned 8-instruction blocks (icache
 			// rows): entering mid-block (branch target) yields only the
 			// remaining instructions of the row this cycle.
-			if rem := 8 - int(tr.PC/4)%8; rem < slots {
-				slots = rem
-			}
+			slots = min(slots, int(o.rem))
 		}
 		// Instruction-cache miss: the fetch group stalls for the miss
 		// latency (modeled as a front-end bubble).
-		if icache != nil && !icache.access(tr.PC) {
-			st.IFMisses++
-			cycle += uint64(cfg.MissLat)
-			fetch = cycle
-			slots = cfg.FrontWidth
-			if rem := 8 - int(tr.PC/4)%8; rem < slots {
-				slots = rem
-			}
+		if l.ifMiss != nil && l.ifMiss[i>>6]>>(i&63)&1 != 0 {
+			fetch += uint64(cfg.MissLat)
+			slots = min(cfg.FrontWidth, int(o.rem))
 		}
 		slots--
 		// Taken control flow ends the fetch group and costs a fetch
 		// redirect bubble even when predicted (BTB-steered refetch).
-		if cls == isa.ClassBranch && tr.Taken {
+		if o.taken {
 			slots = 0
 			takenBubble = 1
 		}
@@ -415,7 +580,7 @@ func Run(rec *Recorded, cfg Config) Stats {
 				disp = is + 1
 			}
 		}
-		isMem := cls == isa.ClassLoad || cls == isa.ClassStore
+		isMem := o.cls == isa.ClassLoad || o.cls == isa.ClassStore
 		if isMem && memIdx >= uint64(cfg.LSQ) {
 			if r := memHist.at(memIdx - uint64(cfg.LSQ)); r+1 > disp {
 				disp = r + 1
@@ -423,92 +588,65 @@ func Run(rec *Recorded, cfg Config) Stats {
 		}
 
 		// --- Operand readiness (full bypass + wakeup-loop penalty) ---
-		ready := disp + 1
-		if s := regReady[in.Rs1]; in.Rs1 != 0 && s > ready {
-			ready = s
-		}
-		if in.Op.UsesRs2() && in.Rs2 != 0 {
-			if s := regReady[in.Rs2]; s > ready {
-				ready = s
-			}
-		}
+		// Register 0 is never written, so it is never later than disp+1.
+		ready := max(disp+1, regReady[o.rs1], regReady[o.rs2])
 
 		// --- Issue (port arbitration) ---
-		var issue uint64
-		lat := uint64(1 + cfg.ExecStages)
-		switch cls {
-		case isa.ClassMul:
-			issue = aluPorts.alloc(ready)
-			lat = uint64(cfg.MulLat + cfg.ExecStages)
-		case isa.ClassDiv:
+		want := ready
+		var dv int
+		if o.cls == isa.ClassDiv {
 			// Pick the earliest-free divider (one per ALU pipe).
-			dv := 0
-			for k := range divFree {
-				if divFree[k] < divFree[dv] {
+			var busy uint64
+			for k, f := range divFree {
+				if f < divFree[dv] {
 					dv = k
 				}
+				if f > ready {
+					busy++
+				}
 			}
-			want := ready
+			divPeak = max(divPeak, busy+1)
 			if divFree[dv] > want {
 				want = divFree[dv]
+				divWaited = true
 			}
-			issue = aluPorts.alloc(want)
-			lat = uint64(cfg.DivLat + cfg.ExecStages)
+		}
+		p := ports[o.cls]
+		issue := want
+		if !p.claim(want, fetch) {
+			issue = p.alloc(want, fetch)
+		}
+		lat := lats[o.cls]
+		if o.cls == isa.ClassLoad && outcome {
+			lat = loadMissLat
+		}
+		if o.cls == isa.ClassDiv {
 			divFree[dv] = issue + lat
 			// The iterative divider occupies its execution pipe for the
 			// whole operation (DesignWare stallable divider).
-			for c := issue + 1; c < issue+lat; c++ {
-				aluPorts.alloc(c)
-			}
-		case isa.ClassLoad:
-			issue = memPorts.alloc(ready)
-			st.Loads++
-			if cache.access(rec.addr[memIdx]) {
-				lat = uint64(1 + cfg.HitLat + cfg.ExecStages)
-			} else {
-				st.LoadMisses++
-				lat = uint64(1 + cfg.MissLat + cfg.ExecStages)
-			}
-		case isa.ClassStore:
-			issue = memPorts.alloc(ready)
-			cache.access(rec.addr[memIdx])
-		case isa.ClassBranch:
-			issue = brPorts.alloc(ready)
-		default:
-			issue = aluPorts.alloc(ready)
+			aluPorts.occupy(issue+1, issue+lat, fetch)
 		}
 		done := issue + lat
 
 		// Writer wakes consumers IssueStages later than ideal.
-		if in.Rd != 0 {
-			regReady[in.Rd] = done + uint64(cfg.IssueStages)
+		if o.rd != 0 {
+			regReady[o.rd] = done + uint64(cfg.IssueStages)
 		}
 
 		// --- Branch resolution ---
-		if cls == isa.ClassBranch {
-			if in.Op.IsCond() {
-				st.CondBr++
-			}
-			if !pred.predict(tr) {
-				st.Mispredicts++
-				if done+1 > redirect {
-					redirect = done + 1
-				}
-			}
+		if o.cls == isa.ClassBranch && outcome && done+1 > redirect {
+			redirect = done + 1
 		}
 
 		// --- Retire (in order, FrontWidth per cycle) ---
 		ret := done + 1
-		if ret <= lastRetire {
-			ret = lastRetire
-		}
-		if ret != retireCycle {
-			retireCycle = ret
+		if ret > lastRetire {
 			retireSlots = cfg.FrontWidth
+		} else {
+			ret = lastRetire
 		}
 		if retireSlots == 0 {
 			ret++
-			retireCycle = ret
 			retireSlots = cfg.FrontWidth
 		}
 		retireSlots--
@@ -522,7 +660,6 @@ func Run(rec *Recorded, cfg Config) Stats {
 		}
 		i++
 	}
-	st.Instrs = i
 	st.Cycles = lastRetire
 	if st.Cycles > 0 {
 		st.IPC = float64(st.Instrs) / float64(st.Cycles)
@@ -533,7 +670,10 @@ func Run(rec *Recorded, cfg Config) Stats {
 	if st.Loads > 0 {
 		st.MissRate = float64(st.LoadMisses) / float64(st.Loads)
 	}
-	return st
+	if !aluPorts.full && !divWaited {
+		minBack = int(max(1, aluPorts.peak, divPeak)) + 2
+	}
+	return st, minBack
 }
 
 func b2u(b bool) uint32 {
@@ -541,11 +681,4 @@ func b2u(b bool) uint32 {
 		return 1
 	}
 	return 0
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

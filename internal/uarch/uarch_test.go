@@ -27,15 +27,17 @@ func dependentChain(n int) []isa.Trace {
 	return trs
 }
 
-func run(trs []isa.Trace, cfg Config) Stats {
+func recordOf(trs []isa.Trace) *Recorded {
 	var rec Recorded
 	for _, tr := range trs {
 		if err := rec.Append(tr); err != nil {
 			panic(err)
 		}
 	}
-	return Run(&rec, cfg)
+	return &rec
 }
+
+func run(trs []isa.Trace, cfg Config) Stats { return Run(recordOf(trs), cfg) }
 
 // record runs the named workload on the functional ISA, verifies its
 // checksum and returns its recorded stream.
@@ -221,11 +223,30 @@ func TestRingAndPorts(t *testing.T) {
 		t.Fatalf("ring at(9) = %d", got)
 	}
 	p := newPortSched(2)
-	c1 := p.alloc(5)
-	c2 := p.alloc(5)
-	c3 := p.alloc(5)
+	c1 := p.alloc(5, 1)
+	c2 := p.alloc(5, 1)
+	c3 := p.alloc(5, 1)
 	if c1 != 5 || c2 != 5 || c3 != 6 {
 		t.Fatalf("port alloc = %d %d %d, want 5 5 6", c1, c2, c3)
+	}
+	if !p.full || p.peak != 2 {
+		t.Fatalf("full %v, peak %d; want true, 2", p.full, p.peak)
+	}
+	// Cycle 5+portWindow shares cycle 5's slot. While cycle 5 is live
+	// the ring doubles instead of overwriting it; once fetch has passed
+	// cycle 6, the slot is reused in place.
+	far := uint64(5 + portWindow)
+	if c := p.alloc(far, 2); c != far {
+		t.Fatalf("alloc(%d) = %d", far, c)
+	}
+	if len(p.slot) != 2*portWindow {
+		t.Fatalf("ring of %d slots after a live collision, want %d", len(p.slot), 2*portWindow)
+	}
+	if c := p.alloc(5, 2); c != 6 {
+		t.Fatalf("cycle 5 forgot its 2 claims across the grow: alloc = %d", c)
+	}
+	if c := p.alloc(5+2*portWindow, 7); c != 5+2*portWindow || len(p.slot) != 2*portWindow {
+		t.Fatalf("dead slot: alloc = %d, ring %d slots", c, len(p.slot))
 	}
 }
 
@@ -426,5 +447,104 @@ func TestAppendRejectsTooManyRecords(t *testing.T) {
 	// A repeat of a stored record still fits.
 	if err := rec.Append(isa.Trace{PC: 0, Inst: isa.Inst{Op: isa.ADD, Rd: 5}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPortWindowDoesNotAlias(t *testing.T) {
+	// With 1024-entry windows and 1024-cycle latencies, requests reach
+	// far more than 16,384 cycles past fetch: a fixed window of that size
+	// overwrote live port claims and reported 199,680,842 and 51,223,658
+	// cycles.
+	rec := record(t, "gap")
+	low := Lower(rec, DefaultConfig().Geometry())
+	for _, c := range []struct {
+		lat     int
+		missLat int
+		cycles  uint64
+	}{{1024, 1024, 204824027}, {256, 20, 51224027}} {
+		cfg := DefaultConfig()
+		cfg.ROB, cfg.IQ, cfg.LSQ = 1024, 1024, 1024
+		cfg.MulLat, cfg.DivLat, cfg.MissLat = c.lat, c.lat, c.missLat
+		want := Stats{Instrs: 520008, Cycles: c.cycles, CondBr: 72001, Mispredicts: 4003, Loads: 4001, LoadMisses: 17}
+		want.IPC = float64(want.Instrs) / float64(want.Cycles)
+		want.MPKI = 1000 * float64(want.Mispredicts) / float64(want.Instrs)
+		want.MissRate = float64(want.LoadMisses) / float64(want.Loads)
+		if got, _ := Replay(low, cfg); got != want {
+			t.Errorf("latencies %d, miss %d:\n got %+v\nwant %+v", c.lat, c.missLat, got, want)
+		}
+	}
+}
+
+func TestContendedALUHasNoEquivalentWidth(t *testing.T) {
+	// Four independent ADDs fetched a cycle contend for one ALU pipe, so
+	// the run cannot stand in for any other back-end width.
+	rec := recordOf(independentALU(20000))
+	cfg := DefaultConfig()
+	cfg.FrontWidth, cfg.BackWidth = 4, 3
+	narrow, minBack := Replay(Lower(rec, cfg.Geometry()), cfg)
+	if minBack != 0 {
+		t.Fatalf("contended run reports minBack %d, want 0", minBack)
+	}
+	cfg.BackWidth = 4
+	if wide := Run(rec, cfg); wide.Cycles >= narrow.Cycles {
+		t.Fatalf("a second ALU pipe did not help: %d vs %d cycles", wide.Cycles, narrow.Cycles)
+	}
+}
+
+func TestUncontendedRunCoversEveryWidthFromMinBack(t *testing.T) {
+	// A dependent chain with a divide in every eighth link issues at
+	// most one ALU op a cycle and never finds its divider busy: one
+	// pipe serves it, so every BackWidth from 3 up times it alike.
+	trs := dependentChain(4000)
+	for k := 0; k < len(trs); k += 8 {
+		trs[k].Inst.Op = isa.DIV
+	}
+	rec := recordOf(trs)
+	cfg := DefaultConfig()
+	cfg.FrontWidth, cfg.BackWidth = 4, 7
+	want, minBack := Replay(Lower(rec, cfg.Geometry()), cfg)
+	if minBack != 3 {
+		t.Fatalf("minBack %d, want 3", minBack)
+	}
+	for be := 3; be <= 9; be++ {
+		cfg.BackWidth = be
+		if got := Run(rec, cfg); got != want {
+			t.Errorf("back width %d: %+v, want %+v", be, got, want)
+		}
+	}
+}
+
+func TestReplayRejectsOtherGeometry(t *testing.T) {
+	cfg := DefaultConfig()
+	low := Lower(recordOf(dependentChain(10)), cfg.Geometry())
+	cfg.PredBits++
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Replay accepted a stream lowered for another geometry")
+		}
+	}()
+	Replay(low, cfg)
+}
+
+func TestDividerBookedAheadCountsAsBusy(t *testing.T) {
+	// The first divide waits on a missing load and books its divider
+	// from about cycle 25; the second is independent and issues at once,
+	// using one ALU port a cycle. Its divider was free only because a
+	// second one existed: on one divider it waits for the first.
+	trs := []isa.Trace{
+		{PC: 0, Inst: isa.Inst{Op: isa.LW, Rd: 5}, MemAddr: 4096},
+		{PC: 4, Inst: isa.Inst{Op: isa.DIV, Rd: 6, Rs1: 5, Rs2: 5}},
+		{PC: 8, Inst: isa.Inst{Op: isa.DIV, Rd: 7}},
+	}
+	rec := recordOf(trs)
+	cfg := DefaultConfig()
+	cfg.BackWidth = 4
+	two, minBack := Replay(Lower(rec, cfg.Geometry()), cfg)
+	if minBack != 4 {
+		t.Fatalf("minBack %d, want 4", minBack)
+	}
+	cfg.BackWidth = 3
+	if one := Run(rec, cfg); one.Cycles <= two.Cycles {
+		t.Fatalf("one divider: %d cycles, two: %d; want more on one", one.Cycles, two.Cycles)
 	}
 }

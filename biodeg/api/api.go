@@ -20,10 +20,12 @@
 //	     next: the daemon's -checkpoint journal resumes interrupted
 //	     sweeps and /metricsz serves the stage counters. All four
 //	     routes now answer 404. The circuit breaker was removed
-//	     last: /healthz and /v1/faultz no longer carry a "breaker" key,
-//	     and a 503 unavailable now means only that the leading client
-//	     of a coalesced computation disconnected; every other engine
-//	     failure is a 500 internal.
+//	     next: /healthz no longer carries a "breaker" key, and a 503
+//	     unavailable now means only that the leading client of a
+//	     coalesced computation disconnected; every other engine
+//	     failure is a 500 internal. The fault-counter route GET
+//	     /v1/faultz was removed last and answers 404: the counts it
+//	     copied are /metricsz series.
 package api
 
 import (

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/config"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -27,11 +28,12 @@ func TestWithCheckpointBindsJournal(t *testing.T) {
 
 	// Work journaled under this session is visible to a later session
 	// on the same directory — the crash-resume path.
+	commits, skipped := obs.Count(obs.StageCheckpointCommit), obs.Count(obs.StageCheckpointSkipped)
 	if _, err := runner.Checkpointed(ctx, "unit/k", func(context.Context) (int, error) { return 5, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CheckpointStats(); st.Committed != 1 {
-		t.Errorf("CheckpointStats = %+v, want 1 committed", st)
+	if d := obs.Count(obs.StageCheckpointCommit) - commits; d != 1 {
+		t.Errorf("checkpoint.commit grew by %d, want 1", d)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -49,8 +51,14 @@ func TestWithCheckpointBindsJournal(t *testing.T) {
 	if err != nil || v != 5 {
 		t.Fatalf("resumed Checkpointed = %v, %v; want 5 replayed", v, err)
 	}
-	if st := s2.CheckpointStats(); st.Replayed != 1 || st.Records != 1 {
-		t.Errorf("resumed CheckpointStats = %+v", st)
+	if d := obs.Count(obs.StageCheckpointSkipped) - skipped; d != 1 {
+		t.Errorf("checkpoint.skipped grew by %d, want 1", d)
+	}
+	if d := obs.Count(obs.StageCheckpointCommit) - commits; d != 1 {
+		t.Errorf("checkpoint.commit grew by %d after the replay, want still 1", d)
+	}
+	if n := s2.cpJournal.Len(); n != 1 {
+		t.Errorf("resumed journal holds %d records, want 1", n)
 	}
 }
 
@@ -90,11 +98,15 @@ func TestSessionWithoutCheckpointNeedsNoClose(t *testing.T) {
 	if runner.CheckpointFrom(ctx) != nil {
 		t.Error("checkpoint attached without Config.Checkpoint")
 	}
+	commits := obs.Count(obs.StageCheckpointCommit)
+	if _, err := runner.Checkpointed(ctx, "unit/k", func(context.Context) (int, error) { return 5, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if d := obs.Count(obs.StageCheckpointCommit) - commits; d != 0 || s.cpJournal != nil {
+		t.Errorf("unjournaled session committed %d records (journal %v), want none", d, s.cpJournal)
+	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close on an unjournaled session: %v", err)
-	}
-	if st := s.CheckpointStats(); st != (checkpoint.Stats{}) {
-		t.Errorf("CheckpointStats = %+v, want zero", st)
 	}
 }
 

@@ -115,15 +115,6 @@ func (s *Session) bind(ctx context.Context) (context.Context, error) {
 	return ctx, nil
 }
 
-// CheckpointStats reports the session journal's activity so far (zero
-// when the session has no checkpoint directory or has not yet run).
-func (s *Session) CheckpointStats() checkpoint.Stats {
-	if s.cpJournal == nil {
-		return checkpoint.Stats{}
-	}
-	return s.cpJournal.Stats()
-}
-
 // Close releases the session's checkpoint journal, if one was opened.
 // Committed records are already durable; Close only ends the session.
 // A Session without a checkpoint needs no Close.

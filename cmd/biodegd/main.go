@@ -13,15 +13,15 @@
 //	GET  /healthz                    liveness + traffic counters + build info
 //	GET  /metricsz                   Prometheus text exposition (?format=text
 //	                                 for the per-stage wall-time report)
-//	GET  /v1/faultz                  chaos counters (injected + observed)
 //	GET  /v1/experiments             registry listing
 //	POST /v1/experiments/{id}/run    run one experiment
 //	POST /v1/sweeps/{kind}           alu-depth | core-depth | width
 //	POST /v1/simulate                one benchmark through the core model
 //
-// Sweep progress is the per-stage counters /metricsz serves
-// (biodeg_stage_events_total{stage}); profiles come from the common
-// -pprof flag, which serves them on a separate address.
+// Sweep progress, injected faults and engine failures are the
+// per-stage counters /metricsz serves (biodeg_stage_events_total{stage});
+// profiles come from the common -pprof flag, which serves them on a
+// separate address.
 //
 // Every non-2xx response from a /v1/* route is the versioned
 // problem+json error envelope {code, message, retry_after_s, detail}
@@ -52,8 +52,8 @@
 // machine-readable logs) and carries the span_id of its enclosing
 // span, so logs correlate with -trace output. With -faults the daemon
 // injects deterministic chaos into its own sweeps (sites
-// "server:{path}", "depth-point:...", ...) and reports counters at
-// /v1/faultz.
+// "server:{path}", "depth-point:...", ...) and counts each firing on
+// /metricsz (stage "fault.<kind>").
 package main
 
 import (

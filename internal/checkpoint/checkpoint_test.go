@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 var testMeta = Meta{
@@ -38,6 +39,7 @@ func TestCommitReopenReplaysIdentically(t *testing.T) {
 	if rec.Records != 0 || rec.TruncatedBytes != 0 {
 		t.Fatalf("fresh journal recovery = %+v, want empty", rec)
 	}
+	commits := obs.Count(obs.StageCheckpointCommit)
 	want := map[string]string{
 		"alu/organic/wire/n1": `{"freq":1234.5678901234567}`,
 		"alu/organic/wire/n2": `{"freq":0.1}`,
@@ -48,10 +50,14 @@ func TestCommitReopenReplaysIdentically(t *testing.T) {
 			t.Fatalf("Commit(%s): %v", k, err)
 		}
 	}
+	if d := obs.Count(obs.StageCheckpointCommit) - commits; d != int64(len(want)) {
+		t.Errorf("checkpoint.commit grew by %d, want %d", d, len(want))
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	commits = obs.Count(obs.StageCheckpointCommit)
 	j2, rec2 := openT(t, path, testMeta)
 	if rec2.Records != len(want) || rec2.TruncatedBytes != 0 {
 		t.Fatalf("reopen recovery = %+v, want %d clean records", rec2, len(want))
@@ -65,8 +71,11 @@ func TestCommitReopenReplaysIdentically(t *testing.T) {
 			t.Errorf("Lookup(%s) = %s, want %s (must be byte-identical)", k, got, v)
 		}
 	}
-	if st := j2.Stats(); st.Replayed != int64(len(want)) || st.Committed != 0 {
-		t.Errorf("Stats = %+v, want %d replayed, 0 committed", st, len(want))
+	if j2.Len() != len(want) {
+		t.Errorf("Len = %d after reopen, want %d", j2.Len(), len(want))
+	}
+	if d := obs.Count(obs.StageCheckpointCommit) - commits; d != 0 {
+		t.Errorf("reopen and lookups grew checkpoint.commit by %d, want 0", d)
 	}
 }
 

@@ -49,10 +49,11 @@
 // # Observability
 //
 // Open emits a "checkpoint.load" span (records recovered, bytes
-// truncated) and Commit a "checkpoint.commit" span; commits and
-// replayed lookups feed the "checkpoint.commit" and
-// "checkpoint.skipped" metrics counters via internal/runner's
-// Checkpointed wrapper. Commit is also a fault-injection site
+// truncated) and Commit a "checkpoint.commit" span. The journal's only
+// tallies are metrics counters: each appended record counts in
+// "checkpoint.commit", and internal/runner's Checkpointed wrapper
+// counts each replayed point in "checkpoint.skipped" (Len reports the
+// keys the journal holds). Commit is also a fault-injection site
 // ("checkpoint:commit"), so chaos specs — including kinds=kill hard
 // crashes — exercise the mid-write path the recovery scan guards.
 package checkpoint

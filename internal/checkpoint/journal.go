@@ -75,17 +75,6 @@ type Recovery struct {
 	TruncatedBytes int64
 }
 
-// Stats is a point-in-time snapshot of a journal's activity.
-type Stats struct {
-	// Records is the total number of committed keys (recovered +
-	// committed this process).
-	Records int `json:"records"`
-	// Committed counts records appended by this process.
-	Committed int64 `json:"committed"`
-	// Replayed counts Lookup hits served from the journal.
-	Replayed int64 `json:"replayed"`
-}
-
 // ConfigDigest folds a set of configuration knobs into the short
 // deterministic digest stored in (and required of) a journal header:
 // sorted k=v lines, SHA-256, first 16 hex characters.
@@ -116,8 +105,6 @@ type Journal struct {
 	f      *os.File
 	recs   map[string][]byte
 	closed bool
-
-	committed, replayed int64 // guarded by mu
 }
 
 // frame renders one length+CRC framed payload.
@@ -309,23 +296,12 @@ func (j *Journal) Len() int {
 	return len(j.recs)
 }
 
-// Stats snapshots the journal's counters.
-func (j *Journal) Stats() Stats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return Stats{Records: len(j.recs), Committed: j.committed, Replayed: j.replayed}
-}
-
-// Lookup returns the committed value for key, counting a hit as one
-// replayed point. The returned bytes are shared — callers must not
-// mutate them.
+// Lookup returns the committed value for key. The returned bytes are
+// shared — callers must not mutate them.
 func (j *Journal) Lookup(key string) ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v, ok := j.recs[key]
-	if ok {
-		j.replayed++
-	}
 	return v, ok
 }
 
@@ -367,7 +343,6 @@ func (j *Journal) Commit(ctx context.Context, key string, value []byte) error {
 		return fmt.Errorf("checkpoint: fsync: %w", err)
 	}
 	j.recs[key] = append([]byte(nil), value...)
-	j.committed++
 	obs.Add(obs.StageCheckpointCommit, 1)
 	return nil
 }

@@ -57,7 +57,9 @@
 // lookup and nothing else.
 //
 // Every injected fault bumps a metrics counter (fault.error,
-// fault.latency, fault.panic) and emits a "fault.injected" span with
-// the site and kind, so a chaos run is fully traceable; Snapshot
-// returns the cumulative counters the daemon serves at /v1/faultz.
+// fault.latency, fault.panic, fault.kill) and emits a "fault.injected"
+// span with the site and kind, so a chaos run is fully traceable. The
+// counters are the only tally: the daemon serves them at /metricsz as
+// biodeg_stage_events_total{stage="fault.<kind>"}, and the spans in a
+// -jsonl trace give the per-site detail.
 package fault

@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -36,7 +33,6 @@ const (
 	// layer, deferred call or drain runs. Never part of the default
 	// kind set; it must be named explicitly (kinds=...+kill).
 	KindKill
-	numKinds
 )
 
 // String returns the spec-syntax name of the kind.
@@ -185,17 +181,12 @@ func Parse(s string) (Spec, error) {
 	return spec, nil
 }
 
-// Injector decides and executes fault injections for one Spec, keeping
-// cumulative counters for /v1/faultz. A nil *Injector is valid and
-// injects nothing.
+// Injector decides and executes fault injections for one Spec. A nil
+// *Injector is valid and injects nothing.
 type Injector struct {
 	spec    Spec
 	latency time.Duration
 	kinds   []Kind
-
-	injected [numKinds]atomic.Int64
-	mu       sync.Mutex
-	stages   map[string]int64 // injections per stage (site's first segment)
 }
 
 // New builds an Injector for spec, or nil when the spec is disabled —
@@ -208,7 +199,6 @@ func New(spec Spec) *Injector {
 		spec:    spec,
 		latency: spec.latency(),
 		kinds:   spec.kinds(),
-		stages:  map[string]int64{},
 	}
 }
 
@@ -255,20 +245,9 @@ func (in *Injector) match(site string) bool {
 	return false
 }
 
-// stageOf truncates a site name to its stage (the first ':' segment).
-func stageOf(site string) string {
-	if i := strings.IndexByte(site, ':'); i >= 0 {
-		return site[:i]
-	}
-	return site
-}
-
-// record counts one injection and emits its span and metrics counter.
+// record counts one injection in its fault.{kind} metrics counter and
+// emits its span, whose site attribute carries the per-site detail.
 func (in *Injector) record(ctx context.Context, site string, kind Kind) {
-	in.injected[kind].Add(1)
-	in.mu.Lock()
-	in.stages[stageOf(site)]++
-	in.mu.Unlock()
 	obs.Add("fault."+kind.String(), 1)
 	_, sp := obs.Start(ctx, "fault.injected",
 		obs.KV("site", site), obs.KV("kind", kind.String()))
@@ -309,46 +288,6 @@ func (in *Injector) Inject(ctx context.Context, site string) error {
 		os.Exit(KillExitCode)
 	}
 	return fmt.Errorf("%w: %s at %s (attempt %d)", ErrInjected, KindError, site, attempt)
-}
-
-// StageCount is one per-stage injection total of a Counters snapshot.
-type StageCount struct {
-	Stage string `json:"stage"`
-	Count int64  `json:"count"`
-}
-
-// Counters is a point-in-time snapshot of an injector's activity, the
-// "injected" half of the daemon's /v1/faultz report.
-type Counters struct {
-	Spec    string       `json:"spec"`
-	Error   int64        `json:"error"`
-	Latency int64        `json:"latency"`
-	Panic   int64        `json:"panic"`
-	Kill    int64        `json:"kill"`
-	Total   int64        `json:"total"`
-	Stages  []StageCount `json:"stages,omitempty"`
-}
-
-// Snapshot returns the injector's cumulative counters (zero for nil).
-func (in *Injector) Snapshot() Counters {
-	if in == nil {
-		return Counters{}
-	}
-	c := Counters{
-		Spec:    in.spec.String(),
-		Error:   in.injected[KindError].Load(),
-		Latency: in.injected[KindLatency].Load(),
-		Panic:   in.injected[KindPanic].Load(),
-		Kill:    in.injected[KindKill].Load(),
-	}
-	c.Total = c.Error + c.Latency + c.Panic + c.Kill
-	in.mu.Lock()
-	for stage, n := range in.stages {
-		c.Stages = append(c.Stages, StageCount{Stage: stage, Count: n})
-	}
-	in.mu.Unlock()
-	sort.Slice(c.Stages, func(i, j int) bool { return c.Stages[i].Stage < c.Stages[j].Stage })
-	return c
 }
 
 // attemptKey carries the draw ordinal through a context.

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestParseRoundTrip(t *testing.T) {
@@ -164,22 +167,50 @@ func TestPanicKind(t *testing.T) {
 	t.Fatal("no panic")
 }
 
-func TestSnapshotCounters(t *testing.T) {
+// TestInjectionsCountOnRegistry: each firing counts once in its
+// fault.{kind} metrics counter (the one tally /metricsz serves) and
+// emits a fault.injected span whose site attribute gives the per-site
+// detail. The registry is process-global, so counts are deltas.
+func TestInjectionsCountOnRegistry(t *testing.T) {
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	kinds := []string{"fault.error", "fault.latency", "fault.panic", "fault.kill"}
+	before := map[string]int64{}
+	for _, k := range kinds {
+		before[k] = obs.Count(k)
+	}
 	in := New(Spec{Seed: 1, Rate: 1, Kinds: []Kind{KindError}})
 	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		in.Inject(ctx, fmt.Sprintf("alu-point:n%d", i)) //nolint:errcheck
+	sites := []string{"alu-point:n0", "alu-point:n1", "alu-point:n2", "server:/v1/simulate"}
+	for _, site := range sites {
+		in.Inject(ctx, site) //nolint:errcheck
 	}
-	in.Inject(ctx, "server:/v1/simulate") //nolint:errcheck
-	c := in.Snapshot()
-	if c.Error != 4 || c.Total != 4 || c.Latency != 0 {
-		t.Fatalf("counters %+v", c)
+	for _, k := range kinds {
+		want := int64(0)
+		if k == "fault.error" {
+			want = int64(len(sites))
+		}
+		if d := obs.Count(k) - before[k]; d != want {
+			t.Errorf("%s grew by %d, want %d", k, d, want)
+		}
 	}
-	if len(c.Stages) != 2 || c.Stages[0].Stage != "alu-point" || c.Stages[0].Count != 3 {
-		t.Fatalf("stage counts %+v", c.Stages)
+	var got []string
+	for _, sp := range obs.Collect().Spans {
+		if sp.Name != "fault.injected" {
+			continue
+		}
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["kind"] != "error" {
+			t.Errorf("span %v: kind %q, want error", sp.Attrs, attrs["kind"])
+		}
+		got = append(got, attrs["site"])
 	}
-	if c.Spec == "" {
-		t.Fatal("snapshot lost the spec")
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(sites, " ") {
+		t.Errorf("fault.injected span sites = %v, want %v", got, sites)
 	}
 }
 

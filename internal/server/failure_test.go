@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 
 	"repro/biodeg/api"
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // brokenEngine is a fakeEngine whose sweeps always fail.
@@ -21,25 +21,14 @@ func (f *brokenEngine) Sweep(context.Context, string, api.SweepRequest) (*api.Sw
 	return nil, errors.New("engine exploded")
 }
 
-// faultz fetches /v1/faultz as a generic map plus its observed counters.
-func faultz(t *testing.T, url string) (map[string]json.RawMessage, map[string]int64) {
+// engineErrors reads the led engine failures /metricsz reports: the
+// server.engine_error stage count.
+func engineErrors(t *testing.T, url string) int64 {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/faultz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(slurp(t, resp)), &all); err != nil {
-		t.Fatal(err)
-	}
-	var observed map[string]int64
-	if err := json.Unmarshal(all["observed"], &observed); err != nil {
-		t.Fatal(err)
-	}
-	return all, observed
+	return seriesValue(t, scrape(t, url), "biodeg_stage_events_total", `{stage="server.engine_error"}`)
 }
 
-// TestEngineFailureClasses pins what engine_errors counts: engine bugs,
+// TestEngineFailureClasses pins what server.engine_error counts: engine bugs,
 // injected faults and deadline expiries do; client mistakes, journal
 // config mismatches and client disconnects do not.
 func TestEngineFailureClasses(t *testing.T) {
@@ -64,11 +53,12 @@ func TestEngineFailureClasses(t *testing.T) {
 
 // TestConsecutiveFailuresStayInternal: an engine failure is a 500 for
 // its own request however many failures precede it. Every request
-// reaches the engine and counts once in engine_errors; none is turned
-// away with a 503.
+// reaches the engine and counts once in server.engine_error; none is
+// turned away with a 503.
 func TestConsecutiveFailuresStayInternal(t *testing.T) {
 	eng := &brokenEngine{}
 	_, ts := newTestServer(t, eng, Options{})
+	before := engineErrors(t, ts.URL)
 	const n = 6
 	for i := 1; i <= n; i++ {
 		// Distinct bodies, so neither the cache nor singleflight joins them.
@@ -83,25 +73,33 @@ func TestConsecutiveFailuresStayInternal(t *testing.T) {
 	if got := eng.sweeps.Load(); got != n {
 		t.Errorf("engine ran %d sweeps, want %d", got, n)
 	}
-	all, observed := faultz(t, ts.URL)
-	if observed["engine_errors"] != n {
-		t.Errorf("observed engine_errors = %d, want %d", observed["engine_errors"], n)
-	}
-	if len(all) != 3 || all["version"] == nil || all["injected"] == nil {
-		t.Errorf("/v1/faultz has keys other than version, injected, observed: %v", all)
+	if d := engineErrors(t, ts.URL) - before; d != n {
+		t.Errorf("server.engine_error grew by %d, want %d", d, n)
 	}
 }
 
-// TestFaultzWithInjector checks route-level injection: a rate-1 error
-// injector on server sites fails the leader path and counts in
-// /v1/faultz.
-func TestFaultzWithInjector(t *testing.T) {
+// TestRouteInjectionCounts checks route-level injection: a rate-1
+// error injector on server sites fails the leader path, counts one
+// fault.error and one server.engine_error on /metricsz, and traces the
+// firing as a fault.injected span at the route's site.
+func TestRouteInjectionCounts(t *testing.T) {
 	spec, err := fault.Parse("seed=1,rate=1,kinds=error,stages=server")
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.New(spec)
-	_, ts := newTestServer(t, &fakeEngine{}, Options{Injector: inj})
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	_, ts := newTestServer(t, &fakeEngine{}, Options{Injector: fault.New(spec)})
+	stages := []string{"fault.error", "fault.latency", "fault.panic", "fault.kill", "server.engine_error"}
+	count := func() map[string]int64 {
+		body := scrape(t, ts.URL)
+		n := map[string]int64{}
+		for _, st := range stages {
+			n[st] = seriesValue(t, body, "biodeg_stage_events_total", `{stage="`+st+`"}`)
+		}
+		return n
+	}
+	before := count()
 
 	resp := post(t, ts.URL+"/v1/sweeps/width", `{"tech":"organic"}`)
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -109,31 +107,41 @@ func TestFaultzWithInjector(t *testing.T) {
 	}
 	slurp(t, resp)
 
-	all, observed := faultz(t, ts.URL)
-	var injected fault.Counters
-	if err := json.Unmarshal(all["injected"], &injected); err != nil {
-		t.Fatal(err)
+	after := count()
+	for _, st := range stages {
+		want := int64(0)
+		if st == "fault.error" || st == "server.engine_error" {
+			want = 1
+		}
+		if d := after[st] - before[st]; d != want {
+			t.Errorf("%s grew by %d, want %d", st, d, want)
+		}
 	}
-	if injected.Error != 1 || injected.Total != 1 {
-		t.Errorf("injected counters = %+v, want one error", injected)
+	var sites []string
+	for _, sp := range obs.Collect().Spans {
+		if sp.Name == "fault.injected" {
+			for _, a := range sp.Attrs {
+				if a.Key == "site" {
+					sites = append(sites, a.Value)
+				}
+			}
+		}
 	}
-	if len(injected.Stages) != 1 || injected.Stages[0].Stage != "server" {
-		t.Errorf("injected stages = %+v, want [server]", injected.Stages)
-	}
-	if observed["engine_errors"] != 1 {
-		t.Errorf("observed engine_errors = %d, want 1", observed["engine_errors"])
+	if len(sites) != 1 || sites[0] != "server:/v1/sweeps/width" {
+		t.Errorf("fault.injected span sites = %v, want [server:/v1/sweeps/width]", sites)
 	}
 }
 
 // TestRouteInjectedPanic: a panic injected at the route site is caught
 // by the singleflight's recovery and served as a 500 internal whose
-// message is one line, counted once in engine_errors.
+// message is one line, counted once in server.engine_error.
 func TestRouteInjectedPanic(t *testing.T) {
 	spec, err := fault.Parse("seed=1,rate=1,kinds=panic,stages=server")
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, &fakeEngine{}, Options{Injector: fault.New(spec)})
+	before := engineErrors(t, ts.URL)
 
 	resp := post(t, ts.URL+"/v1/simulate", `{"bench":"dhrystone"}`)
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -144,7 +152,7 @@ func TestRouteInjectedPanic(t *testing.T) {
 		!strings.Contains(e.Message, "fault: injected panic at server:/v1/simulate") {
 		t.Errorf("envelope = %+v, want one-line internal naming the injected panic", e)
 	}
-	if _, observed := faultz(t, ts.URL); observed["engine_errors"] != 1 {
-		t.Errorf("observed engine_errors = %d, want 1", observed["engine_errors"])
+	if d := engineErrors(t, ts.URL) - before; d != 1 {
+		t.Errorf("server.engine_error grew by %d, want 1", d)
 	}
 }

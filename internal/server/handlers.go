@@ -12,20 +12,6 @@ import (
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
-// handleFaultz reports the chaos posture: what the injector has fired
-// (per kind and per stage) and what the serving path has observed
-// (engine errors and shed requests).
-func (s *Server) handleFaultz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"version":  "v1",
-		"injected": s.inj.Snapshot(),
-		"observed": map[string]int64{
-			"engine_errors": s.engineErrs.Load(),
-			"shed":          s.shed.Load(),
-		},
-	})
-}
-
 func (s *Server) handleRunExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.serveComputed(w, r, "run\x00"+id, func(ctx context.Context) (any, error) {

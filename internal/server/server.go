@@ -27,10 +27,14 @@
 //
 // For chaos testing, an optional fault injector (internal/fault) fires
 // at the route level (site "server:{path}") inside the singleflight
-// leader; GET /v1/faultz reports injected and observed fault counters.
+// leader.
 //
-// Progress of the underlying sweeps is the per-stage counters
-// (biodeg_stage_events_total{stage}) that GET /metricsz serves.
+// Every count the server keeps lives on the telemetry registry that
+// GET /metricsz serves: progress of the underlying sweeps, injected
+// faults (stage fault.{kind}) and led engine failures (stage
+// server.engine_error) are per-stage counters
+// (biodeg_stage_events_total{stage}); admissions and sheds are the
+// biodeg_admission_* series, which /healthz also reads.
 package server
 
 import (
@@ -70,10 +74,10 @@ type Options struct {
 	// RequestTimeout caps each computation; 0 means no cap beyond the
 	// client's own disconnect.
 	RequestTimeout time.Duration
-	// Injector injects chaos at the route level (site "server:{path}")
-	// and feeds /v1/faultz; nil injects nothing. The daemon passes the
-	// injector of its run configuration, so route-level and sweep-level
-	// injections count on one injector.
+	// Injector injects chaos at the route level (site "server:{path}");
+	// nil injects nothing. The daemon passes the injector of its run
+	// configuration, so route-level and sweep-level injections follow
+	// one spec.
 	Injector *fault.Injector
 	// AccessLog emits one structured (slog) line per served request,
 	// carrying the route, status, latency, and — when tracing is on —
@@ -84,20 +88,15 @@ type Options struct {
 // Server is the biodegd HTTP handler. Create with New; it is an
 // http.Handler serving every route.
 type Server struct {
-	eng      Engine
-	opts     Options
-	mux      *http.ServeMux
-	sem      chan struct{}
-	flight   runner.Memo[string, []byte]
-	cache    *resultCache
-	inj      *fault.Injector
-	inflight atomic.Int64
-	shed     atomic.Int64
-	// engineErrs counts engine-class failures observed on the leader
-	// path (the "observed" half of /v1/faultz).
-	engineErrs atomic.Int64
-	compSeq    atomic.Int64 // led computations, the fault-draw attempt ordinal
-	started    time.Time
+	eng     Engine
+	opts    Options
+	mux     *http.ServeMux
+	sem     chan struct{}
+	flight  runner.Memo[string, []byte]
+	cache   *resultCache
+	inj     *fault.Injector
+	compSeq atomic.Int64 // led computations, the fault-draw attempt ordinal
+	started time.Time
 }
 
 // New builds the server around eng.
@@ -125,7 +124,6 @@ func New(eng Engine, opts Options) *Server {
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetricsz)
-	s.mux.HandleFunc("GET /v1/faultz", s.handleFaultz)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("POST /v1/experiments/{id}/run", s.handleRunExperiment)
 	s.mux.HandleFunc("POST /v1/sweeps/{kind}", s.handleSweep)
@@ -211,8 +209,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":     "ok",
 		"build":      build(),
 		"uptime_s":   time.Since(s.started).Seconds(),
-		"inflight":   s.inflight.Load(),
-		"shed_total": s.shed.Load(),
+		"inflight":   admInflight.Value(),
+		"shed_total": admShed.Value(),
 		"cached":     s.cache.Len(),
 	})
 }
@@ -271,15 +269,12 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route str
 
 	select {
 	case s.sem <- struct{}{}:
-		s.inflight.Add(1)
 		admInflight.Inc()
 		defer func() {
-			s.inflight.Add(-1)
 			admInflight.Dec()
 			<-s.sem
 		}()
 	default:
-		s.shed.Add(1)
 		admShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
@@ -318,7 +313,6 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route str
 	// Count on the leader only, so coalesced waiters do not multiply
 	// one failure.
 	if led && isEngineFailure(err) {
-		s.engineErrs.Add(1)
 		obs.Add("server.engine_error", 1)
 	}
 	if err != nil {
@@ -348,8 +342,8 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route str
 	writeJSONBytes(w, http.StatusOK, body)
 }
 
-// isEngineFailure classifies err for the engine_errors count of
-// /v1/faultz: engine bugs, injected faults, and timeouts count; client
+// isEngineFailure classifies err for the server.engine_error stage
+// count: engine bugs, injected faults, and timeouts count; client
 // mistakes (400/404), config-digest conflicts (409), and client
 // disconnects do not.
 func isEngineFailure(err error) bool {

@@ -102,19 +102,17 @@ func slurp(t *testing.T, resp *http.Response) string {
 func TestHealthzAndExperiments(t *testing.T) {
 	_, ts := newTestServer(t, &fakeEngine{}, Options{})
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health map[string]any
-	if err := json.Unmarshal([]byte(slurp(t, resp)), &health); err != nil {
-		t.Fatal(err)
-	}
+	health := healthz(t, ts.URL)
 	if health["status"] != "ok" {
 		t.Errorf("healthz status = %v, want ok", health["status"])
 	}
+	for _, k := range []string{"status", "build", "uptime_s", "inflight", "shed_total", "cached"} {
+		if _, ok := health[k]; !ok {
+			t.Errorf("healthz lacks %q: %v", k, health)
+		}
+	}
 
-	resp, err = http.Get(ts.URL + "/v1/experiments")
+	resp, err := http.Get(ts.URL + "/v1/experiments")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +120,36 @@ func TestHealthzAndExperiments(t *testing.T) {
 	if !strings.Contains(body, `"fig3"`) {
 		t.Errorf("experiment list missing fig3: %s", body)
 	}
+}
+
+// waitAdmitted polls until n computations hold admission slots. The
+// gauge is process-global, and every earlier test's server has drained
+// (httptest.Server.Close waits for outstanding requests).
+func waitAdmitted(n int64) {
+	for admInflight.Value() < n {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// healthz fetches /healthz as a generic map.
+func healthz(t *testing.T, url string) map[string]any {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h map[string]any
+	if err := json.Unmarshal([]byte(slurp(t, resp)), &h); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// shedTotals reads the shed count from /healthz and from /metricsz.
+func shedTotals(t *testing.T, url string) (health float64, series int64) {
+	t.Helper()
+	health, _ = healthz(t, url)["shed_total"].(float64)
+	return health, seriesValue(t, scrape(t, url), "biodeg_admission_shed_total", "")
 }
 
 func TestSweepMissThenHit(t *testing.T) {
@@ -162,7 +190,7 @@ func TestSweepMissThenHit(t *testing.T) {
 func TestCoalescing(t *testing.T) {
 	const n = 8
 	eng := &fakeEngine{release: make(chan struct{})}
-	s, ts := newTestServer(t, eng, Options{MaxInflight: n})
+	_, ts := newTestServer(t, eng, Options{MaxInflight: n})
 	url := ts.URL + "/v1/sweeps/width"
 
 	var wg sync.WaitGroup
@@ -181,9 +209,7 @@ func TestCoalescing(t *testing.T) {
 	// Release once every request has been admitted (all n hold
 	// semaphore slots: the leader computing, the rest waiting in the
 	// flight).
-	for s.inflight.Load() < n {
-		time.Sleep(time.Millisecond)
-	}
+	waitAdmitted(n)
 	close(eng.release)
 	wg.Wait()
 
@@ -210,10 +236,13 @@ func TestCoalescing(t *testing.T) {
 }
 
 // TestAdmission429 fills the single admission slot and checks the next
-// request is shed with 429 + Retry-After instead of queueing.
+// request is shed with 429 + Retry-After instead of queueing, and that
+// the shed moves /healthz's shed_total and /metricsz's
+// biodeg_admission_shed_total by exactly one each.
 func TestAdmission429(t *testing.T) {
 	eng := &fakeEngine{release: make(chan struct{})}
-	s, ts := newTestServer(t, eng, Options{MaxInflight: 1})
+	_, ts := newTestServer(t, eng, Options{MaxInflight: 1})
+	healthBefore, seriesBefore := shedTotals(t, ts.URL)
 
 	done := make(chan struct{})
 	go func() {
@@ -224,8 +253,9 @@ func TestAdmission429(t *testing.T) {
 		}
 		slurp(t, resp)
 	}()
-	for s.inflight.Load() < 1 {
-		time.Sleep(time.Millisecond)
+	waitAdmitted(1)
+	if h := healthz(t, ts.URL); h["inflight"] != float64(1) {
+		t.Errorf("/healthz inflight = %v with one admitted request, want 1", h["inflight"])
 	}
 
 	resp := post(t, ts.URL+"/v1/sweeps/width", `{"tech":"silicon"}`)
@@ -236,6 +266,13 @@ func TestAdmission429(t *testing.T) {
 		t.Error("429 response missing Retry-After")
 	}
 	slurp(t, resp)
+	healthAfter, seriesAfter := shedTotals(t, ts.URL)
+	if d := healthAfter - healthBefore; d != 1 {
+		t.Errorf("/healthz shed_total grew by %v, want 1", d)
+	}
+	if d := seriesAfter - seriesBefore; d != 1 {
+		t.Errorf("biodeg_admission_shed_total grew by %d, want 1", d)
+	}
 
 	close(eng.release)
 	<-done
@@ -272,9 +309,7 @@ func TestGracefulDrain(t *testing.T) {
 		resp.Body.Close()
 		status <- resp.StatusCode
 	}()
-	for s.inflight.Load() < 1 {
-		time.Sleep(time.Millisecond)
-	}
+	waitAdmitted(1)
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -479,12 +514,14 @@ func TestEveryErrorIsEnveloped(t *testing.T) {
 
 // TestJobRoutesDisabledWithoutStore checks that the retired job routes
 // answer with the 404 envelope: no server carries a job store any more.
+// The retired fault-counter route /v1/faultz answers the same way.
 func TestJobRoutesDisabledWithoutStore(t *testing.T) {
 	_, ts := newTestServer(t, &fakeEngine{}, Options{})
 	for _, tc := range []struct{ method, path, body string }{
 		{http.MethodPost, "/v1/jobs", `{"kind":"alu-depth"}`},
 		{http.MethodGet, "/v1/jobs", ""},
 		{http.MethodGet, "/v1/jobs/x", ""},
+		{http.MethodGet, "/v1/faultz", ""},
 	} {
 		resp, err := do(t, tc.method, ts.URL+tc.path, tc.body)
 		if err != nil {

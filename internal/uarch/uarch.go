@@ -515,8 +515,7 @@ func Replay(l *Lowered, cfg Config) (st Stats, minBack int) {
 	// Fetch state.
 	var fetch uint64 = 1 // current fetch cycle
 	slots := cfg.FrontWidth
-	var redirect uint64    // earliest fetch cycle after a mispredict
-	var takenBubble uint64 // fetch bubble after a taken branch
+	var redirect uint64 // earliest fetch cycle after a mispredict
 
 	// Retire state.
 	var lastRetire uint64
@@ -533,11 +532,6 @@ func Replay(l *Lowered, cfg Config) (st Stats, minBack int) {
 		o := &l.ops[s]
 		outcome := l.miss[i>>6]>>(i&63)&1 != 0
 		// --- Fetch ---
-		if takenBubble > 0 {
-			fetch += takenBubble
-			slots = cfg.FrontWidth
-			takenBubble = 0
-		}
 		if redirect > fetch {
 			fetch = redirect
 			slots = cfg.FrontWidth
@@ -566,11 +560,11 @@ func Replay(l *Lowered, cfg Config) (st Stats, minBack int) {
 			slots = min(cfg.FrontWidth, int(o.rem))
 		}
 		slots--
-		// Taken control flow ends the fetch group and costs a fetch
-		// redirect bubble even when predicted (BTB-steered refetch).
+		// Taken control flow ends the fetch group even when predicted
+		// (BTB-steered refetch): with no slots left, the next
+		// instruction fetches a cycle later at the earliest.
 		if o.taken {
 			slots = 0
-			takenBubble = 1
 		}
 
 		// --- Dispatch ---

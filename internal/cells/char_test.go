@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -112,6 +114,55 @@ func TestArcPointStopsEarly(t *testing.T) {
 		t.Errorf("arc point took %d transient steps, want fewer than the %d of a full window", steps, cfg.Steps)
 	} else {
 		t.Logf("arc point took %d of %d transient steps", steps, cfg.Steps)
+	}
+}
+
+// TestLibraryGoldens pins every number of both characterized libraries:
+// DefaultCharConfig characterization, rendered in Synopsys syntax, must
+// equal the committed testdata/<tech>.lib byte for byte. The rendered
+// tables print fewer digits than the libraries hold, so this is the
+// check that sees a change of any bit. A deliberate numerical change
+// regenerates the files with
+//
+//	go run ./cmd/replicate -lib organic > internal/cells/testdata/organic.lib
+//	go run ./cmd/replicate -lib silicon > internal/cells/testdata/silicon.lib
+func TestLibraryGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is expensive")
+	}
+	for _, tc := range []struct {
+		file string
+		tech *Technology
+	}{{"organic.lib", Organic()}, {"silicon.lib", Silicon()}} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib, err := Characterize(tc.tech, DefaultCharConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := liberty.WriteSynopsys(&got, lib); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got.Bytes(), want) {
+			continue
+		}
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("%s differs from its golden first at line %d:\n got %q\nwant %q", tc.file, i+1, g, w)
+				break
+			}
+		}
 	}
 }
 

@@ -34,11 +34,14 @@ const (
 	StageSpiceSource = "spice.source_step"
 
 	// SPICE work counters (internal/spice): Newton iterations across all
-	// DC and transient solves, and completed transient time steps. Their
-	// ratio is the iterations a time step takes; a rise marks the solver
-	// working harder for the same circuits.
+	// DC and transient solves, and transient time steps solved. Their
+	// ratio is the iterations a solved step takes; a rise marks the
+	// solver working harder for the same circuits.
 	StageSpiceNewton   = "spice.newton_iter"
 	StageSpiceTranStep = "spice.tran_step"
+	// Transient time steps replayed from the state two steps back,
+	// which they equal exactly, instead of solved (internal/spice).
+	StageSpiceTranRepeat = "spice.tran_repeat"
 
 	// IPC work counter (internal/core): workloads run on the functional
 	// ISA and recorded for replay. A process records each workload once,

@@ -30,7 +30,8 @@ func (p Polarity) String() string {
 }
 
 // Stimulus is a time-dependent source value. DC analyses evaluate it at
-// t = 0 (or at the sweep override).
+// t = 0 (or at the sweep override). At must be a pure function of t:
+// transient replays a step whose source values repeat (see there).
 type Stimulus interface {
 	At(t float64) float64
 }
@@ -139,6 +140,9 @@ type Circuit struct {
 	// Newton workspace (see newton): solution, right-hand side and
 	// row-major Jacobian, reallocated only when the system size changes.
 	x, rhs, jac []float64
+	// ring holds the last three step states of transient (see there),
+	// reallocated only when the state size changes.
+	ring []float64
 }
 
 // NewCircuit returns an empty circuit with default solver options.

@@ -163,6 +163,13 @@ func randomEdgeCircuit(seed int64, filtered bool) (*Circuit, Node) {
 	return c, out
 }
 
+// visitedSteps returns the transient steps taken so far, solved or
+// replayed, and the replayed ones among them.
+func visitedSteps() (steps, repeats int64) {
+	repeats = obs.Count(obs.StageSpiceTranRepeat)
+	return obs.Count(obs.StageSpiceTranStep) + repeats, repeats
+}
+
 // TestMeasureEdgeMatchesRecordedTransient is the property behind the
 // early stop: on random waveforms, MeasureEdge returns the bits that
 // CrossTime and Slew2080 read from the full recorded transient (and
@@ -177,12 +184,13 @@ func TestMeasureEdgeMatchesRecordedTransient(t *testing.T) {
 		tstop, dt, rising := 1.0, 1/float64(8+rng.Intn(300)), rng.Intn(2) == 0
 
 		c, out := randomEdgeCircuit(seed, filtered)
-		steps0 := obs.Count(obs.StageSpiceTranStep)
+		steps0, _ := visitedSteps()
 		tr, err := c.Transient(tstop, dt, out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullSteps := obs.Count(obs.StageSpiceTranStep) - steps0
+		fullSteps, _ := visitedSteps()
+		fullSteps -= steps0
 		tStart := rng.Float64()
 		if seed%3 == 0 { // a start exactly on a sample
 			tStart = tr.Times[rng.Intn(len(tr.Times))]
@@ -198,12 +206,13 @@ func TestMeasureEdgeMatchesRecordedTransient(t *testing.T) {
 		}
 
 		c, out = randomEdgeCircuit(seed, filtered)
-		steps0 = obs.Count(obs.StageSpiceTranStep)
+		steps0, _ = visitedSteps()
 		m50, mslew, err := c.MeasureEdge(tstop, dt, out, rising, 0, 1, tStart)
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps := obs.Count(obs.StageSpiceTranStep) - steps0
+		steps, _ := visitedSteps()
+		steps -= steps0
 		if !sameBits(m50, t50) || !sameBits(mslew, slew) {
 			t.Fatalf("seed %d (filtered=%v rising=%v tStart=%g): MeasureEdge (%v, %v), recorded waveform (%v, %v)",
 				seed, filtered, rising, tStart, m50, mslew, t50, slew)
@@ -226,18 +235,23 @@ func TestMeasureEdgeMatchesRecordedTransient(t *testing.T) {
 
 // TestMeasureEdgeNeverCrossing: an output that never reaches the levels
 // runs the whole window, exactly as many steps as Transient, and
-// reports NaN, which is what sends a caller to a wider window.
+// reports NaN, which is what sends a caller to a wider window. Its
+// constant source replays most of those steps.
 func TestMeasureEdgeNeverCrossing(t *testing.T) {
 	c := NewCircuit()
 	out := c.Node("out")
 	c.V("VOUT", out, Ground, DC(0.1))
-	steps0 := obs.Count(obs.StageSpiceTranStep)
+	steps0, repeats0 := visitedSteps()
 	t50, slew, err := c.MeasureEdge(1, 1.0/600, out, true, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps := obs.Count(obs.StageSpiceTranStep) - steps0; steps != 600 {
-		t.Errorf("spice.tran_step grew by %d, want the full 600", steps)
+	steps, repeats := visitedSteps()
+	if steps-steps0 != 600 {
+		t.Errorf("spice.tran_step + spice.tran_repeat grew by %d, want the full 600", steps-steps0)
+	}
+	if repeats == repeats0 {
+		t.Error("spice.tran_repeat did not grow under a constant source")
 	}
 	if !math.IsNaN(t50) || !math.IsNaN(slew) {
 		t.Errorf("MeasureEdge = (%v, %v), want NaN for an output that never crosses", t50, slew)

@@ -229,22 +229,28 @@ func TestTransientAllocsIndependentOfSteps(t *testing.T) {
 const fdEraNewtonIters = 1359
 
 // TestTransientCountsStepsAndIterations checks the numerical-health
-// counters: one spice.tran_step per time step, and a Newton iteration
-// count no lower than the steps and no higher than before.
+// counters: each time step counts one spice.tran_step when solved or
+// one spice.tran_repeat when replayed, the input's hold replays some,
+// and the Newton iteration count is no lower than the solved steps and
+// no higher than before.
 func TestTransientCountsStepsAndIterations(t *testing.T) {
-	steps0, iters0 := obs.Count(obs.StageSpiceTranStep), obs.Count(obs.StageSpiceNewton)
+	steps0, repeats0, iters0 := obs.Count(obs.StageSpiceTranStep), obs.Count(obs.StageSpiceTranRepeat), obs.Count(obs.StageSpiceNewton)
 	c, out := pseudoEInverter()
 	tr, err := c.Transient(6e-3, 1e-5, out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	steps := obs.Count(obs.StageSpiceTranStep) - steps0
+	repeats := obs.Count(obs.StageSpiceTranRepeat) - repeats0
 	iters := obs.Count(obs.StageSpiceNewton) - iters0
-	if want := int64(len(tr.Times) - 1); steps != want || want != 600 {
-		t.Errorf("spice.tran_step grew by %d over %d recorded steps, want 600", steps, want)
+	if want := int64(len(tr.Times) - 1); steps+repeats != want || want != 600 {
+		t.Errorf("spice.tran_step grew by %d and spice.tran_repeat by %d over %d recorded steps, want 600 together", steps, repeats, want)
+	}
+	if repeats == 0 {
+		t.Error("spice.tran_repeat did not grow over the input's 100-step hold")
 	}
 	if iters < steps || iters > fdEraNewtonIters {
 		t.Errorf("spice.newton_iter grew by %d, want within [%d, %d]", iters, steps, fdEraNewtonIters)
 	}
-	t.Logf("%d steps, %d Newton iterations", steps, iters)
+	t.Logf("%d steps solved, %d replayed, %d Newton iterations", steps, repeats, iters)
 }

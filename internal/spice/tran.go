@@ -53,9 +53,11 @@ func (t *Tran) SupplyEnergy(volts map[string]float64, t0, t1 float64) float64 {
 // Transient simulates from t = 0 to tstop with a fixed step dt using the
 // trapezoidal method, recording the given nodes and every voltage
 // source's branch current. The initial condition is the DC operating
-// point at t = 0. Each completed time step counts one spice.tran_step
-// event and each of its Newton iterations one spice.newton_iter event
-// (the initial DC solve counts its own).
+// point at t = 0. Each time step counts one spice.tran_step event when
+// it is solved, and each of its Newton iterations one spice.newton_iter
+// event (the initial DC solve counts its own); a step replayed exactly
+// from the state two steps back (see transient) counts one
+// spice.tran_repeat event instead. Every step is recorded either way.
 func (c *Circuit) Transient(tstop, dt float64, record ...Node) (*Tran, error) {
 	samples, err := samplesIn(tstop, dt)
 	if err != nil {
@@ -137,13 +139,30 @@ func samplesIn(tstop, dt float64) (int, error) {
 // each step depends only on the ones before it, a run ended early took
 // exactly the steps, bit for bit, that the full run would have taken up
 // to that point. The counts are those Transient documents.
+//
+// Steps whose result is already known are replayed, not solved. The
+// state after step k is the solution x, every capacitor's vPrev/iPrev,
+// and every source value at t_k (t_0 = 0 is the DC initial condition).
+// Step k+1 is a pure function of the state after step k and the source
+// values at t_{k+1}: the device models' Eval is pure, newton seeds only
+// from x, and Stimulus.At is pure. So if the state after step k equals
+// the state after step k-2, and the source values at t_{k+1} equal
+// those at t_{k-1}, then step k+1 reproduces the state after step k-1
+// bit for bit, and the state after k+1 again equals the one two steps
+// back. By induction, a stretch of repeating source values in which the
+// circuit has settled into a 2-cycle (as trapezoidal ringing at rest
+// does) alternates between two stored states, and solving resumes at
+// the first step whose source values differ from those two steps back.
+// The last three states live in the circuit's ring; "equal" compares
+// float64 bits.
 func (c *Circuit) transient(tstop, dt float64, visit func(t float64, x []float64) (stop bool)) error {
 	if _, err := samplesIn(tstop, dt); err != nil {
 		return err
 	}
-	var steps, iters int
+	var steps, repeats, iters int
 	defer func() {
 		obs.Add(obs.StageSpiceTranStep, int64(steps))
+		obs.Add(obs.StageSpiceTranRepeat, int64(repeats))
 		obs.Add(obs.StageSpiceNewton, int64(iters))
 	}()
 	x, err := c.solveDC(0, nil)
@@ -155,33 +174,97 @@ func (c *Circuit) transient(tstop, dt float64, visit func(t float64, x []float64
 		cp.vPrev = OP{x: x}.V(cp.a) - OP{x: x}.V(cp.b)
 		cp.iPrev = 0
 	}
-	c.unknowns() // assign branch indices before visit reads currents
+	// Assign branch indices before visit reads currents. A state is
+	// x, then vPrev/iPrev per capacitor, then the source values from
+	// src on.
+	src := c.unknowns() + 2*len(c.caps)
+	w := src + len(c.vsrc) + len(c.isrc)
+	if len(c.ring) != 3*w {
+		c.ring = make([]float64, 3*w)
+	}
+	state := func(k int) []float64 { return c.ring[k%3*w : k%3*w+w] }
+	c.sourcesAt(state(0)[src:], 0)
+	c.saveState(state(0), x)
 	if visit(0, x) {
 		return nil
 	}
+	cycle := false // the state after the last step equals the one two steps back
 	opt := assembleOpts{srcScale: 1, transient: true, dt: dt}
+	k := 0
 	for t := dt; t <= tstop+dt/2; t += dt {
-		opt.t = t
-		nx, k, err := c.newton(x, opt)
-		iters += k
-		if err != nil {
-			return fmt.Errorf("spice: transient t=%g: %w", t, err)
-		}
-		steps++
-		// Update companion state: i = geq*(v_new) - (geq*vPrev + iPrev).
-		for _, cp := range c.caps {
-			if cp.c <= 0 {
-				continue
+		k++
+		cur, back := state(k), state(k+1) // state(k+1) holds step k-2
+		c.sourcesAt(cur[src:], t)
+		if cycle && equalBits(cur[src:], back[src:]) {
+			copy(cur[:src], back[:src])
+			c.loadState(x, cur)
+			repeats++
+		} else {
+			opt.t = t
+			nx, n, err := c.newton(x, opt)
+			iters += n
+			if err != nil {
+				return fmt.Errorf("spice: transient t=%g: %w", t, err)
 			}
-			geq := 2 * cp.c / dt
-			v := OP{x: nx}.V(cp.a) - OP{x: nx}.V(cp.b)
-			i := geq*v - (geq*cp.vPrev + cp.iPrev)
-			cp.vPrev, cp.iPrev = v, i
+			steps++
+			// Update companion state: i = geq*(v_new) - (geq*vPrev + iPrev).
+			for _, cp := range c.caps {
+				if cp.c <= 0 {
+					continue
+				}
+				geq := 2 * cp.c / dt
+				v := OP{x: nx}.V(cp.a) - OP{x: nx}.V(cp.b)
+				i := geq*v - (geq*cp.vPrev + cp.iPrev)
+				cp.vPrev, cp.iPrev = v, i
+			}
+			x = nx
+			c.saveState(cur, x)
+			cycle = k >= 2 && equalBits(cur, back)
 		}
-		x = nx
 		if visit(t, x) {
 			return nil
 		}
 	}
 	return nil
+}
+
+// sourcesAt writes every voltage and then every current source's value
+// at t into s.
+func (c *Circuit) sourcesAt(s []float64, t float64) {
+	for i, v := range c.vsrc {
+		s[i] = v.stim.At(t)
+	}
+	for i, is := range c.isrc {
+		s[len(c.vsrc)+i] = is.stim.At(t)
+	}
+}
+
+// saveState copies x and every capacitor's companion state into the
+// head of the ring state s.
+func (c *Circuit) saveState(s, x []float64) {
+	i := copy(s, x)
+	for _, cp := range c.caps {
+		s[i], s[i+1] = cp.vPrev, cp.iPrev
+		i += 2
+	}
+}
+
+// loadState is the inverse of saveState: it restores x and every
+// capacitor's companion state from the ring state s.
+func (c *Circuit) loadState(x, s []float64) {
+	i := copy(x, s[:len(x)])
+	for _, cp := range c.caps {
+		cp.vPrev, cp.iPrev = s[i], s[i+1]
+		i += 2
+	}
+}
+
+// equalBits reports whether a and b hold the same float64 bits.
+func equalBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -3,6 +3,7 @@ package cells
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -123,15 +124,19 @@ func TestArcPointStopsEarly(t *testing.T) {
 	}
 }
 
+// updateLibs rewrites the library goldens from this run.
+var updateLibs = flag.Bool("update", false, "rewrite testdata/*.lib from this run")
+
 // TestLibraryGoldens pins every number of both characterized libraries:
-// DefaultCharConfig characterization, rendered in Synopsys syntax, must
-// equal the committed testdata/<tech>.lib byte for byte. The rendered
-// tables print fewer digits than the libraries hold, so this is the
-// check that sees a change of any bit. A deliberate numerical change
-// regenerates the files with
+// DefaultCharConfig characterization, serialized with liberty.Write,
+// must equal the committed testdata/<tech>.lib byte for byte. The
+// serialization holds every number at full precision, switch energy and
+// both leakage states included, so this is the check that sees a
+// change of any bit. On a difference it reads both back and reports,
+// per quantity, how many numbers moved and by how much. A deliberate
+// numerical change regenerates the files with
 //
-//	go run ./cmd/replicate -lib organic > internal/cells/testdata/organic.lib
-//	go run ./cmd/replicate -lib silicon > internal/cells/testdata/silicon.lib
+//	go test ./internal/cells/ -run TestLibraryGoldens -update
 func TestLibraryGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is expensive")
@@ -140,36 +145,101 @@ func TestLibraryGoldens(t *testing.T) {
 		file string
 		tech *Technology
 	}{{"organic.lib", Organic()}, {"silicon.lib", Silicon()}} {
-		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
-		if err != nil {
-			t.Fatal(err)
-		}
 		lib, err := Characterize(tc.tech, DefaultCharConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		if err := liberty.WriteSynopsys(&got, lib); err != nil {
+		if err := liberty.Write(&got, lib); err != nil {
 			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", tc.file)
+		if *updateLibs {
+			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create)", err)
 		}
 		if bytes.Equal(got.Bytes(), want) {
 			continue
 		}
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Errorf("%s differs from its golden first at line %d:\n got %q\nwant %q", tc.file, i+1, g, w)
-				break
+		wantLib, err := liberty.Read(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		gotLib, err := liberty.Read(bytes.NewReader(got.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: this run's rendering: %v", tc.file, err)
+		}
+		t.Errorf("%s differs from its golden (run with -update to accept):\n%s", tc.file, libDelta(gotLib, wantLib))
+	}
+}
+
+// libQuantities are the quantities libNumbers groups a library's
+// numbers into, in report order.
+var libQuantities = []string{"delays", "slews", "leakage", "switch energy", "caps", "other"}
+
+// libNumbers lists every number a library serializes, grouped by
+// quantity, in a fixed order: two libraries of the same cells and grid
+// list their numbers pairwise. Delays include the flip-flop's
+// clock-to-Q, setup and hold; caps include the load axes; "other" is
+// the rails, areas and slew axes.
+func libNumbers(lib *liberty.Library) map[string][]float64 {
+	q := map[string][]float64{}
+	add := func(name string, v ...float64) { q[name] = append(q[name], v...) }
+	table := func(name string, l *liberty.LUT) {
+		add("other", l.Slews...)
+		add("caps", l.Loads...)
+		for _, row := range l.Value {
+			add(name, row...)
+		}
+	}
+	add("other", lib.VDD, lib.VSS)
+	for _, name := range lib.Names() {
+		c := lib.Cells[name]
+		add("other", c.Area)
+		add("caps", c.InputCap)
+		add("leakage", c.LeakLow, c.LeakHigh)
+		add("switch energy", c.SwitchEnergy)
+		add("delays", c.ClkToQ, c.Setup, c.Hold)
+		for _, pin := range c.Inputs {
+			if a := c.Arcs[pin]; a != nil {
+				table("delays", a.DelayRise)
+				table("delays", a.DelayFall)
+				table("slews", a.SlewRise)
+				table("slews", a.SlewFall)
 			}
 		}
 	}
+	return q
+}
+
+// libDelta reports, per quantity, how many numbers differ between two
+// libraries in any bit and the worst relative change among them.
+func libDelta(got, want *liberty.Library) string {
+	g, w := libNumbers(got), libNumbers(want)
+	var b strings.Builder
+	for _, name := range libQuantities {
+		gv, wv := g[name], w[name]
+		if len(gv) != len(wv) {
+			fmt.Fprintf(&b, "  %s: %d numbers, want %d\n", name, len(gv), len(wv))
+			continue
+		}
+		moved, worst := 0, 0.0
+		for i := range gv {
+			if math.Float64bits(gv[i]) == math.Float64bits(wv[i]) {
+				continue
+			}
+			moved++
+			worst = math.Max(worst, math.Abs(gv[i]-wv[i])/math.Abs(wv[i]))
+		}
+		fmt.Fprintf(&b, "  %s: %d of %d moved, worst %.2g relative\n", name, moved, len(gv), worst)
+	}
+	return b.String()
 }
 
 // TestCharacterizeWorkerCountIndependent: every arc point and power

@@ -137,9 +137,21 @@ type Circuit struct {
 	VTol    float64 // absolute voltage convergence tolerance (default 1e-6)
 	MaxStep float64 // per-iteration voltage damping limit (default 0.5 V)
 
-	// Newton workspace (see newton): solution, right-hand side and
-	// row-major Jacobian, reallocated only when the system size changes.
-	x, rhs, jac []float64
+	// The MNA layout, classified once per topology (see layout). slot
+	// maps each unknown of the full MNA vector to its unknown in the
+	// reduced system, or to free+k for the node and branch of pins[k];
+	// kept are the voltage sources that keep their branch row.
+	slot []int
+	free int
+	pins []pin
+	kept []*vsource
+
+	// Newton workspace (see newton): the full MNA solution and its
+	// undamped update; then the reduced right-hand side, the row-major
+	// Jacobian of the free columns and that of the pinned columns, each
+	// with one more row per pin after the free ones. Reallocated only
+	// when the topology changes.
+	x, xNew, rhs, jac, pinned []float64
 	// ring holds the last three step states of transient (see there),
 	// reallocated only when the state size changes.
 	ring []float64
@@ -236,14 +248,75 @@ func (c *Circuit) SetV(name string, stim Stimulus) error {
 	return fmt.Errorf("spice: no voltage source %q", name)
 }
 
-// unknowns returns the MNA system size: node voltages (minus ground) plus
-// one branch current per voltage source, and assigns branch indices.
-func (c *Circuit) unknowns() int {
-	n := c.numNodes - 1
-	for i, v := range c.vsrc {
-		v.branch = n + i
+// pin is a voltage source eliminated from the MNA system. It ties node
+// (a full MNA index) to ground, so the node's voltage is known: sign
+// times the source value, v in the current assembly. Its branch current
+// follows from the node's KCL row once the free unknowns are solved.
+type pin struct {
+	src  *vsource
+	node int
+	sign float64 // +1 for V(node, Ground), -1 for V(Ground, node)
+	v    float64
+}
+
+// layout classifies the voltage sources and sizes the Newton workspace
+// when the topology has changed since the last call. The full MNA
+// vector holds the node voltages (minus ground), then one branch
+// current per voltage source in declaration order. A source with one
+// terminal on Ground whose other node no earlier source pins is a pin:
+// its node and branch leave the system. Every other source keeps its
+// branch row. Pins are ordered by node, the order in which eliminating
+// their columns from the full system would visit them. Nodes and
+// sources are only ever added, so the full size names the topology.
+func (c *Circuit) layout() {
+	nv := c.numNodes - 1
+	n := nv + len(c.vsrc)
+	if len(c.slot) == n {
+		return
 	}
-	return n + len(c.vsrc)
+	c.slot = make([]int, n)
+	by := make([]*vsource, nv) // the source pinning each node
+	c.kept = nil
+	for i, v := range c.vsrc {
+		v.branch = nv + i
+		node := index(v.a)
+		if v.a == Ground {
+			node = index(v.b)
+		}
+		if (v.a == Ground) == (v.b == Ground) || by[node] != nil {
+			c.kept = append(c.kept, v)
+			continue
+		}
+		by[node] = v
+	}
+	c.pins = nil
+	for node, v := range by {
+		if v != nil {
+			sign := 1.0
+			if v.a == Ground {
+				sign = -1
+			}
+			c.pins = append(c.pins, pin{src: v, node: node, sign: sign})
+		}
+	}
+	c.free = n - 2*len(c.pins)
+	for i := range c.slot {
+		c.slot[i] = -1
+	}
+	for k, p := range c.pins {
+		c.slot[p.node], c.slot[p.src.branch] = c.free+k, c.free+k
+	}
+	f := 0
+	for i, k := range c.slot {
+		if k < 0 {
+			c.slot[i] = f
+			f++
+		}
+	}
+	rows := c.free + len(c.pins)
+	c.x, c.xNew = make([]float64, n), make([]float64, n)
+	c.rhs, c.jac = make([]float64, rows), make([]float64, rows*c.free)
+	c.pinned = make([]float64, rows*len(c.pins))
 }
 
 // index maps a node to its unknown index, or -1 for ground.

@@ -70,39 +70,39 @@ func (m *mosfet) eval(vd, vg, vs float64) (f, gdd, gdg, gds float64) {
 	return -sigma * id, gm + g, -gm, -g
 }
 
-// assemble builds the linearized MNA system J*x = rhs around x0. j is
-// the n*n Jacobian in row-major order, n = len(rhs).
-func (c *Circuit) assemble(j, rhs, x0 []float64, opt assembleOpts) {
-	n := len(rhs)
-	clear(j)
-	clear(rhs)
+// assemble builds the linearized MNA system J*x = rhs around x0,
+// reduced to the free unknowns (see layout), in the circuit's
+// workspace: c.jac is the free*free Jacobian in row-major order, c.rhs
+// its right-hand side, and one side row per pin follows each. Every
+// conductance goes through stamp, so a pinned node's known voltage
+// moves to the right-hand side and its own KCL row, Gmin included,
+// lands in its side row. x0 is the full MNA vector: devices linearize
+// around every node voltage in it, pinned ones included.
+func (c *Circuit) assemble(x0 []float64, opt assembleOpts) {
+	clear(c.jac)
+	clear(c.pinned)
+	clear(c.rhs)
+	for k := range c.pins {
+		p := &c.pins[k]
+		p.v = p.sign * (opt.srcScale * p.src.stim.At(opt.t))
+	}
 	volt := func(nd Node) float64 {
 		if nd == Ground {
 			return 0
 		}
 		return x0[index(nd)]
 	}
-	stampG := func(a, b Node, g float64) {
-		if a != Ground {
-			j[index(a)*n+index(a)] += g
-			if b != Ground {
-				j[index(a)*n+index(b)] -= g
-			}
-		}
-		if b != Ground {
-			j[index(b)*n+index(b)] += g
-			if a != Ground {
-				j[index(b)*n+index(a)] -= g
-			}
-		}
-	}
 	// Gmin from every node to ground.
 	gmin := c.Gmin + opt.gminExtra
 	for i := 0; i < c.numNodes-1; i++ {
-		j[i*n+i] += gmin
+		c.stamp(i, i, gmin)
 	}
 	for _, r := range c.res {
-		stampG(r.a, r.b, r.g)
+		a, b := index(r.a), index(r.b)
+		c.stamp(a, a, r.g)
+		c.stamp(a, b, -r.g)
+		c.stamp(b, b, r.g)
+		c.stamp(b, a, -r.g)
 	}
 	if opt.transient {
 		for _, cp := range c.caps {
@@ -111,35 +111,27 @@ func (c *Circuit) assemble(j, rhs, x0 []float64, opt assembleOpts) {
 			}
 			geq := 2 * cp.c / opt.dt
 			ieq := geq*cp.vPrev + cp.iPrev
-			stampG(cp.a, cp.b, geq)
-			if cp.a != Ground {
-				rhs[index(cp.a)] += ieq
-			}
-			if cp.b != Ground {
-				rhs[index(cp.b)] -= ieq
-			}
+			a, b := index(cp.a), index(cp.b)
+			c.stamp(a, a, geq)
+			c.stamp(a, b, -geq)
+			c.stamp(b, b, geq)
+			c.stamp(b, a, -geq)
+			c.inject(a, ieq)
+			c.inject(b, -ieq)
 		}
 	}
-	for _, v := range c.vsrc {
-		br := v.branch
-		if v.a != Ground {
-			j[index(v.a)*n+br] += 1
-			j[br*n+index(v.a)] += 1
-		}
-		if v.b != Ground {
-			j[index(v.b)*n+br] -= 1
-			j[br*n+index(v.b)] -= 1
-		}
-		rhs[br] = opt.srcScale * v.stim.At(opt.t)
+	for _, v := range c.kept {
+		a, b := index(v.a), index(v.b)
+		c.stamp(a, v.branch, 1)
+		c.stamp(v.branch, a, 1)
+		c.stamp(b, v.branch, -1)
+		c.stamp(v.branch, b, -1)
+		c.inject(v.branch, opt.srcScale*v.stim.At(opt.t))
 	}
 	for _, is := range c.isrc {
 		cur := opt.srcScale * is.stim.At(opt.t)
-		if is.a != Ground {
-			rhs[index(is.a)] -= cur
-		}
-		if is.b != Ground {
-			rhs[index(is.b)] += cur
-		}
+		c.inject(index(is.a), -cur)
+		c.inject(index(is.b), cur)
 	}
 	// MOSFETs: the channel current f(vd,vg,vs) leaving node d, linearized
 	// with the model's analytic conductances as
@@ -149,48 +141,86 @@ func (c *Circuit) assemble(j, rhs, x0 []float64, opt assembleOpts) {
 		vd, vg, vs := volt(m.d), volt(m.g), volt(m.s)
 		f0, gdd, gdg, gds := m.eval(vd, vg, vs)
 		lin := f0 - gdd*vd - gdg*vg - gds*vs
-		add := func(row Node, sign float64) {
-			if row == Ground {
-				return
-			}
-			ri := index(row) * n
-			if m.d != Ground {
-				j[ri+index(m.d)] += sign * gdd
-			}
-			if m.g != Ground {
-				j[ri+index(m.g)] += sign * gdg
-			}
-			if m.s != Ground {
-				j[ri+index(m.s)] += sign * gds
-			}
-			rhs[index(row)] -= sign * lin
+		d, g, s := index(m.d), index(m.g), index(m.s)
+		c.stamp(d, d, gdd)
+		c.stamp(d, g, gdg)
+		c.stamp(d, s, gds)
+		c.inject(d, -lin)
+		c.stamp(s, d, -gdd)
+		c.stamp(s, g, -gdg)
+		c.stamp(s, s, -gds)
+		c.inject(s, lin)
+	}
+	// A pinned column's voltage is known, so its entry times that
+	// voltage moves to the right-hand side. Each entry is multiplied
+	// once it is complete, pin by pin in node order: the arithmetic of
+	// eliminating the pinned columns from the full system.
+	np := len(c.pins)
+	for r := range c.rhs {
+		for k, g := range c.pinned[r*np : r*np+np] {
+			c.rhs[r] -= g * c.pins[k].v
 		}
-		add(m.d, 1)
-		add(m.s, -1)
+	}
+}
+
+// stamp adds g to the full MNA Jacobian entry (row, col), given as full
+// indices with -1 for ground, in the reduced system: a ground row or
+// column drops it, and a pinned column's entry accumulates apart, for
+// assemble to move to the right-hand side.
+func (c *Circuit) stamp(row, col int, g float64) {
+	if row < 0 || col < 0 {
+		return
+	}
+	r, k := c.slot[row], c.slot[col]
+	if k < c.free {
+		c.jac[r*c.free+k] += g
+	} else {
+		c.pinned[r*len(c.pins)+k-c.free] += g
+	}
+}
+
+// inject adds i to the right-hand side of full MNA row (-1 for ground).
+func (c *Circuit) inject(row int, i float64) {
+	if row >= 0 {
+		c.rhs[c.slot[row]] += i
 	}
 }
 
 // newton runs damped Newton-Raphson from guess x0 (which may be nil),
-// returning the solution and the iterations it took. The solution, the
-// right-hand side and the Jacobian live in the circuit's workspace,
-// allocated once per system size: the returned slice is overwritten by
-// the next solve, and x0 may be a previous solution.
+// returning the solution and the iterations it took. Each iteration
+// factors only the free unknowns of the reduced system (see assemble);
+// a pin's node takes its source value and its branch current is
+// recovered from its side row. The update is then damped over the full
+// MNA vector as one: a pinned node moves toward its source value under
+// the same voltage step limit as every other node. The full solution,
+// its update and the reduced system live in the circuit's workspace,
+// allocated once per topology: the returned slice is overwritten by the
+// next solve, and x0 may be a previous solution.
 func (c *Circuit) newton(x0 []float64, opt assembleOpts) ([]float64, int, error) {
-	n := c.unknowns()
-	if len(c.x) != n {
-		c.x, c.rhs, c.jac = make([]float64, n), make([]float64, n), make([]float64, n*n)
-	}
-	x := c.x
+	c.layout()
+	x, xNew, nf := c.x, c.xNew, c.free
 	if x0 != nil {
 		copy(x, x0)
 	} else {
 		clear(x)
 	}
 	for iter := 0; iter < c.MaxIter; iter++ {
-		c.assemble(c.jac, c.rhs, x, opt)
-		xNew, err := solveDense(c.jac, c.rhs)
+		c.assemble(x, opt)
+		y, err := solveDense(c.jac[:nf*nf], c.rhs[:nf])
 		if err != nil {
 			return nil, iter + 1, err
+		}
+		for i, k := range c.slot {
+			if k < nf {
+				xNew[i] = y[k]
+			}
+		}
+		for k, p := range c.pins {
+			cur := c.rhs[nf+k]
+			for i, g := range c.jac[(nf+k)*nf : (nf+k+1)*nf] {
+				cur -= g * y[i]
+			}
+			xNew[p.node], xNew[p.src.branch] = p.v, p.sign*cur
 		}
 		// Damp the voltage update.
 		maxDv := 0.0

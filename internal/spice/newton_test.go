@@ -95,27 +95,42 @@ func pseudoEInverter() (*Circuit, Node) {
 	return c, out
 }
 
-// residual returns the nonlinear MNA residual J(x)*x - rhs(x): the
-// linearization assembled at x, evaluated at x itself.
+// freeIndices maps each unknown of the reduced system to its index in
+// the full MNA vector.
+func freeIndices(c *Circuit) []int {
+	free := make([]int, c.free)
+	for i, k := range c.slot {
+		if k < c.free {
+			free[k] = i
+		}
+	}
+	return free
+}
+
+// residual returns the residual J(x)*x - rhs(x) of the reduced system,
+// free rows and then the pins' side rows: the linearization assembled
+// at x, evaluated at x itself. With every pinned node at its source
+// value this is the nonlinear KCL residual of those rows, the pinned
+// source's own branch current left out.
 func residual(c *Circuit, x []float64) []float64 {
-	n := len(x)
-	j, rhs := make([]float64, n*n), make([]float64, n)
-	c.assemble(j, rhs, x, assembleOpts{srcScale: 1})
-	r := make([]float64, n)
-	for i := range r {
-		r[i] = -rhs[i]
-		for k := range x {
-			r[i] += j[i*n+k] * x[k]
+	c.assemble(x, assembleOpts{srcScale: 1})
+	free := freeIndices(c)
+	r := make([]float64, len(c.rhs))
+	for row := range r {
+		r[row] = -c.rhs[row]
+		for k, i := range free {
+			r[row] += c.jac[row*c.free+k] * x[i]
 		}
 	}
 	return r
 }
 
-// TestAssembledJacobianMatchesFD checks that the Jacobian assemble
-// stamps from the models' analytic conductances is the derivative of
-// the residual it linearizes, by central differences over every
-// unknown, at the operating point and at perturbed states where some
-// devices conduct with drain and source swapped.
+// TestAssembledJacobianMatchesFD checks that the reduced Jacobian
+// assemble stamps from the models' analytic conductances, side rows
+// included, is the derivative of the residual it linearizes, by
+// central differences over every free unknown, at the operating point
+// and at perturbed states where some devices conduct with drain and
+// source swapped. Pinned nodes stay at their source values.
 func TestAssembledJacobianMatchesFD(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -133,10 +148,13 @@ func TestAssembledJacobianMatchesFD(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", tc.name, in, err)
 			}
+			free := freeIndices(c)
 			for state := 0; state < 4; state++ {
 				x := append([]float64(nil), op.x...)
 				for i := 0; i < c.numNodes-1 && state > 0; i++ {
-					x[i] += tc.jitter * math.Sin(float64(7*state+3*i+1))
+					if c.slot[i] < c.free {
+						x[i] += tc.jitter * math.Sin(float64(7*state+3*i+1))
+					}
 				}
 				volt := func(nd Node) float64 {
 					if nd == Ground {
@@ -149,25 +167,25 @@ func TestAssembledJacobianMatchesFD(t *testing.T) {
 						swapped++
 					}
 				}
-				n := len(x)
-				j, rhs := make([]float64, n*n), make([]float64, n)
-				c.assemble(j, rhs, x, assembleOpts{srcScale: 1})
+				c.assemble(x, assembleOpts{srcScale: 1})
+				j := append([]float64(nil), c.jac...)
+				nf := c.free
 				const h = 1e-6
-				for col := 0; col < n; col++ {
+				for col, i := range free {
 					xp := append([]float64(nil), x...)
 					xm := append([]float64(nil), x...)
-					xp[col] += h
-					xm[col] -= h
+					xp[i] += h
+					xm[i] -= h
 					rp, rm := residual(c, xp), residual(c, xm)
-					for row := 0; row < n; row++ {
+					for row := range rp {
 						scale := 0.0
-						for _, v := range j[row*n : row*n+n] {
+						for _, v := range j[row*nf : row*nf+nf] {
 							scale = math.Max(scale, math.Abs(v))
 						}
 						fd := (rp[row] - rm[row]) / (2 * h)
-						if d := math.Abs(j[row*n+col] - fd); d > 1e-5*scale {
+						if d := math.Abs(j[row*nf+col] - fd); d > 1e-5*scale {
 							t.Errorf("%s inputs %v state %d: J[%d][%d] = %g, finite difference %g (row scale %g)",
-								tc.name, in, state, row, col, j[row*n+col], fd, scale)
+								tc.name, in, state, row, col, j[row*nf+col], fd, scale)
 						}
 					}
 				}

@@ -9,10 +9,11 @@ import (
 	"repro/internal/obs"
 )
 
-// referenceTransient is the trapezoidal loop that solves every step,
-// with no replay: Transient must record the same bits. It records every
-// node and every voltage source's branch current.
-func referenceTransient(c *Circuit, tstop, dt float64) (*Tran, error) {
+// referenceTransient is the trapezoidal loop that solves every step
+// with solve, with no replay. Its initial condition is solve's DC
+// solution from a zero guess at t = 0. It records every node and every
+// voltage source's branch current.
+func referenceTransient(c *Circuit, tstop, dt float64, solve func(x0 []float64, opt assembleOpts) ([]float64, int, error)) (*Tran, error) {
 	tr := &Tran{nodes: map[Node][]float64{}, srcI: map[string][]float64{}}
 	record := func(t float64, x []float64) {
 		tr.Times = append(tr.Times, t)
@@ -23,7 +24,7 @@ func referenceTransient(c *Circuit, tstop, dt float64) (*Tran, error) {
 			tr.srcI[v.name] = append(tr.srcI[v.name], x[v.branch])
 		}
 	}
-	x, err := c.solveDC(0, nil)
+	x, _, err := solve(nil, assembleOpts{srcScale: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -31,12 +32,11 @@ func referenceTransient(c *Circuit, tstop, dt float64) (*Tran, error) {
 		cp.vPrev = OP{x: x}.V(cp.a) - OP{x: x}.V(cp.b)
 		cp.iPrev = 0
 	}
-	c.unknowns()
 	record(0, x)
 	opt := assembleOpts{srcScale: 1, transient: true, dt: dt}
 	for t := dt; t <= tstop+dt/2; t += dt {
 		opt.t = t
-		nx, _, err := c.newton(x, opt)
+		nx, _, err := solve(x, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -55,40 +55,23 @@ func referenceTransient(c *Circuit, tstop, dt float64) (*Tran, error) {
 	return tr, nil
 }
 
-// identicalWaves reports the first sample at which two waveforms differ
-// in any bit, or "" if they are identical.
-func identicalWaves(got, want []float64) string {
-	if len(got) != len(want) {
-		return fmt.Sprintf("%d samples, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return fmt.Sprintf("sample %d is %v, want %v", i, got[i], want[i])
-		}
-	}
-	return ""
+// transientCase is a circuit and transient window the solver's property
+// tests run.
+type transientCase struct {
+	name        string
+	build       func() *Circuit
+	tstop, dt   float64
+	wantRepeats bool
+	// changeAt, when set, is the first source change: steps after it
+	// must replay too.
+	changeAt float64
 }
 
-// TestReplayedTransientMatchesSolvedEveryStep is the exactness property
-// of the replayed steps: Transient records every node voltage and every
-// source current bit for bit as the loop that solves every step. The
-// circuits are random piecewise-linear drives, an RC low-pass and an RC
-// node fed by a current source whose Pulse holds, switches, holds,
-// switches back and holds again, and an organic inverter under a Pulse
-// and under a Ramp. Every step is counted once, solved or replayed. The
-// circuits with constant stretches must replay some steps there, and
-// the pulsed RC circuits must replay some after their first source
-// change too, so solving resumed and then settled again.
-func TestReplayedTransientMatchesSolvedEveryStep(t *testing.T) {
-	type tc struct {
-		name        string
-		build       func() *Circuit
-		tstop, dt   float64
-		wantRepeats bool
-		// changeAt, when set, is the first source change: steps after it
-		// must replay too.
-		changeAt float64
-	}
+// transientCases are random piecewise-linear drives, an RC low-pass and
+// an RC node fed by a current source whose Pulse holds, switches,
+// holds, switches back and holds again, and an organic inverter under a
+// Pulse and under a Ramp.
+func transientCases() []transientCase {
 	// The pulse holds for 200 steps of 1e-7 s, switches over 10, holds
 	// for 500 and switches back; the RC time constant is 10 steps.
 	pulse := Pulse{Delay: 20e-6, Rise: 1e-6, Width: 50e-6, Fall: 1e-6}
@@ -101,7 +84,7 @@ func TestReplayedTransientMatchesSolvedEveryStep(t *testing.T) {
 			return c
 		}
 	}
-	cases := []tc{
+	cases := []transientCase{
 		{"pulsed RC", func() *Circuit {
 			c := NewCircuit()
 			in, out := c.Node("in"), c.Node("out")
@@ -128,11 +111,36 @@ func TestReplayedTransientMatchesSolvedEveryStep(t *testing.T) {
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(-seed))
-		cases = append(cases, tc{fmt.Sprintf("random seed %d", seed), func() *Circuit {
+		cases = append(cases, transientCase{fmt.Sprintf("random seed %d", seed), func() *Circuit {
 			c, _ := randomEdgeCircuit(seed, seed%2 == 0)
 			return c
 		}, 1, 1 / float64(8+rng.Intn(300)), false, 0})
 	}
+	return cases
+}
+
+// identicalWaves reports the first sample at which two waveforms differ
+// in any bit, or "" if they are identical.
+func identicalWaves(got, want []float64) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d samples, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Sprintf("sample %d is %v, want %v", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// TestReplayedTransientMatchesSolvedEveryStep is the exactness property
+// of the replayed steps: Transient records every node voltage and every
+// source current bit for bit as the loop that solves every step, on
+// transientCases. Every step is counted once, solved or replayed. The
+// circuits with constant stretches must replay some steps there, and
+// the pulsed RC circuits must replay some after their first source
+// change too, so solving resumed and then settled again.
+func TestReplayedTransientMatchesSolvedEveryStep(t *testing.T) {
 	// run returns the solved and the replayed steps of a transient.
 	run := func(c *Circuit, tstop, dt float64, record ...Node) (*Tran, int64, int64) {
 		t.Helper()
@@ -143,8 +151,9 @@ func TestReplayedTransientMatchesSolvedEveryStep(t *testing.T) {
 		}
 		return tr, obs.Count(obs.StageSpiceTranStep) - steps0, obs.Count(obs.StageSpiceTranRepeat) - repeats0
 	}
-	for _, tc := range cases {
-		want, err := referenceTransient(tc.build(), tc.tstop, tc.dt)
+	for _, tc := range transientCases() {
+		ref := tc.build()
+		want, err := referenceTransient(ref, tc.tstop, tc.dt, ref.newton)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)
 		}

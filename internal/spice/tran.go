@@ -174,10 +174,9 @@ func (c *Circuit) transient(tstop, dt float64, visit func(t float64, x []float64
 		cp.vPrev = OP{x: x}.V(cp.a) - OP{x: x}.V(cp.b)
 		cp.iPrev = 0
 	}
-	// Assign branch indices before visit reads currents. A state is
-	// x, then vPrev/iPrev per capacitor, then the source values from
-	// src on.
-	src := c.unknowns() + 2*len(c.caps)
+	// A state is x, then vPrev/iPrev per capacitor, then the source
+	// values from src on.
+	src := len(x) + 2*len(c.caps)
 	w := src + len(c.vsrc) + len(c.isrc)
 	if len(c.ring) != 3*w {
 		c.ring = make([]float64, 3*w)

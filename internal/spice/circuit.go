@@ -275,28 +275,23 @@ func (c *Circuit) layout() {
 		return
 	}
 	c.slot = make([]int, n)
-	by := make([]*vsource, nv) // the source pinning each node
-	c.kept = nil
+	by := make([]pin, nv) // the pin of each node, if any
+	c.pins, c.kept = nil, nil
 	for i, v := range c.vsrc {
 		v.branch = nv + i
-		node := index(v.a)
+		p := pin{src: v, node: index(v.a), sign: 1}
 		if v.a == Ground {
-			node = index(v.b)
+			p.node, p.sign = index(v.b), -1
 		}
-		if (v.a == Ground) == (v.b == Ground) || by[node] != nil {
+		if (v.a == Ground) == (v.b == Ground) || by[p.node].src != nil {
 			c.kept = append(c.kept, v)
 			continue
 		}
-		by[node] = v
+		by[p.node] = p
 	}
-	c.pins = nil
-	for node, v := range by {
-		if v != nil {
-			sign := 1.0
-			if v.a == Ground {
-				sign = -1
-			}
-			c.pins = append(c.pins, pin{src: v, node: node, sign: sign})
+	for _, p := range by {
+		if p.src != nil {
+			c.pins = append(c.pins, p)
 		}
 	}
 	c.free = n - 2*len(c.pins)

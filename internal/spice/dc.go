@@ -72,12 +72,13 @@ func (m *mosfet) eval(vd, vg, vs float64) (f, gdd, gdg, gds float64) {
 
 // assemble builds the linearized MNA system J*x = rhs around x0,
 // reduced to the free unknowns (see layout), in the circuit's
-// workspace: c.jac is the free*free Jacobian in row-major order, c.rhs
-// its right-hand side, and one side row per pin follows each. Every
-// conductance goes through stamp, so a pinned node's known voltage
-// moves to the right-hand side and its own KCL row, Gmin included,
-// lands in its side row. x0 is the full MNA vector: devices linearize
-// around every node voltage in it, pinned ones included.
+// workspace. c.jac holds the Jacobian's free columns and c.pinned its
+// pinned ones, both row-major, and c.rhs the right-hand side. Each has
+// the free rows, then one side row per pin: the pinned node's own KCL
+// row, Gmin included. Once every element is stamped, the pinned columns
+// times their known voltages move to the right-hand side. x0 is the
+// full MNA vector: devices linearize around every node voltage in it,
+// pinned ones included.
 func (c *Circuit) assemble(x0 []float64, opt assembleOpts) {
 	clear(c.jac)
 	clear(c.pinned)
@@ -94,11 +95,11 @@ func (c *Circuit) assemble(x0 []float64, opt assembleOpts) {
 	}
 	// Gmin from every node to ground.
 	gmin := c.Gmin + opt.gminExtra
-	for i := 0; i < c.numNodes-1; i++ {
-		c.stamp(i, i, gmin)
+	for _, k := range c.slot[:c.numNodes-1] {
+		c.stamp(k, k, gmin)
 	}
 	for _, r := range c.res {
-		a, b := index(r.a), index(r.b)
+		a, b := c.at(r.a), c.at(r.b)
 		c.stamp(a, a, r.g)
 		c.stamp(a, b, -r.g)
 		c.stamp(b, b, r.g)
@@ -111,7 +112,7 @@ func (c *Circuit) assemble(x0 []float64, opt assembleOpts) {
 			}
 			geq := 2 * cp.c / opt.dt
 			ieq := geq*cp.vPrev + cp.iPrev
-			a, b := index(cp.a), index(cp.b)
+			a, b := c.at(cp.a), c.at(cp.b)
 			c.stamp(a, a, geq)
 			c.stamp(a, b, -geq)
 			c.stamp(b, b, geq)
@@ -121,17 +122,17 @@ func (c *Circuit) assemble(x0 []float64, opt assembleOpts) {
 		}
 	}
 	for _, v := range c.kept {
-		a, b := index(v.a), index(v.b)
-		c.stamp(a, v.branch, 1)
-		c.stamp(v.branch, a, 1)
-		c.stamp(b, v.branch, -1)
-		c.stamp(v.branch, b, -1)
-		c.inject(v.branch, opt.srcScale*v.stim.At(opt.t))
+		a, b, br := c.at(v.a), c.at(v.b), c.slot[v.branch]
+		c.stamp(a, br, 1)
+		c.stamp(br, a, 1)
+		c.stamp(b, br, -1)
+		c.stamp(br, b, -1)
+		c.inject(br, opt.srcScale*v.stim.At(opt.t))
 	}
 	for _, is := range c.isrc {
 		cur := opt.srcScale * is.stim.At(opt.t)
-		c.inject(index(is.a), -cur)
-		c.inject(index(is.b), cur)
+		c.inject(c.at(is.a), -cur)
+		c.inject(c.at(is.b), cur)
 	}
 	// MOSFETs: the channel current f(vd,vg,vs) leaving node d, linearized
 	// with the model's analytic conductances as
@@ -141,7 +142,7 @@ func (c *Circuit) assemble(x0 []float64, opt assembleOpts) {
 		vd, vg, vs := volt(m.d), volt(m.g), volt(m.s)
 		f0, gdd, gdg, gds := m.eval(vd, vg, vs)
 		lin := f0 - gdd*vd - gdg*vg - gds*vs
-		d, g, s := index(m.d), index(m.g), index(m.s)
+		d, g, s := c.at(m.d), c.at(m.g), c.at(m.s)
 		c.stamp(d, d, gdd)
 		c.stamp(d, g, gdg)
 		c.stamp(d, s, gds)
@@ -163,15 +164,23 @@ func (c *Circuit) assemble(x0 []float64, opt assembleOpts) {
 	}
 }
 
-// stamp adds g to the full MNA Jacobian entry (row, col), given as full
-// indices with -1 for ground, in the reduced system: a ground row or
-// column drops it, and a pinned column's entry accumulates apart, for
-// assemble to move to the right-hand side.
-func (c *Circuit) stamp(row, col int, g float64) {
-	if row < 0 || col < 0 {
+// at returns node n's row and column in the reduced system (see
+// layout), or -1 for ground.
+func (c *Circuit) at(n Node) int {
+	if n == Ground {
+		return -1
+	}
+	return c.slot[index(n)]
+}
+
+// stamp adds g to the Jacobian entry (r, k) of the reduced system, as
+// at and layout number its rows and columns: -1 for ground drops it,
+// and a pinned column's entry accumulates apart, for assemble to move
+// to the right-hand side.
+func (c *Circuit) stamp(r, k int, g float64) {
+	if r < 0 || k < 0 {
 		return
 	}
-	r, k := c.slot[row], c.slot[col]
 	if k < c.free {
 		c.jac[r*c.free+k] += g
 	} else {
@@ -179,10 +188,10 @@ func (c *Circuit) stamp(row, col int, g float64) {
 	}
 }
 
-// inject adds i to the right-hand side of full MNA row (-1 for ground).
-func (c *Circuit) inject(row int, i float64) {
-	if row >= 0 {
-		c.rhs[c.slot[row]] += i
+// inject adds i to the right-hand side of row r (-1 for ground).
+func (c *Circuit) inject(r int, i float64) {
+	if r >= 0 {
+		c.rhs[r] += i
 	}
 }
 

@@ -1,7 +1,11 @@
 // Package spice implements a small transistor-level circuit simulator:
 // modified nodal analysis with damped Newton-Raphson DC solution, DC
 // sweeps with continuation, and fixed-step trapezoidal transient
-// analysis. It exists to characterize the organic and silicon standard
+// analysis. A voltage source from a node to ground fixes that node's
+// voltage, so the solver eliminates it: each Newton iteration factors
+// only the remaining unknowns and recovers the source's branch current
+// from the node's KCL row. Results keep the full MNA layout, with every
+// node voltage and every source current. It exists to characterize the organic and silicon standard
 // cells of the reproduction, playing the role HSPICE plays in the paper's
 // flow.
 //

@@ -12,8 +12,8 @@ import (
 // fullAssemble is the full modified nodal analysis that assemble
 // reduces: every node voltage and every voltage source's branch current
 // is an unknown, and each source adds a branch row. j is the n*n
-// Jacobian in row-major order, n = len(rhs). It is the test oracle of
-// the eliminated sources, kept as the solver stamped before them.
+// Jacobian in row-major order, n = len(rhs). It is the test oracle for
+// the eliminated sources.
 func fullAssemble(c *Circuit, j, rhs, x0 []float64, opt assembleOpts) {
 	n := len(rhs)
 	clear(j)
@@ -200,13 +200,13 @@ func maxAbs(v []float64) float64 {
 // transientCases and of the organic NOR2 and silicon NAND2 at every
 // input combination, and every node voltage and source current of each
 // transientCase's Transient, agree with the full MNA solve within
-// closeVolts and closeCurrents; so do those of unpinnableCases.
+// closeVolts and closeCurrents; so do those of sourceEdgeCases.
 func TestPinnedSolveMatchesFullMNA(t *testing.T) {
 	type dcCase struct {
 		name  string
 		build func() *Circuit
 	}
-	transients := append(transientCases(), unpinnableCases()...)
+	transients := append(transientCases(), sourceEdgeCases()...)
 	var dcs []dcCase
 	for _, tc := range transients {
 		dcs = append(dcs, dcCase{tc.name, tc.build})
@@ -290,11 +290,11 @@ func TestPinnedSolveMatchesFullMNA(t *testing.T) {
 	}
 }
 
-// unpinnableCases are the voltage sources elimination must not take for
-// a pin of a node and a branch: a source between two nodes that are not
-// ground, which keeps its branch row, and a source declared with its +
-// terminal on ground, whose node sits at minus its value.
-func unpinnableCases() []transientCase {
+// sourceEdgeCases hold the two voltage sources elimination treats
+// apart: a source between two nodes that are not ground, which keeps
+// its branch row, and a source declared with its + terminal on ground,
+// whose pinned node sits at minus its value.
+func sourceEdgeCases() []transientCase {
 	pulse := Pulse{V0: 0, V1: 1, Delay: 20e-6, Rise: 1e-6, Width: 50e-6, Fall: 1e-6}
 	return []transientCase{
 		{"floating source", func() *Circuit {
@@ -318,14 +318,14 @@ func unpinnableCases() []transientCase {
 	}
 }
 
-// TestSourcesThatStayInTheSystem pins the classification of
-// unpinnableCases (their solutions are checked against the full MNA
-// solve by TestPinnedSolveMatchesFullMNA): the floating source keeps its
-// branch row, and the ground-first source pins its node at minus its
-// value with the parent's current sign, negative while it holds the
-// node below ground through a resistor.
-func TestSourcesThatStayInTheSystem(t *testing.T) {
-	cases := unpinnableCases()
+// TestFloatingAndGroundFirstSources pins the classification of
+// sourceEdgeCases (TestPinnedSolveMatchesFullMNA checks their solutions
+// against the full MNA solve): the floating source keeps its branch
+// row, and a ground-first source pins its node at minus its value with
+// the full solve's current sign, negative while it holds the node
+// below ground through a resistor.
+func TestFloatingAndGroundFirstSources(t *testing.T) {
+	cases := sourceEdgeCases()
 	c := cases[0].build()
 	if _, err := c.DCOperatingPoint(); err != nil {
 		t.Fatal(err)

@@ -95,42 +95,57 @@ func pseudoEInverter() (*Circuit, Node) {
 	return c, out
 }
 
-// freeIndices maps each unknown of the reduced system to its index in
-// the full MNA vector.
-func freeIndices(c *Circuit) []int {
-	free := make([]int, c.free)
-	for i, k := range c.slot {
-		if k < c.free {
-			free[k] = i
+// fullColumns returns the Jacobian assemble last stamped, its free and
+// pinned columns together, as one row per row of the reduced system and
+// one column per unknown of the full MNA vector, n long. A pinned
+// source's branch column stays zero: that current leaves the system.
+func fullColumns(c *Circuit, n int) [][]float64 {
+	np := len(c.pins)
+	j := make([][]float64, len(c.rhs))
+	for row := range j {
+		j[row] = make([]float64, n)
+		for i, k := range c.slot {
+			if k < c.free {
+				j[row][i] = c.jac[row*c.free+k]
+			}
+		}
+		for k, p := range c.pins {
+			j[row][p.node] = c.pinned[row*np+k]
 		}
 	}
-	return free
+	return j
 }
 
-// residual returns the residual J(x)*x - rhs(x) of the reduced system,
-// free rows and then the pins' side rows: the linearization assembled
-// at x, evaluated at x itself. With every pinned node at its source
-// value this is the nonlinear KCL residual of those rows, the pinned
+// residual returns the residual J(x)*x - rhs(x) of the reduced
+// system's rows, free rows and then the pins' side rows: the
+// linearization assembled at x, evaluated at x itself. A pinned column
+// applies to the pinned node's voltage in x, not to its source value,
+// so this is the nonlinear residual of those rows at any x, the pinned
 // source's own branch current left out.
 func residual(c *Circuit, x []float64) []float64 {
 	c.assemble(x, assembleOpts{srcScale: 1})
-	free := freeIndices(c)
+	j, np := fullColumns(c, len(x)), len(c.pins)
 	r := make([]float64, len(c.rhs))
 	for row := range r {
+		// Undo assemble's move of the pinned columns to the
+		// right-hand side.
 		r[row] = -c.rhs[row]
-		for k, i := range free {
-			r[row] += c.jac[row*c.free+k] * x[i]
+		for k, p := range c.pins {
+			r[row] -= c.pinned[row*np+k] * p.v
+		}
+		for i, g := range j[row] {
+			r[row] += g * x[i]
 		}
 	}
 	return r
 }
 
-// TestAssembledJacobianMatchesFD checks that the reduced Jacobian
-// assemble stamps from the models' analytic conductances, side rows
-// included, is the derivative of the residual it linearizes, by
-// central differences over every free unknown, at the operating point
-// and at perturbed states where some devices conduct with drain and
-// source swapped. Pinned nodes stay at their source values.
+// TestAssembledJacobianMatchesFD checks that the Jacobian assemble
+// stamps from the models' analytic conductances, free and pinned
+// columns and side rows included, is the derivative of the residual it
+// linearizes, by central differences over every unknown, at the
+// operating point and at perturbed states of every node, pinned ones
+// included, where some devices conduct with drain and source swapped.
 func TestAssembledJacobianMatchesFD(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -148,13 +163,10 @@ func TestAssembledJacobianMatchesFD(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", tc.name, in, err)
 			}
-			free := freeIndices(c)
 			for state := 0; state < 4; state++ {
 				x := append([]float64(nil), op.x...)
 				for i := 0; i < c.numNodes-1 && state > 0; i++ {
-					if c.slot[i] < c.free {
-						x[i] += tc.jitter * math.Sin(float64(7*state+3*i+1))
-					}
+					x[i] += tc.jitter * math.Sin(float64(7*state+3*i+1))
 				}
 				volt := func(nd Node) float64 {
 					if nd == Ground {
@@ -168,24 +180,23 @@ func TestAssembledJacobianMatchesFD(t *testing.T) {
 					}
 				}
 				c.assemble(x, assembleOpts{srcScale: 1})
-				j := append([]float64(nil), c.jac...)
-				nf := c.free
+				j := fullColumns(c, len(x))
 				const h = 1e-6
-				for col, i := range free {
+				for col := range x {
 					xp := append([]float64(nil), x...)
 					xm := append([]float64(nil), x...)
-					xp[i] += h
-					xm[i] -= h
+					xp[col] += h
+					xm[col] -= h
 					rp, rm := residual(c, xp), residual(c, xm)
 					for row := range rp {
 						scale := 0.0
-						for _, v := range j[row*nf : row*nf+nf] {
+						for _, v := range j[row] {
 							scale = math.Max(scale, math.Abs(v))
 						}
 						fd := (rp[row] - rm[row]) / (2 * h)
-						if d := math.Abs(j[row*nf+col] - fd); d > 1e-5*scale {
+						if d := math.Abs(j[row][col] - fd); d > 1e-5*scale {
 							t.Errorf("%s inputs %v state %d: J[%d][%d] = %g, finite difference %g (row scale %g)",
-								tc.name, in, state, row, col, j[row*nf+col], fd, scale)
+								tc.name, in, state, row, col, j[row][col], fd, scale)
 						}
 					}
 				}

@@ -127,6 +127,25 @@ func TestArcPointStopsEarly(t *testing.T) {
 // updateLibs rewrites the library goldens from this run.
 var updateLibs = flag.Bool("update", false, "rewrite testdata/*.lib from this run")
 
+// golden compares got with the committed testdata/<file>, or rewrites
+// that file under -update. It returns the golden and whether got
+// equals it byte for byte.
+func golden(t *testing.T, file string, got []byte) ([]byte, bool) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *updateLibs {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return got, true
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	return want, bytes.Equal(got, want)
+}
+
 // TestLibraryGoldens pins every number of both characterized libraries:
 // DefaultCharConfig characterization, serialized with liberty.Write,
 // must equal the committed testdata/<tech>.lib byte for byte. The
@@ -136,7 +155,7 @@ var updateLibs = flag.Bool("update", false, "rewrite testdata/*.lib from this ru
 // per quantity, how many numbers moved and by how much. A deliberate
 // numerical change regenerates the files with
 //
-//	go test ./internal/cells/ -run TestLibraryGoldens -update
+//	go test ./internal/cells/ -run 'TestLibraryGoldens|TestSynopsysGolden' -update
 func TestLibraryGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is expensive")
@@ -153,18 +172,8 @@ func TestLibraryGoldens(t *testing.T) {
 		if err := liberty.Write(&got, lib); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", tc.file)
-		if *updateLibs {
-			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create)", err)
-		}
-		if bytes.Equal(got.Bytes(), want) {
+		want, ok := golden(t, tc.file, got.Bytes())
+		if ok {
 			continue
 		}
 		wantLib, err := liberty.Read(bytes.NewReader(want))
@@ -176,6 +185,42 @@ func TestLibraryGoldens(t *testing.T) {
 			t.Fatalf("%s: this run's rendering: %v", tc.file, err)
 		}
 		t.Errorf("%s differs from its golden (run with -update to accept):\n%s", tc.file, libDelta(gotLib, wantLib))
+	}
+}
+
+// TestSynopsysGolden pins the Synopsys rendering that replicate -lib
+// prints (unit scaling, number format, function strings, the leakage
+// average) on the silicon library, the cheap one to characterize: it
+// must equal the committed testdata/silicon_synopsys.lib byte for byte.
+// TestLibraryGoldens pins the numbers; this pins their rendering.
+func TestSynopsysGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is expensive")
+	}
+	lib, err := Characterize(Silicon(), DefaultCharConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := liberty.WriteSynopsys(&got, lib); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := golden(t, "silicon_synopsys.lib", got.Bytes())
+	if ok {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(gl), len(wl)) {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("silicon_synopsys.lib differs from its golden first at line %d (run with -update to accept):\n got %q\nwant %q", i+1, g, w)
+		}
 	}
 }
 

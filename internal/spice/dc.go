@@ -155,7 +155,9 @@ func (c *Circuit) assemble(x0 []float64, opt assembleOpts) {
 	// A pinned column's voltage is known, so its entry times that
 	// voltage moves to the right-hand side. Each entry is multiplied
 	// once it is complete, pin by pin in node order: the arithmetic of
-	// eliminating the pinned columns from the full system.
+	// eliminating the pinned columns from the full system. Moving each
+	// stamp as it arrives instead rounds differently: it moves silicon's
+	// delays and slews away from the full solve's, which this keeps.
 	np := len(c.pins)
 	for r := range c.rhs {
 		for k, g := range c.pinned[r*np : r*np+np] {

@@ -5,9 +5,9 @@
 // voltage, so the solver eliminates it: each Newton iteration factors
 // only the remaining unknowns and recovers the source's branch current
 // from the node's KCL row. Results keep the full MNA layout, with every
-// node voltage and every source current. It exists to characterize the organic and silicon standard
-// cells of the reproduction, playing the role HSPICE plays in the paper's
-// flow.
+// node voltage and every source current. It exists to characterize the
+// organic and silicon standard cells of the reproduction, playing the
+// role HSPICE plays in the paper's flow.
 //
 // Key entry points:
 //   - NewCircuit builds a Circuit from R/C/V/I/MOS elements.

@@ -42,7 +42,7 @@ var libMemo runner.Memo[string, *liberty.Library]
 // (internal/config, set by the -libcache flag) names a directory,
 // characterized libraries are persisted there as <name>.lib text files
 // and reloaded on later runs, skipping the transient-simulation pass
-// (about 1.8 s of CPU for the organic library; stale files regenerate on
+// (about 1.7 s of CPU for the organic library; stale files regenerate on
 // format-version or read errors).
 // Characterized libraries are a process-wide shared resource: sessions
 // share them deliberately, since characterization is deterministic.

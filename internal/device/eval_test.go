@@ -191,18 +191,25 @@ func checkEval(m evalModel, vgs, vds float64) error {
 // oracleModels returns one model of each class, thresholds shifted by
 // dvt: the golden pentacene Level61, the same without its leakage
 // floor (so the deep-subthreshold channel current is not buried under
-// it), a square-law Level1 on the same geometry, and the silicon
-// velocity-saturated N and P devices.
+// it), two with exponents off the pentacene ones, a square-law Level1
+// on the same geometry, and the silicon velocity-saturated N and P
+// devices. The reference current keeps math.Pow, so the off-pentacene
+// exponents check Eval's pow where it folds the fraction (Gamma 0.7
+// and 1/1.5) and multiplies in integer powers (MSat 1.5 and 3).
 func oracleModels(dvt float64) []evalModel {
 	l61 := PentaceneGolden()
 	l61.VT0 += dvt
 	bare := *l61
 	bare.ILeak, bare.Gmin = 0, 0
+	knee15 := *l61
+	knee15.Gamma, knee15.MSat = 0.7, 1.5
+	knee3 := knee15
+	knee3.MSat = 3
 	l1 := &Level1{Geom: PentaceneGeometry(), VT: 1.3 + dvt, Mu: PentaceneMuLin, Lambda: 0.01}
 	nm, pm := SiliconNMOS(SiliconWN), SiliconPMOS(SiliconWP)
 	nm.VT += dvt
 	pm.VT += dvt
-	return []evalModel{l61, &bare, l1, nm, pm}
+	return []evalModel{l61, &bare, &knee15, &knee3, l1, nm, pm}
 }
 
 // nVt61 is Level61's internal subthreshold slope (x = (vgs-vte)/nVt).

@@ -162,7 +162,7 @@ func (m *Level61) Eval(vgs, vds float64) (id, gm, gds float64) {
 	mu := m.Mu0
 	gamma := 0.0 // vgte*dmu/dvgte / mu
 	if m.Gamma != 0 && m.VAA > 0 {
-		mu *= math.Pow(vgte/m.VAA, m.Gamma)
+		mu *= pow(vgte/m.VAA, m.Gamma)
 		gamma = m.Gamma
 	}
 	msat := m.MSat
@@ -179,8 +179,8 @@ func (m *Level61) Eval(vgs, vds float64) (id, gm, gds float64) {
 	// 1-1/r stays finite when (vds/vsat)^M overflows.
 	var vdse, dvdse, r float64
 	if vsat > 0 {
-		r = 1 + math.Pow(vds/vsat, msat)
-		p := math.Pow(r, 1/msat)
+		r = 1 + pow(vds/vsat, msat)
+		p := pow(r, 1/msat)
 		vdse, dvdse = vds/p, 1/(p*r)
 	}
 	clm := 1 + m.Lambda*vds
@@ -193,6 +193,66 @@ func (m *Level61) Eval(vgs, vds float64) (id, gm, gds float64) {
 		gds = gch*(dvdse*clm+vdse*m.Lambda) + gm*dibl
 	}
 	return id + m.ILeak + m.Gmin*vds, gm, gds + m.Gmin
+}
+
+// pow returns math.Pow(x, y) bit for bit. It skips Pow's special-case
+// tests, Modf, Frexp and Ldexp wherever the result cannot differ.
+//
+// For finite x > 0, Pow splits |y| into an integer yi and a fraction
+// yf, folded into (-0.5, 0.5]. It takes a1 = Exp(yf*Log(x)) and
+// multiplies in Frexp(x)'s mantissa raised to yi by repeated squaring,
+// carrying the split-off binary exponents in an int ae. For y < 0 it
+// takes 1/a1 and negates ae. It returns Ldexp(a1, ae).
+//
+// pow runs the same multiplies on x itself, so each of its values is
+// the matching one of Pow's times a power of two. Scaling by a power of
+// two is exact and commutes with round-to-nearest while the values stay
+// normal. So every product and the reciprocal round to the same
+// significand as Pow's, and Pow's final Ldexp is exact. The guard keeps
+// every value pow uses, x^t with |t| <= |y|+0.5, within 2^±1000, since
+// |log2 x| <= |e|+1 for x's unbiased exponent e. Every other x or y
+// goes to math.Pow. This holds wherever math.Pow is Go's portable code,
+// which is everywhere but s390x.
+func pow(x, y float64) float64 {
+	switch {
+	case y == 0 || x == 1:
+		return 1
+	case y == 1:
+		return x
+	}
+	// e is x's unbiased exponent for a normal x > 0. For a negative,
+	// zero, subnormal, infinite or NaN x, |e| >= 1023, so the guard
+	// fails for them too, as it does for a NaN or infinite y.
+	e := int(math.Float64bits(x)>>52) - 1023
+	ay := math.Abs(y)
+	if !(float64(max(e, -e)+1)*(ay+1) < 1000) {
+		return math.Pow(x, y)
+	}
+	switch y {
+	case 0.5:
+		return math.Sqrt(x)
+	case -0.5:
+		return 1 / math.Sqrt(x)
+	}
+	yi := math.Trunc(ay)
+	a := 1.0
+	if yf := ay - yi; yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a = math.Exp(yf * math.Log(x))
+	}
+	for i, xp := int64(yi), x; i != 0; i >>= 1 {
+		if i&1 == 1 {
+			a *= xp
+		}
+		xp *= xp
+	}
+	if y < 0 {
+		a = 1 / a
+	}
+	return a
 }
 
 // VelSatLevel1 extends Level1 with a velocity-saturation current limit,

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -124,8 +125,8 @@ func TestArcPointStopsEarly(t *testing.T) {
 	}
 }
 
-// updateLibs rewrites the library goldens from this run.
-var updateLibs = flag.Bool("update", false, "rewrite testdata/*.lib from this run")
+// updateLibs rewrites the testdata goldens from this run.
+var updateLibs = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
 // golden compares got with the committed testdata/<file>, or rewrites
 // that file under -update. It returns the golden and whether got
@@ -209,9 +210,16 @@ func TestSynopsysGolden(t *testing.T) {
 	if ok {
 		return
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	line, g, w := firstDiff(got.Bytes(), want)
+	t.Fatalf("silicon_synopsys.lib differs from its golden first at line %d (run with -update to accept):\n got %q\nwant %q", line, g, w)
+}
+
+// firstDiff returns the 1-based number of the first line where got and
+// want differ, with that line of each ("" past the end of one).
+func firstDiff(got, want []byte) (line int, g, w string) {
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := range max(len(gl), len(wl)) {
-		var g, w string
+		g, w = "", ""
 		if i < len(gl) {
 			g = gl[i]
 		}
@@ -219,8 +227,72 @@ func TestSynopsysGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("silicon_synopsys.lib differs from its golden first at line %d (run with -update to accept):\n got %q\nwant %q", i+1, g, w)
+			return i + 1, g, w
 		}
+	}
+	return 0, "", ""
+}
+
+// TestInverterGoldens pins, at full precision, every number the
+// inverter experiments tabulate (fig6, fig7, fig8 and the variation
+// extension, at the rails, shifts and sweep points of
+// internal/core/experiments.go). Their tables print three or four
+// significant digits; this must equal testdata/inverters.golden byte
+// for byte. A deliberate numerical change regenerates it with
+//
+//	go test ./internal/cells/ -run TestInverterGoldens -update
+func TestInverterGoldens(t *testing.T) {
+	var b strings.Builder
+	put := func(label string, v float64) {
+		fmt.Fprintf(&b, "%s %s\n", label, strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	putDC := func(label string, dc spice.InverterDC) {
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"VM", dc.VM}, {"gain", dc.Gain}, {"NMH", dc.NMH}, {"NML", dc.NML},
+			{"VOH", dc.VOH}, {"VOL", dc.VOL}, {"PowLow", dc.PowLow}, {"PowHigh", dc.PowHigh}} {
+			put(label+" "+f.name, f.v)
+		}
+	}
+	for _, c := range []struct {
+		fig      string
+		style    InverterStyle
+		vdd, vss float64
+	}{
+		{"fig6", DiodeLoad, 15, 0}, {"fig6", BiasedLoad, 15, -5}, {"fig6", PseudoE, 15, -15},
+		{"fig7", PseudoE, 5, -15}, {"fig7", PseudoE, 10, -20}, {"fig7", PseudoE, 15, -15},
+	} {
+		dc, _, err := AnalyzeOrganicInverter(c.style, c.vdd, c.vss, 151)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putDC(fmt.Sprintf("%s %s VDD=%g VSS=%g", c.fig, c.style, c.vdd, c.vss), dc)
+	}
+	vss := []float64{-20, -17.5, -15, -12.5, -10}
+	vms, slope, intercept, err := VMVersusVSS(5, vss, 121)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vss {
+		put(fmt.Sprintf("fig8 VSS=%g VM", v), vms[i])
+	}
+	put("fig8 slope", slope)
+	put("fig8 intercept", intercept)
+	pts, err := VariationTrim(5, -15, []float64{-0.25, -0.125, 0, 0.125, 0.25}, 121)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		label := fmt.Sprintf("variation dVT=%g", p.VTShift)
+		put(label+" VM", p.VM)
+		put(label+" VSSTrim", p.VSSTrim)
+		put(label+" VMTrimmed", p.VMTrimmed)
+	}
+	want, ok := golden(t, "inverters.golden", []byte(b.String()))
+	if !ok {
+		line, g, w := firstDiff([]byte(b.String()), want)
+		t.Fatalf("inverters.golden differs from this run first at line %d (run with -update to accept):\n got %q\nwant %q", line, g, w)
 	}
 }
 

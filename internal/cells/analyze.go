@@ -6,68 +6,26 @@ import (
 	"repro/internal/spice"
 )
 
-// InverterSizing overrides the drive/load geometry of the ratioed
-// (diode-load, biased-load) inverters; zero fields fall back to the
-// package defaults. It exists because the paper tunes each style's
-// sizing separately (Section 4.3.4's design-space script).
-type InverterSizing struct {
-	WDrive float64
-	WLoad  float64
-	LLoad  float64
-	// VTShift offsets every transistor's threshold (sample-to-sample
-	// process variation; the paper reports spreads within 0.5 V).
-	VTShift float64
-}
-
-func (s InverterSizing) orDefault(style InverterStyle) InverterSizing {
-	def := map[InverterStyle]InverterSizing{
-		DiodeLoad:  {WDrive: wDiodeDrive, WLoad: wDiodeLoad, LLoad: organicL},
-		BiasedLoad: {WDrive: wBiasDrive, WLoad: wBiasLoad, LLoad: organicL},
-		PseudoE:    {},
-	}[style]
-	if s.WDrive == 0 {
-		s.WDrive = def.WDrive
-	}
-	if s.WLoad == 0 {
-		s.WLoad = def.WLoad
-	}
-	if s.LLoad == 0 {
-		s.LLoad = def.LLoad
-	}
-	return s
-}
-
 // AnalyzeOrganicInverter builds one Figure 5 inverter at the given rails,
 // sweeps its transfer characteristic, and extracts the DC parameter set
 // the paper tabulates in Figures 6(d) and 7(d): switching threshold,
 // maximum gain, MEC noise margins, output levels, and static power at
 // input low/high.
 func AnalyzeOrganicInverter(style InverterStyle, vdd, vss float64, points int) (spice.InverterDC, spice.VTC, error) {
-	return AnalyzeOrganicInverterSized(style, vdd, vss, InverterSizing{}, points)
+	return analyzeInverter(style, vdd, vss, 0, points)
 }
 
-// AnalyzeOrganicInverterSized is AnalyzeOrganicInverter with explicit
-// drive/load sizing for the ratioed styles.
-func AnalyzeOrganicInverterSized(style InverterStyle, vdd, vss float64, sz InverterSizing, points int) (spice.InverterDC, spice.VTC, error) {
-	c := spice.NewCircuit()
-	c.MaxStep = 2.0
+// analyzeInverter is AnalyzeOrganicInverter with every transistor's
+// threshold offset by vtShift.
+func analyzeInverter(style InverterStyle, vdd, vss, vtShift float64, points int) (spice.InverterDC, spice.VTC, error) {
+	c := Organic().newCircuit()
 	in, out := c.Node("in"), c.Node("out")
 	vddN := c.Node("vdd")
 	vssN := c.Node("vss")
 	c.V("VDD", vddN, spice.Ground, spice.DC(vdd))
 	c.V("VSS", vssN, spice.Ground, spice.DC(vss))
 	c.V("VIN", in, spice.Ground, spice.DC(0))
-	sz = sz.orDefault(style)
-	switch style {
-	case DiodeLoad:
-		addOTFT(c, "Mdrv", out, in, vddN, sz.WDrive, organicL)
-		addOTFT(c, "Mload", spice.Ground, spice.Ground, out, sz.WLoad, sz.LLoad)
-	case BiasedLoad:
-		addOTFT(c, "Mdrv", out, in, vddN, sz.WDrive, organicL)
-		addOTFT(c, "Mload", spice.Ground, vssN, out, sz.WLoad, sz.LLoad)
-	case PseudoE:
-		buildPseudoE(c, []spice.Node{in}, out, vddN, vssN, false, "", sz.VTShift)
-	}
+	buildInverter(c, style, in, out, vddN, vssN, vtShift)
 	sweep, err := c.DCSweep("VIN", 0, vdd, points)
 	if err != nil {
 		return spice.InverterDC{}, spice.VTC{}, fmt.Errorf("cells: %s VTC: %w", style, err)
@@ -141,37 +99,16 @@ func VariationTrim(vdd, vss float64, shifts []float64, points int) ([]VariationP
 	}
 	out := make([]VariationPoint, 0, len(shifts))
 	for _, dvt := range shifts {
-		dc, _, err := AnalyzeOrganicInverterSized(PseudoE, vdd, vss, InverterSizing{VTShift: dvt}, points)
+		dc, _, err := analyzeInverter(PseudoE, vdd, vss, dvt, points)
 		if err != nil {
 			return nil, err
 		}
 		trim := vss + (nominal.VM-dc.VM)/slope
-		dcT, _, err := AnalyzeOrganicInverterVSS(vdd, trim, dvt, points)
+		dcT, _, err := analyzeInverter(PseudoE, vdd, trim, dvt, points)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, VariationPoint{VTShift: dvt, VM: dc.VM, VSSTrim: trim, VMTrimmed: dcT.VM})
 	}
 	return out, nil
-}
-
-// AnalyzeOrganicInverterVSS measures a VT-shifted pseudo-E inverter at
-// an arbitrary bias rail.
-func AnalyzeOrganicInverterVSS(vdd, vss, vtShift float64, points int) (spice.InverterDC, spice.VTC, error) {
-	return AnalyzeOrganicInverterSized(PseudoE, vdd, vss, InverterSizing{VTShift: vtShift}, points)
-}
-
-// SolveVSSForMidVM returns the VSS bias that places the pseudo-E
-// switching threshold at VDD/2, found from the fitted VM(VSS) line
-// (the paper's procedure for choosing VSS = -15 V, Section 4.3.3).
-func SolveVSSForMidVM(vdd float64, vssLo, vssHi float64) (float64, error) {
-	grid := []float64{vssLo, (vssLo + vssHi) / 2, vssHi}
-	_, slope, intercept, err := VMVersusVSS(vdd, grid, 101)
-	if err != nil {
-		return 0, err
-	}
-	if slope == 0 {
-		return 0, fmt.Errorf("cells: VM insensitive to VSS")
-	}
-	return (vdd/2 - intercept) / slope, nil
 }

@@ -2,6 +2,7 @@ package cells
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -416,7 +417,7 @@ func TestCharacterizeReproducible(t *testing.T) {
 	}
 	var libs [2]bytes.Buffer
 	for i := range libs {
-		lib, err := Characterize(Organic(), DefaultCharConfig())
+		lib, err := CharacterizeCtx(context.Background(), Organic(), DefaultCharConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

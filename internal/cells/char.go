@@ -100,13 +100,8 @@ func saveLibraryFile(path string, lib *liberty.Library) error {
 	return checkpoint.WriteFileAtomic(path, buf.Bytes())
 }
 
-// Characterize runs the full NLDM flow for every prototype cell and
+// CharacterizeCtx runs the full NLDM flow for every prototype cell and
 // derives the DFF timing, mirroring the SiliconSmart step of the paper.
-func Characterize(t *Technology, cfg CharConfig) (*liberty.Library, error) {
-	return CharacterizeCtx(context.Background(), t, cfg)
-}
-
-// CharacterizeCtx is Characterize with cancellation and span parenting.
 // It pre-builds every cell with its LUTs, then runs every arc point
 // (cell, pin, slew, load, output direction) and every cell's power
 // measurement as its own task on the worker pool, each in its own
@@ -181,11 +176,11 @@ func CharacterizeCtx(ctx context.Context, t *Technology, cfg CharConfig) (*liber
 								obs.KV("tech", t.Name), obs.KV("cell", p.Name), obs.KV("pin", pin),
 								obs.Stage(obs.StageCharacterize))
 							defer sp.End()
-							pt, err := measureArcPoint(t, p, pin, others, rising, tramp, cl, cfg.Steps)
+							d, s, err := measureArcPoint(t, p, pin, others, rising, tramp, cl, cfg.Steps)
 							if err != nil {
 								return wrap(err)
 							}
-							delay.Value[i][j], slew.Value[i][j] = pt.delay, pt.slew
+							delay.Value[i][j], slew.Value[i][j] = d, s
 							return nil
 						})
 					}
@@ -286,31 +281,26 @@ func nonControlling(p *Proto, pin string) (map[string]bool, error) {
 	return nil, fmt.Errorf("pin %s never controls the output", pin)
 }
 
-// charPoint holds one measured grid point.
-type charPoint struct {
-	delay, slew float64
-}
-
 // measureArcPoint runs one transient: input pin transitions with the
 // given ramp time while the others hold non-controlling values, and the
 // output (loaded with cl) is measured for 50-50 delay and 20-80 slew.
 // The transient streams the measurement and stops at its last crossing;
 // an output that never completes its transition gets a wider window.
-func measureArcPoint(t *Technology, p *Proto, pin string, others map[string]bool, outRising bool, tramp, cl float64, steps int) (charPoint, error) {
+func measureArcPoint(t *Technology, p *Proto, pin string, others map[string]bool, outRising bool, tramp, cl float64, steps int) (delay, slew float64, err error) {
 	window := 6*tramp + 60*t.TimeScale
 	for attempt := 0; attempt < 4; attempt++ {
 		c, out, hold := arcCircuit(t, p, pin, others, outRising, tramp, cl, window)
 		tOut, oslew, err := c.MeasureEdge(window, window/float64(steps), out, outRising, 0, t.VDD, hold)
 		if err != nil {
-			return charPoint{}, err
+			return 0, 0, err
 		}
 		if !math.IsNaN(tOut) && !math.IsNaN(oslew) && oslew > 0 {
-			return charPoint{delay: tOut - (hold + tramp/2), slew: oslew}, nil
+			return tOut - (hold + tramp/2), oslew, nil
 		}
 		// Output did not complete its transition: widen the window.
 		window *= 4
 	}
-	return charPoint{}, fmt.Errorf("output never settled (pin %s, rising=%v, tramp=%g, cl=%g)", pin, outRising, tramp, cl)
+	return 0, 0, fmt.Errorf("output never settled (pin %s, rising=%v, tramp=%g, cl=%g)", pin, outRising, tramp, cl)
 }
 
 // arcCircuit builds the test bench of one arc point over the given
@@ -325,75 +315,30 @@ func arcCircuit(t *Technology, p *Proto, pin string, others map[string]bool, out
 	asg[pin] = true
 	inRising := p.Eval(asg) == outRising
 	hold = window * 0.15
-
-	c = t.newCircuit()
-	pins := map[string]spice.Node{}
-	vdd := c.Node("vdd")
-	c.V("VDD", vdd, spice.Ground, spice.DC(t.VDD))
-	pins["vdd"] = vdd
-	vss := spice.Node(spice.Ground)
-	if t.VSS != 0 {
-		vss = c.Node("vss")
-		c.V("VSS", vss, spice.Ground, spice.DC(t.VSS))
-	}
-	pins["vss"] = vss
-	level := func(b bool) float64 {
-		if b {
-			return t.VDD
-		}
-		return 0
-	}
-	for _, in := range p.Inputs {
-		n := c.Node("in_" + in)
-		pins[in] = n
-		if in == pin {
-			v0, v1 := level(!inRising), level(inRising)
-			c.V("VIN", n, spice.Ground, spice.Ramp{V0: v0, V1: v1, T0: hold, T1: hold + tramp})
-		} else {
-			c.V("V_"+in, n, spice.Ground, spice.DC(level(others[in])))
-		}
-	}
-	out = c.Node("out")
-	pins[p.Output] = out
-	p.Build(c, pins)
-	if cl > 0 {
-		c.C("CL", out, spice.Ground, cl)
-	}
+	ramp := spice.Ramp{V0: t.level(!inRising), V1: t.level(inRising), T0: hold, T1: hold + tramp}
+	c, out = t.testBench(p, pin, ramp, others, cl)
 	return c, out, hold
 }
 
 // staticPower solves the DC supply power with all inputs low and all
 // inputs high.
 func staticPower(t *Technology, p *Proto) (lo, hi float64, err error) {
-	run := func(level float64) (float64, error) {
-		c := t.newCircuit()
-		pins := map[string]spice.Node{}
-		vdd := c.Node("vdd")
-		c.V("VDD", vdd, spice.Ground, spice.DC(t.VDD))
-		pins["vdd"] = vdd
-		vss := spice.Node(spice.Ground)
-		if t.VSS != 0 {
-			vss = c.Node("vss")
-			c.V("VSS", vss, spice.Ground, spice.DC(t.VSS))
-		}
-		pins["vss"] = vss
+	run := func(high bool) (float64, error) {
+		held := make(map[string]bool, len(p.Inputs))
 		for _, in := range p.Inputs {
-			n := c.Node("in_" + in)
-			pins[in] = n
-			c.V("V_"+in, n, spice.Ground, spice.DC(level))
+			held[in] = high
 		}
-		pins[p.Output] = c.Node("out")
-		p.Build(c, pins)
+		c, _ := t.testBench(p, "", nil, held, 0)
 		op, err := c.DCOperatingPoint()
 		if err != nil {
 			return 0, err
 		}
 		return op.SupplyPower(0), nil
 	}
-	if lo, err = run(0); err != nil {
+	if lo, err = run(false); err != nil {
 		return 0, 0, err
 	}
-	if hi, err = run(t.VDD); err != nil {
+	if hi, err = run(true); err != nil {
 		return 0, 0, err
 	}
 	return lo, hi, nil

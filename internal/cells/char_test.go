@@ -33,23 +33,23 @@ func proto(t *testing.T, tech *Technology, name string) *Proto {
 // fullArcPoint is measureArcPoint over the full recorded transient:
 // every step of the window runs, and CrossTime and Slew2080 read the
 // waveform afterwards.
-func fullArcPoint(t *Technology, p *Proto, pin string, others map[string]bool, outRising bool, tramp, cl float64, steps int) (charPoint, error) {
+func fullArcPoint(t *Technology, p *Proto, pin string, others map[string]bool, outRising bool, tramp, cl float64, steps int) (delay, slew float64, err error) {
 	window := 6*tramp + 60*t.TimeScale
 	for attempt := 0; attempt < 4; attempt++ {
 		c, out, hold := arcCircuit(t, p, pin, others, outRising, tramp, cl, window)
 		tr, err := c.Transient(window, window/float64(steps), out)
 		if err != nil {
-			return charPoint{}, err
+			return 0, 0, err
 		}
 		v := tr.V(out)
 		tOut := spice.CrossTime(tr.Times, v, t.VDD/2, outRising, hold)
 		oslew := spice.Slew2080(tr.Times, v, 0, t.VDD, outRising, hold)
 		if !math.IsNaN(tOut) && !math.IsNaN(oslew) && oslew > 0 {
-			return charPoint{delay: tOut - (hold + tramp/2), slew: oslew}, nil
+			return tOut - (hold + tramp/2), oslew, nil
 		}
 		window *= 4
 	}
-	return charPoint{}, fmt.Errorf("output never settled (pin %s, rising=%v)", pin, outRising)
+	return 0, 0, fmt.Errorf("output never settled (pin %s, rising=%v)", pin, outRising)
 }
 
 // TestStreamedArcPointsMatchFullTransient: stopping each arc-point
@@ -76,18 +76,18 @@ func TestStreamedArcPointsMatchFullTransient(t *testing.T) {
 					for _, lm := range loadMults {
 						for _, rising := range []bool{true, false} {
 							tramp, cl := sm*tech.TimeScale/0.6, lm*invCap
-							got, err := measureArcPoint(tech, p, pin, others, rising, tramp, cl, cfg.Steps)
+							gotDelay, gotSlew, err := measureArcPoint(tech, p, pin, others, rising, tramp, cl, cfg.Steps)
 							if err != nil {
 								t.Fatalf("%s/%s/%s: %v", tech.Name, p.Name, pin, err)
 							}
-							want, err := fullArcPoint(tech, p, pin, others, rising, tramp, cl, cfg.Steps)
+							wantDelay, wantSlew, err := fullArcPoint(tech, p, pin, others, rising, tramp, cl, cfg.Steps)
 							if err != nil {
 								t.Fatalf("%s/%s/%s: full transient: %v", tech.Name, p.Name, pin, err)
 							}
-							if math.Float64bits(got.delay) != math.Float64bits(want.delay) ||
-								math.Float64bits(got.slew) != math.Float64bits(want.slew) {
-								t.Errorf("%s/%s/%s slew %gx load %gx rising=%v: streamed %+v, full %+v",
-									tech.Name, p.Name, pin, sm, lm, rising, got, want)
+							if math.Float64bits(gotDelay) != math.Float64bits(wantDelay) ||
+								math.Float64bits(gotSlew) != math.Float64bits(wantSlew) {
+								t.Errorf("%s/%s/%s slew %gx load %gx rising=%v: streamed delay %g slew %g, full delay %g slew %g",
+									tech.Name, p.Name, pin, sm, lm, rising, gotDelay, gotSlew, wantDelay, wantSlew)
 							}
 						}
 					}
@@ -109,7 +109,7 @@ func TestArcPointStopsEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	solved0, repeats0 := obs.Count(obs.StageSpiceTranStep), obs.Count(obs.StageSpiceTranRepeat)
-	if _, err := measureArcPoint(tech, p, "A", others, true,
+	if _, _, err := measureArcPoint(tech, p, "A", others, true,
 		cfg.SlewMults[0]*tech.TimeScale/0.6, cfg.LoadMults[0]*p.InputCap, cfg.Steps); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestLibraryGoldens(t *testing.T) {
 		file string
 		tech *Technology
 	}{{"organic.lib", Organic()}, {"silicon.lib", Silicon()}} {
-		lib, err := Characterize(tc.tech, DefaultCharConfig())
+		lib, err := CharacterizeCtx(context.Background(), tc.tech, DefaultCharConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestSynopsysGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is expensive")
 	}
-	lib, err := Characterize(Silicon(), DefaultCharConfig())
+	lib, err := CharacterizeCtx(context.Background(), Silicon(), DefaultCharConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestCharacterizeRejectsDegenerateConfig(t *testing.T) {
 		{"Steps", CharConfig{SlewMults: good.SlewMults, LoadMults: good.LoadMults, Steps: 1}},
 	} {
 		steps0 := obs.Count(obs.StageSpiceTranStep)
-		lib, err := Characterize(Silicon(), tc.cfg)
+		lib, err := CharacterizeCtx(context.Background(), Silicon(), tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), "CharConfig."+tc.field) {
 			t.Errorf("%+v: got library %v, error %v; want an error naming CharConfig.%s", tc.cfg, lib != nil, err, tc.field)
 		}

@@ -13,6 +13,18 @@
 // extension; EnergySweep inputs come from the per-cell leakage and
 // switching energy measured here.
 //
+// Each circuit concept has one builder. gateProto gives both
+// technologies' NAND/NOR prototypes their pins, function and
+// evaluator, and palette lists the five combinational cells; each
+// technology adds only its transistors, area and pin capacitance.
+// Technology.testBench puts a cell under supply for the arc-point
+// transients, the static-power solves and the switch-energy transient
+// alike. buildInverter wires the Figure 5 inverters for
+// BuildOrganicInverter and for the DC analyses. The order in which a
+// builder declares nodes, sources and elements fixes the MNA layout of
+// the circuit, and with it every bit of the results, so a builder
+// change that reorders declarations changes the libraries.
+//
 // Concurrency and caching contract: Library memoizes one characterized
 // library per technology name in a per-key singleflight cache — the two
 // technologies characterize concurrently without serializing on each

@@ -24,40 +24,12 @@ func measureSwitchEnergy(t *Technology, p *Proto, leakLow, leakHigh float64) (fl
 	delay := 0.25 * window
 	width := 0.35 * window
 
-	c := t.newCircuit()
-	pins := map[string]spice.Node{}
-	vdd := c.Node("vdd")
-	c.V("VDD", vdd, spice.Ground, spice.DC(t.VDD))
-	pins["vdd"] = vdd
-	vss := spice.Node(spice.Ground)
+	pulse := spice.Pulse{V0: 0, V1: t.VDD, Delay: delay, Rise: rise, Width: width, Fall: rise}
+	c, out := t.testBench(p, pin, pulse, others, 2*p.InputCap)
 	rails := map[string]float64{"VDD": t.VDD}
 	if t.VSS != 0 {
-		vss = c.Node("vss")
-		c.V("VSS", vss, spice.Ground, spice.DC(t.VSS))
 		rails["VSS"] = t.VSS
 	}
-	pins["vss"] = vss
-	level := func(b bool) float64 {
-		if b {
-			return t.VDD
-		}
-		return 0
-	}
-	for _, in := range p.Inputs {
-		n := c.Node("in_" + in)
-		pins[in] = n
-		if in == pin {
-			c.V("VIN", n, spice.Ground, spice.Pulse{
-				V0: 0, V1: t.VDD, Delay: delay, Rise: rise, Width: width, Fall: rise,
-			})
-		} else {
-			c.V("V_"+in, n, spice.Ground, spice.DC(level(others[in])))
-		}
-	}
-	out := c.Node("out")
-	pins[p.Output] = out
-	p.Build(c, pins)
-	c.C("CL", out, spice.Ground, 2*p.InputCap)
 	tr, err := c.Transient(window, window/2500, out)
 	if err != nil {
 		return 0, fmt.Errorf("energy transient: %w", err)

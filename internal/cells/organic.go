@@ -77,19 +77,25 @@ func addOTFTShift(c *spice.Circuit, name string, d, g, s spice.Node, w, l, vtShi
 // in/out nodes using the provided rails. vss is required for the
 // biased-load and pseudo-E styles.
 func BuildOrganicInverter(c *spice.Circuit, style InverterStyle, in, out, vdd, vss spice.Node) {
+	buildInverter(c, style, in, out, vdd, vss, 0)
+}
+
+// buildInverter is BuildOrganicInverter with every transistor's
+// threshold offset by vtShift.
+func buildInverter(c *spice.Circuit, style InverterStyle, in, out, vdd, vss spice.Node, vtShift float64) {
 	switch style {
 	case DiodeLoad:
 		// Drive on top (conducts when IN is low), diode-connected load
 		// pulling toward ground.
-		addOTFT(c, "Mdrv", out, in, vdd, wDiodeDrive, organicL)
-		addOTFT(c, "Mload", spice.Ground, spice.Ground, out, wDiodeLoad, organicL)
+		addOTFTShift(c, "Mdrv", out, in, vdd, wDiodeDrive, organicL, vtShift)
+		addOTFTShift(c, "Mload", spice.Ground, spice.Ground, out, wDiodeLoad, organicL, vtShift)
 	case BiasedLoad:
 		// Same structure, but the load gate is tied to the negative bias
 		// rail, making it a tunable current-source pull-down.
-		addOTFT(c, "Mdrv", out, in, vdd, wBiasDrive, organicL)
-		addOTFT(c, "Mload", spice.Ground, vss, out, wBiasLoad, organicL)
+		addOTFTShift(c, "Mdrv", out, in, vdd, wBiasDrive, organicL, vtShift)
+		addOTFTShift(c, "Mload", spice.Ground, vss, out, wBiasLoad, organicL, vtShift)
 	case PseudoE:
-		buildPseudoE(c, []spice.Node{in}, out, vdd, vss, false, "", 0)
+		buildPseudoE(c, []spice.Node{in}, out, vdd, vss, false, "", vtShift)
 	}
 }
 
@@ -161,22 +167,7 @@ func organicPinCap(stack float64) float64 {
 
 // organicProto builds the prototype for an n-input pseudo-E NAND or NOR.
 func organicProto(name string, n int, nor bool) *Proto {
-	inputs := make([]string, n)
-	for i := range inputs {
-		inputs[i] = string(rune('A' + i))
-	}
-	fn := "!("
-	sep := "*"
-	if nor {
-		sep = "+"
-	}
-	for i, in := range inputs {
-		if i > 0 {
-			fn += sep
-		}
-		fn += in
-	}
-	fn += ")"
+	p := gateProto(name, n, nor)
 	stack := 1.0
 	if nor {
 		stack = float64(n)
@@ -185,50 +176,21 @@ func organicProto(name string, n int, nor bool) *Proto {
 	for i := 0; i < n; i++ {
 		widths = append(widths, wShiftDrive*stack, wPullUp*stack)
 	}
-	return &Proto{
-		Name:     name,
-		Inputs:   inputs,
-		Output:   "Y",
-		Function: fn,
-		Eval: func(in map[string]bool) bool {
-			if nor {
-				for _, p := range inputs {
-					if in[p] {
-						return false
-					}
-				}
-				return true
-			}
-			for _, p := range inputs {
-				if !in[p] {
-					return true
-				}
-			}
-			return false
-		},
-		Build: func(c *spice.Circuit, pins map[string]spice.Node) {
-			ins := make([]spice.Node, n)
-			for i, p := range inputs {
-				ins[i] = pins[p]
-			}
-			buildPseudoE(c, ins, pins["Y"], pins["vdd"], pins["vss"], nor, "", 0)
-		},
-		Transistors: 2*n + 2,
-		Area:        organicArea(widths...),
-		InputCap:    organicPinCap(stack),
+	p.Build = func(c *spice.Circuit, pins map[string]spice.Node) {
+		ins := make([]spice.Node, n)
+		for i, in := range p.Inputs {
+			ins[i] = pins[in]
+		}
+		buildPseudoE(c, ins, pins["Y"], pins["vdd"], pins["vss"], nor, "", 0)
 	}
+	p.Transistors = 2*n + 2
+	p.Area = organicArea(widths...)
+	p.InputCap = organicPinCap(stack)
+	return p
 }
 
 func newOrganic() *Technology {
-	inv := organicProto("INV", 1, false)
-	inv.Function = "!A"
-	protos := []*Proto{
-		inv,
-		organicProto("NAND2", 2, false),
-		organicProto("NAND3", 3, false),
-		organicProto("NOR2", 2, true),
-		organicProto("NOR3", 3, true),
-	}
+	protos := palette(organicProto)
 	nand2 := protos[1]
 	nand3 := protos[2]
 	return &Technology{
@@ -242,7 +204,6 @@ func newOrganic() *Technology {
 		DFFTransistors: 4*nand3.Transistors + 2*nand2.Transistors,
 		DFFArea:        1.1 * (4*nand3.Area + 2*nand2.Area),
 		DFFInputCap:    nand3.InputCap,
-		DFFClockCap:    2 * nand3.InputCap,
 		// Thick shadow-mask Au wiring: low resistance, modest capacitance.
 		WireResPerM: 25e3,    // 25 ohm/mm
 		WireCapPerM: 1.5e-10, // 0.15 pF/mm

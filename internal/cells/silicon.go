@@ -34,22 +34,7 @@ func siliconArea(widths ...float64) float64 {
 
 // siliconProto builds an n-input complementary NAND or NOR prototype.
 func siliconProto(name string, n int, nor bool) *Proto {
-	inputs := make([]string, n)
-	for i := range inputs {
-		inputs[i] = string(rune('A' + i))
-	}
-	fn := "!("
-	sep := "*"
-	if nor {
-		sep = "+"
-	}
-	for i, in := range inputs {
-		if i > 0 {
-			fn += sep
-		}
-		fn += in
-	}
-	fn += ")"
+	p := gateProto(name, n, nor)
 	stack := float64(n)
 	wn, wp := device.SiliconWN, device.SiliconWP
 	var widths []float64
@@ -67,79 +52,51 @@ func siliconProto(name string, n int, nor bool) *Proto {
 		}
 		cin = device.SiliconCox() * device.SiliconL * (wn*stack + wp)
 	}
-	return &Proto{
-		Name:     name,
-		Inputs:   inputs,
-		Output:   "Y",
-		Function: fn,
-		Eval: func(in map[string]bool) bool {
-			if nor {
-				for _, p := range inputs {
-					if in[p] {
-						return false
-					}
-				}
-				return true
-			}
-			for _, p := range inputs {
-				if !in[p] {
-					return true
-				}
-			}
-			return false
-		},
-		Build: func(c *spice.Circuit, pins map[string]spice.Node) {
-			out, vdd := pins["Y"], pins["vdd"]
-			if nor {
-				// Stacked PMOS from VDD to out, parallel NMOS to ground.
-				prev := vdd
-				for i, p := range inputs {
-					var next spice.Node
-					if i == n-1 {
-						next = out
-					} else {
-						next = c.Node(fmt.Sprintf("p%d", i))
-					}
-					addPMOS(c, fmt.Sprintf("MP%d", i), next, pins[p], prev, wp*stack)
-					prev = next
-				}
-				for i, p := range inputs {
-					addNMOS(c, fmt.Sprintf("MN%d", i), out, pins[p], spice.Ground, wn)
-				}
-				return
-			}
-			// NAND: parallel PMOS to VDD, stacked NMOS to ground.
-			for i, p := range inputs {
-				addPMOS(c, fmt.Sprintf("MP%d", i), out, pins[p], vdd, wp)
-			}
-			prev := spice.Node(spice.Ground)
-			for i := n - 1; i >= 0; i-- {
+	inputs := p.Inputs
+	p.Build = func(c *spice.Circuit, pins map[string]spice.Node) {
+		out, vdd := pins["Y"], pins["vdd"]
+		if nor {
+			// Stacked PMOS from VDD to out, parallel NMOS to ground.
+			prev := vdd
+			for i, in := range inputs {
 				var next spice.Node
-				if i == 0 {
+				if i == n-1 {
 					next = out
 				} else {
-					next = c.Node(fmt.Sprintf("n%d", i))
+					next = c.Node(fmt.Sprintf("p%d", i))
 				}
-				addNMOS(c, fmt.Sprintf("MN%d", i), next, pins[inputs[i]], prev, wn*stack)
+				addPMOS(c, fmt.Sprintf("MP%d", i), next, pins[in], prev, wp*stack)
 				prev = next
 			}
-		},
-		Transistors: 2 * n,
-		Area:        siliconArea(widths...),
-		InputCap:    cin,
+			for i, in := range inputs {
+				addNMOS(c, fmt.Sprintf("MN%d", i), out, pins[in], spice.Ground, wn)
+			}
+			return
+		}
+		// NAND: parallel PMOS to VDD, stacked NMOS to ground.
+		for i, in := range inputs {
+			addPMOS(c, fmt.Sprintf("MP%d", i), out, pins[in], vdd, wp)
+		}
+		prev := spice.Node(spice.Ground)
+		for i := n - 1; i >= 0; i-- {
+			var next spice.Node
+			if i == 0 {
+				next = out
+			} else {
+				next = c.Node(fmt.Sprintf("n%d", i))
+			}
+			addNMOS(c, fmt.Sprintf("MN%d", i), next, pins[inputs[i]], prev, wn*stack)
+			prev = next
+		}
 	}
+	p.Transistors = 2 * n
+	p.Area = siliconArea(widths...)
+	p.InputCap = cin
+	return p
 }
 
 func newSilicon() *Technology {
-	inv := siliconProto("INV", 1, false)
-	inv.Function = "!A"
-	protos := []*Proto{
-		inv,
-		siliconProto("NAND2", 2, false),
-		siliconProto("NAND3", 3, false),
-		siliconProto("NOR2", 2, true),
-		siliconProto("NOR3", 3, true),
-	}
+	protos := palette(siliconProto)
 	nand2 := protos[1]
 	nand3 := protos[2]
 	return &Technology{
@@ -158,7 +115,6 @@ func newSilicon() *Technology {
 		DFFTransistors: 4*nand3.Transistors + 2*nand2.Transistors,
 		DFFArea:        0.45 * (4*nand3.Area + 2*nand2.Area),
 		DFFInputCap:    nand3.InputCap,
-		DFFClockCap:    2 * nand3.InputCap,
 		// 45 nm local interconnect: resistive thin wires.
 		WireResPerM: 1.5e6,   // 1.5 kohm/mm
 		WireCapPerM: 2.0e-10, // 0.20 pF/mm

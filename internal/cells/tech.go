@@ -44,8 +44,8 @@ func gateProto(name string, n int, nor bool) *Proto {
 		Output:   "Y",
 		Function: fn,
 		Eval: func(in map[string]bool) bool {
-			// A NAND is low only when every input is high, a NOR
-			// only when any is.
+			// One low input drives a NAND high; one high input
+			// drives a NOR low.
 			for _, p := range inputs {
 				if in[p] == nor {
 					return !nor

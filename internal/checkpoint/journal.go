@@ -99,8 +99,6 @@ func PointID(parts ...string) string { return strings.Join(parts, "/") }
 // Journal is an open checkpoint journal: a concurrency-safe map of
 // committed records backed by the crash-safe file. Create with Open.
 type Journal struct {
-	path string
-
 	mu     sync.Mutex
 	f      *os.File
 	recs   map[string][]byte
@@ -232,7 +230,7 @@ func Open(ctx context.Context, path string, meta Meta) (*Journal, Recovery, erro
 		f.Close()
 		return nil, Recovery{}, fmt.Errorf("checkpoint: %w", err)
 	}
-	j := &Journal{path: path, f: f, recs: make(map[string][]byte, len(recs))}
+	j := &Journal{f: f, recs: make(map[string][]byte, len(recs))}
 	for _, r := range recs {
 		if _, ok := j.recs[r.Key]; !ok { // first commit wins
 			j.recs[r.Key] = r.Value
@@ -285,9 +283,6 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Len reports the number of committed keys.
 func (j *Journal) Len() int {

@@ -96,18 +96,6 @@ func (n *Netlist) add(g Gate) Sig {
 	return Sig(len(n.Gates) - 1)
 }
 
-// NumGates returns the number of combinational cells (excluding inputs
-// and constants).
-func (n *Netlist) NumGates() int {
-	c := 0
-	for _, g := range n.Gates {
-		if g.Kind.CellName() != "" {
-			c++
-		}
-	}
-	return c
-}
-
 // Input declares a named primary input.
 func (n *Netlist) Input(name string) Sig {
 	s := n.add(Gate{Kind: Input})
@@ -168,14 +156,8 @@ func (n *Netlist) Nor3g(a, b, c Sig) Sig { return n.add(Gate{Kind: Nor3, In: [3]
 // And returns a&b (NAND + INV).
 func (n *Netlist) And(a, b Sig) Sig { return n.Not(n.Nand(a, b)) }
 
-// And3 returns a&b&c.
-func (n *Netlist) And3(a, b, c Sig) Sig { return n.Not(n.Nand3g(a, b, c)) }
-
 // Or returns a|b.
 func (n *Netlist) Or(a, b Sig) Sig { return n.Not(n.Nor(a, b)) }
-
-// Or3 returns a|b|c.
-func (n *Netlist) Or3(a, b, c Sig) Sig { return n.Not(n.Nor3g(a, b, c)) }
 
 // Xor returns a^b using the 4-NAND construction.
 func (n *Netlist) Xor(a, b Sig) Sig {
@@ -342,18 +324,6 @@ func Uint64(vals []bool, bus []Sig) uint64 {
 		}
 	}
 	return v
-}
-
-// SetUint64 writes value bits into an input assignment slice, given the
-// positions of the bus signals within n.Inputs.
-func (n *Netlist) SetUint64(inputs []bool, bus []Sig, value uint64) {
-	pos := make(map[Sig]int, len(n.Inputs))
-	for i, s := range n.Inputs {
-		pos[s] = i
-	}
-	for i, s := range bus {
-		inputs[pos[s]] = value&(1<<uint(i)) != 0
-	}
 }
 
 // Log2Ceil returns ceil(log2(v)) for v >= 1.

@@ -321,13 +321,3 @@ func (r *Result) ProfileSum() float64 {
 	}
 	return s
 }
-
-// MaxGateDelay returns the largest single increment on the critical
-// path (the pipelining quantization floor).
-func (r *Result) MaxGateDelay() float64 {
-	m := 0.0
-	for _, v := range r.Profile {
-		m = math.Max(m, v)
-	}
-	return m
-}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/biodeg"
+	"repro/internal/cells"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/logic"
@@ -110,11 +111,20 @@ func BenchmarkFig08VMvsVSS(b *testing.B) {
 	}
 }
 
-// BenchmarkFig09CellLibrary characterizes both 6-cell libraries.
+// BenchmarkFig09CellLibrary characterizes both 6-cell libraries on
+// every iteration. It calls cells.CharacterizeCtx, not the process-wide
+// library memo, so its ns/op is one characterization of both libraries.
 func BenchmarkFig09CellLibrary(b *testing.B) {
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		org := biodeg.Library(biodeg.Organic())
-		sil := biodeg.Library(biodeg.Silicon())
+		org, err := cells.CharacterizeCtx(ctx, cells.Organic(), cells.DefaultCharConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		sil, err := cells.CharacterizeCtx(ctx, cells.Silicon(), cells.DefaultCharConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(org.FO4(), "organic-fo4-s")
 		b.ReportMetric(sil.FO4()*1e12, "silicon-fo4-ps")
 		b.ReportMetric(org.FO4()/sil.FO4(), "fo4-ratio")

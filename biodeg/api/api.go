@@ -417,3 +417,18 @@ type ExperimentResult struct {
 	WallMS  float64 `json:"wall_ms"`
 	Tables  []Table `json:"tables"`
 }
+
+// FromExperimentResult converts an experiment's result to wire form.
+func FromExperimentResult(r biodeg.ExperimentResult) ExperimentResult {
+	out := ExperimentResult{
+		Version: Version,
+		ID:      r.Experiment.ID,
+		Title:   r.Experiment.Title,
+		WallMS:  float64(r.Wall.Nanoseconds()) / 1e6,
+		Tables:  make([]Table, len(r.Tables)),
+	}
+	for i, t := range r.Tables {
+		out.Tables[i] = FromTable(t)
+	}
+	return out
+}

@@ -102,16 +102,7 @@ func main() {
 	if *jsonOut {
 		out := make([]api.ExperimentResult, len(results))
 		for i, r := range results {
-			out[i] = api.ExperimentResult{
-				Version: api.Version,
-				ID:      r.Experiment.ID,
-				Title:   r.Experiment.Title,
-				WallMS:  float64(r.Wall.Nanoseconds()) / 1e6,
-				Tables:  make([]api.Table, len(r.Tables)),
-			}
-			for j, t := range r.Tables {
-				out[i].Tables[j] = api.FromTable(t)
-			}
+			out[i] = api.FromExperimentResult(r)
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -118,45 +118,6 @@ func (n *Netlist) Subtractor(a, b []Sig) (diff []Sig, noBorrow Sig) {
 	return n.CLAAdder(a, nb, n.Const(true))
 }
 
-// ArrayMultiplier multiplies two w-bit buses into a 2w-bit product using
-// a partial-product array with ripple reduction rows, the structure the
-// paper pipelines in its complex-ALU experiment.
-func (n *Netlist) ArrayMultiplier(a, b []Sig) []Sig {
-	w := len(a)
-	if len(b) != w {
-		panic("logic: multiplier width mismatch")
-	}
-	prod := make([]Sig, 2*w)
-	zero := n.Const(false)
-	for i := range prod {
-		prod[i] = zero
-	}
-	// Row accumulator: after row i, acc holds bits [i..i+w-1] of the
-	// running sum and carry holds bit i+w.
-	acc := make([]Sig, w)
-	for j := range acc {
-		acc[j] = n.And(a[j], b[0])
-	}
-	carry := zero
-	prod[0] = acc[0]
-	for i := 1; i < w; i++ {
-		pp := make([]Sig, w)
-		for j := range pp {
-			pp[j] = n.And(a[j], b[i])
-		}
-		// Shift the accumulator down one bit, bringing the previous
-		// row's carry in at the top, then add this row's partial product.
-		shifted := make([]Sig, w)
-		copy(shifted, acc[1:])
-		shifted[w-1] = carry
-		acc, carry = n.RippleCarryAdder(shifted, pp, zero)
-		prod[i] = acc[0]
-	}
-	copy(prod[w:], acc[1:])
-	prod[2*w-1] = carry
-	return prod
-}
-
 // CSAMultiplier multiplies two w-bit buses into a 2w-bit product with a
 // carry-save (Wallace-style) 3:2 reduction tree and a final
 // carry-lookahead adder — the DesignWare-class structure whose log depth
@@ -210,75 +171,6 @@ func (n *Netlist) DividerStep(rem, b []Sig) (remNext []Sig, qbit Sig) {
 	return n.MuxBus(ge, rem, diff), ge
 }
 
-// RestoringDivider divides a by b (unsigned, w bits) with a combinational
-// restoring array: w rows of subtract-and-select. Quotient and remainder
-// are returned; division by zero yields all-ones quotient.
-func (n *Netlist) RestoringDivider(a, b []Sig) (quot, rem []Sig) {
-	w := len(a)
-	if len(b) != w {
-		panic("logic: divider width mismatch")
-	}
-	zero := n.Const(false)
-	// Partial remainder, w bits.
-	r := make([]Sig, w)
-	for i := range r {
-		r[i] = zero
-	}
-	quot = make([]Sig, w)
-	for step := w - 1; step >= 0; step-- {
-		// Shift remainder left, bring in bit a[step].
-		r = append([]Sig{a[step]}, r[:w-1]...)
-		diff, ge := n.Subtractor(r, b)
-		quot[step] = ge
-		r = n.MuxBus(ge, r, diff)
-	}
-	return quot, r
-}
-
-// BarrelShifter shifts a by the amount encoded in sh (logarithmic mux
-// stages). If right is false it shifts left; arith selects sign-extension
-// on right shifts.
-func (n *Netlist) BarrelShifter(a []Sig, sh []Sig, right, arith bool) []Sig {
-	w := len(a)
-	cur := append([]Sig(nil), a...)
-	var fill Sig
-	if arith {
-		fill = a[w-1]
-	} else {
-		fill = n.Const(false)
-	}
-	for s, bit := range sh {
-		amt := 1 << uint(s)
-		if amt >= w {
-			// Shifting by >= w: everything becomes fill when bit set.
-			for i := range cur {
-				cur[i] = n.Mux(bit, cur[i], fill)
-			}
-			continue
-		}
-		shifted := make([]Sig, w)
-		for i := 0; i < w; i++ {
-			var src Sig
-			if right {
-				if i+amt < w {
-					src = cur[i+amt]
-				} else {
-					src = fill
-				}
-			} else {
-				if i-amt >= 0 {
-					src = cur[i-amt]
-				} else {
-					src = fill
-				}
-			}
-			shifted[i] = n.Mux(bit, cur[i], src)
-		}
-		cur = shifted
-	}
-	return cur
-}
-
 // Equal returns 1 when the buses match (XNOR + AND tree).
 func (n *Netlist) Equal(a, b []Sig) Sig {
 	if len(a) != len(b) {
@@ -289,43 +181,6 @@ func (n *Netlist) Equal(a, b []Sig) Sig {
 		eqs[i] = n.Xnor(a[i], b[i])
 	}
 	return n.ReduceAnd(eqs)
-}
-
-// LessThan returns 1 when a < b (unsigned), via the subtractor borrow.
-func (n *Netlist) LessThan(a, b []Sig) Sig {
-	_, noBorrow := n.Subtractor(a, b)
-	return n.Not(noBorrow)
-}
-
-// BuildAdder returns a standalone w-bit CLA adder netlist.
-func BuildAdder(w int) *Netlist {
-	n := New("adder")
-	a := n.InputBus("a", w)
-	b := n.InputBus("b", w)
-	sum, cout := n.CLAAdder(a, b, n.Const(false))
-	n.OutputBus("sum", sum)
-	n.Output("cout", cout)
-	return n
-}
-
-// BuildMultiplier returns a standalone w-bit array multiplier netlist.
-func BuildMultiplier(w int) *Netlist {
-	n := New("multiplier")
-	a := n.InputBus("a", w)
-	b := n.InputBus("b", w)
-	n.OutputBus("p", n.ArrayMultiplier(a, b))
-	return n
-}
-
-// BuildDivider returns a standalone w-bit restoring divider netlist.
-func BuildDivider(w int) *Netlist {
-	n := New("divider")
-	a := n.InputBus("a", w)
-	b := n.InputBus("b", w)
-	q, r := n.RestoringDivider(a, b)
-	n.OutputBus("q", q)
-	n.OutputBus("r", r)
-	return n
 }
 
 // BuildComplexALU returns the paper's complex-ALU netlist: a w-bit
@@ -345,46 +200,5 @@ func BuildComplexALU(w int) *Netlist {
 	n.OutputBus("y", out)
 	n.OutputBus("phi", p[w:])
 	n.Output("qbit", qbit)
-	return n
-}
-
-// BuildSimpleALU returns a w-bit single-cycle ALU: CLA add/sub, logic
-// ops, barrel shifts, and comparisons behind an opcode mux (3 op bits).
-func BuildSimpleALU(w int) *Netlist {
-	n := New("simple-alu")
-	a := n.InputBus("a", w)
-	b := n.InputBus("b", w)
-	op := n.InputBus("op", 3)
-	sub := op[0]
-	bx := make([]Sig, w)
-	for i := range b {
-		bx[i] = n.Xor(b[i], sub)
-	}
-	sum, _ := n.CLAAdder(a, bx, sub)
-	andv := make([]Sig, w)
-	orv := make([]Sig, w)
-	xorv := make([]Sig, w)
-	for i := range a {
-		andv[i] = n.And(a[i], b[i])
-		orv[i] = n.Or(a[i], b[i])
-		xorv[i] = n.Xor(a[i], b[i])
-	}
-	shl := n.BarrelShifter(a, b[:Log2Ceil(w)+1], false, false)
-	shr := n.BarrelShifter(a, b[:Log2Ceil(w)+1], true, false)
-	lt := n.LessThan(a, b)
-	ltBus := make([]Sig, w)
-	zero := n.Const(false)
-	ltBus[0] = lt
-	for i := 1; i < w; i++ {
-		ltBus[i] = zero
-	}
-	// Function select on op[2:1], sub-select on op[0]:
-	//   000 add, 001 sub, 010 and, 011 or, 100 shl, 101 shr,
-	//   110 xor, 111 slt.
-	logicA := n.MuxBus(op[0], andv, orv)
-	shift := n.MuxBus(op[0], shl, shr)
-	logicB := n.MuxBus(op[0], xorv, ltBus)
-	out := n.MuxTree(op[1:3], [][]Sig{sum, logicA, shift, logicB})
-	n.OutputBus("y", out)
 	return n
 }

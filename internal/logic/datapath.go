@@ -309,28 +309,6 @@ func BuildIssueSelect(iqEntries, w, tagBits int) *Netlist {
 	return n
 }
 
-// BuildBypass returns a standalone netlist for the full bypass network
-// of a w-wide back end: 2 source operands per pipe, each selecting among
-// w producer results and the register-file value.
-func BuildBypass(w, width, tagBits int) *Netlist {
-	n := New(fmt.Sprintf("bypass-w%d", w))
-	resTags := make([][]Sig, w)
-	resVals := make([][]Sig, w)
-	for i := 0; i < w; i++ {
-		resTags[i] = n.InputBus(fmt.Sprintf("rtag%d", i), tagBits)
-		resVals[i] = n.InputBus(fmt.Sprintf("rval%d", i), width)
-	}
-	for pipe := 0; pipe < w; pipe++ {
-		for op := 0; op < 2; op++ {
-			tag := n.InputBus(fmt.Sprintf("p%dop%dtag", pipe, op), tagBits)
-			reg := n.InputBus(fmt.Sprintf("p%dop%dreg", pipe, op), width)
-			out := n.BypassNetwork(tag, reg, resTags, resVals)
-			n.OutputBus(fmt.Sprintf("p%dop%d", pipe, op), out)
-		}
-	}
-	return n
-}
-
 // BuildRegfileRead returns a standalone netlist with `ports` read ports
 // over a regs x width register file.
 func BuildRegfileRead(regs, width, ports int) *Netlist {

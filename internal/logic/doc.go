@@ -1,14 +1,14 @@
 // Package logic provides technology-independent gate-level netlists
 // restricted to the paper's 6-cell library (INV, NAND2, NAND3, NOR2,
 // NOR3, DFF), structural generators for the datapath and control blocks
-// of a superscalar core (adders, multipliers, dividers, bypass networks,
-// issue logic, register files), and functional evaluation for
-// verification. It stands in for the RTL + Design Compiler front end of
-// the paper's flow: experiments consume these netlists through the synth
-// and sta packages.
+// of a superscalar core (adders, the carry-save multiplier, the divider
+// step, bypass networks, issue logic, register files), and functional
+// evaluation for verification. It stands in for the RTL + Design
+// Compiler front end of the paper's flow: experiments consume these
+// netlists through the synth and sta packages.
 //
 // Key entry points: New creates an empty Netlist and the generator
-// methods (CLAAdder, CSAMultiplier, RestoringDivider, BypassNetwork,
+// methods (CLAAdder, CSAMultiplier, DividerStep, BypassNetwork,
 // BuildIssueSelect, BuildRegfileRead, ...) grow it; BuildComplexALU
 // assembles the Figure 12 multiplier/divider datapath; Eval runs a
 // netlist functionally for verification.

@@ -46,6 +46,55 @@ func itoa(i int) string {
 	return string(b)
 }
 
+// busValue packs a bus value (bit 0 = bus[0]) from an evaluation table.
+func busValue(vals []bool, bus []Sig) uint64 {
+	var v uint64
+	for i, s := range bus {
+		if vals[s] {
+			v |= 1 << uint(i)
+		}
+	}
+	return v
+}
+
+// evalOutputs evaluates n and returns its primary outputs in order.
+func evalOutputs(n *Netlist, inputs []bool) []bool {
+	vals := n.Eval(inputs)
+	out := make([]bool, len(n.Outputs))
+	for i, s := range n.Outputs {
+		out[i] = vals[s]
+	}
+	return out
+}
+
+// claAdder returns a standalone w-bit CLA adder netlist.
+func claAdder(w int) *Netlist {
+	n := New("adder")
+	a := n.InputBus("a", w)
+	b := n.InputBus("b", w)
+	sum, cout := n.CLAAdder(a, b, n.Const(false))
+	n.OutputBus("sum", sum)
+	n.Output("cout", cout)
+	return n
+}
+
+// depth returns the combinational cell count and unit-delay logic depth.
+func depth(n *Netlist) (gates, levels int) {
+	d := make([]int, len(n.Gates))
+	for i, g := range n.Gates {
+		if g.Kind.CellName() == "" {
+			continue
+		}
+		gates++
+		for k := 0; k < g.Kind.Arity(); k++ {
+			d[i] = max(d[i], d[g.In[k]])
+		}
+		d[i]++
+		levels = max(levels, d[i])
+	}
+	return gates, levels
+}
+
 func outBus(n *Netlist, name string, w int) []Sig {
 	bus := make([]Sig, w)
 	for i := range bus {
@@ -68,7 +117,7 @@ func TestBasicGates(t *testing.T) {
 	n.Output("mux", n.Mux(a, b, n.Const(true))) // a ? 1 : b
 	for mask := 0; mask < 4; mask++ {
 		av, bv := mask&1 != 0, mask&2 != 0
-		out := n.EvalOutputs([]bool{av, bv})
+		out := evalOutputs(n, []bool{av, bv})
 		if out[0] != (av && bv) || out[1] != (av || bv) || out[2] != (av != bv) {
 			t.Fatalf("mask %d: and/or/xor = %v", mask, out[:3])
 		}
@@ -96,7 +145,7 @@ func TestReduceTrees(t *testing.T) {
 				all = all && in[i]
 				any = any || in[i]
 			}
-			out := n.EvalOutputs(in)
+			out := evalOutputs(n, in)
 			if out[0] != all || out[1] != any {
 				t.Fatalf("k=%d mask=%b: got %v want %v/%v", k, mask, out, all, any)
 			}
@@ -114,11 +163,11 @@ func TestAddersAgree(t *testing.T) {
 	ripple.OutputBus("sum", rs)
 	ripple.Output("cout", rc)
 
-	cla := BuildAdder(w)
+	cla := claAdder(w)
 	prop := func(x, y uint16) bool {
 		want := uint64(x) + uint64(y)
 		vals := evalBuses(ripple, map[string]uint64{"a": uint64(x), "b": uint64(y)}, map[string]int{"a": w, "b": w}, nil)
-		got := Uint64(vals, rs)
+		got := busValue(vals, rs)
 		if vals[rc] {
 			got |= 1 << w
 		}
@@ -126,7 +175,7 @@ func TestAddersAgree(t *testing.T) {
 			return false
 		}
 		cv := evalBuses(cla, map[string]uint64{"a": uint64(x), "b": uint64(y)}, map[string]int{"a": w, "b": w}, nil)
-		cg := Uint64(cv, outBus(cla, "sum", w))
+		cg := busValue(cv, outBus(cla, "sum", w))
 		return cg == want&mask
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -145,7 +194,7 @@ func TestSubtractor(t *testing.T) {
 	prop := func(x, y uint16) bool {
 		xa, ya := uint64(x)&0xfff, uint64(y)&0xfff
 		vals := evalBuses(n, map[string]uint64{"a": xa, "b": ya}, map[string]int{"a": w, "b": w}, nil)
-		diff := Uint64(vals, d)
+		diff := busValue(vals, d)
 		want := (xa - ya) & 0xfff
 		if diff != want {
 			return false
@@ -157,89 +206,14 @@ func TestSubtractor(t *testing.T) {
 	}
 }
 
-func TestArrayMultiplier(t *testing.T) {
-	const w = 12
-	n := BuildMultiplier(w)
-	p := outBus(n, "p", 2*w)
-	prop := func(x, y uint16) bool {
-		xa, ya := uint64(x)&0xfff, uint64(y)&0xfff
-		vals := evalBuses(n, map[string]uint64{"a": xa, "b": ya}, map[string]int{"a": w, "b": w}, nil)
-		return Uint64(vals, p) == xa*ya
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRestoringDivider(t *testing.T) {
-	const w = 10
-	n := BuildDivider(w)
-	q := outBus(n, "q", w)
-	r := outBus(n, "r", w)
-	prop := func(x, y uint16) bool {
-		xa := uint64(x) & 0x3ff
-		ya := uint64(y) & 0x3ff
-		if ya == 0 {
-			return true // divide-by-zero unchecked
-		}
-		vals := evalBuses(n, map[string]uint64{"a": xa, "b": ya}, map[string]int{"a": w, "b": w}, nil)
-		return Uint64(vals, q) == xa/ya && Uint64(vals, r) == xa%ya
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrelShifter(t *testing.T) {
-	const w = 16
-	for _, tc := range []struct {
-		right, arith bool
-	}{{false, false}, {true, false}, {true, true}} {
-		n := New("shift")
-		a := n.InputBus("a", w)
-		sh := n.InputBus("sh", 5)
-		n.OutputBus("y", n.BarrelShifter(a, sh, tc.right, tc.arith))
-		y := outBus(n, "y", w)
-		for _, x := range []uint64{0x8001, 0x1234, 0xffff, 0x0001} {
-			for s := uint64(0); s < 20; s++ {
-				vals := evalBuses(n, map[string]uint64{"a": x, "sh": s}, map[string]int{"a": w, "sh": 5}, nil)
-				got := Uint64(vals, y)
-				var want uint64
-				switch {
-				case !tc.right:
-					if s < w {
-						want = (x << s) & 0xffff
-					}
-				case !tc.arith:
-					if s < w {
-						want = x >> s
-					}
-				default:
-					sx := int16(x)
-					sh := s
-					if sh > 15 {
-						sh = 15
-					}
-					want = uint64(uint16(sx >> sh))
-					if s >= w && sx >= 0 {
-						want = 0
-					}
-				}
-				if got != want {
-					t.Fatalf("right=%v arith=%v x=%#x s=%d: got %#x want %#x", tc.right, tc.arith, x, s, got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestEqualLessThan(t *testing.T) {
 	const w = 8
 	n := New("cmp")
 	a := n.InputBus("a", w)
 	b := n.InputBus("b", w)
 	n.Output("eq", n.Equal(a, b))
-	n.Output("lt", n.LessThan(a, b))
+	_, noBorrow := n.Subtractor(a, b)
+	n.Output("lt", n.Not(noBorrow))
 	prop := func(x, y uint8) bool {
 		vals := evalBuses(n, map[string]uint64{"a": uint64(x), "b": uint64(y)}, map[string]int{"a": w, "b": w}, nil)
 		eq := vals[n.OutName["eq"]]
@@ -267,10 +241,10 @@ func TestMuxTreeAndDecoder(t *testing.T) {
 		widths := map[string]int{"sel": 2, "0": 4, "1": 4, "2": 4, "3": 4}
 		vals := evalBuses(n, buses, widths, nil)
 		want := []uint64{1, 5, 9, 14}[s]
-		if got := Uint64(vals, y); got != want {
+		if got := busValue(vals, y); got != want {
 			t.Fatalf("sel=%d: mux %d want %d", s, got, want)
 		}
-		if got := Uint64(vals, oh); got != 1<<s {
+		if got := busValue(vals, oh); got != 1<<s {
 			t.Fatalf("sel=%d: onehot %b", s, got)
 		}
 	}
@@ -286,8 +260,8 @@ func TestPriorityArbiterAndSelectN(t *testing.T) {
 	g1 := outBus(n, "g1", 6)
 	for mask := uint64(0); mask < 64; mask++ {
 		vals := evalBuses(n, map[string]uint64{"r": mask}, map[string]int{"r": 6}, nil)
-		got0 := Uint64(vals, g0)
-		got1 := Uint64(vals, g1)
+		got0 := busValue(vals, g0)
+		got1 := busValue(vals, g1)
 		var want0, want1 uint64
 		rem := mask
 		if rem != 0 {
@@ -321,13 +295,19 @@ func TestWakeupCAMAndBypass(t *testing.T) {
 		}
 	}
 	vals := evalBuses(iq, buses, widths, nil)
-	g0 := Uint64(vals, outBus(iq, "grant0", 4))
-	g1 := Uint64(vals, outBus(iq, "grant1", 4))
+	g0 := busValue(vals, outBus(iq, "grant0", 4))
+	g1 := busValue(vals, outBus(iq, "grant1", 4))
 	if g0 != 0b0010 || g1 != 0b1000 {
 		t.Fatalf("grants %b/%b, want 0010/1000", g0, g1)
 	}
 
-	by := BuildBypass(2, 8, 3)
+	by := New("bypass")
+	resTags := [][]Sig{by.InputBus("rtag0", 3), by.InputBus("rtag1", 3)}
+	resVals := [][]Sig{by.InputBus("rval0", 8), by.InputBus("rval1", 8)}
+	for _, op := range []string{"p0op0", "p0op1", "p1op0", "p1op1"} {
+		tag, reg := by.InputBus(op+"tag", 3), by.InputBus(op+"reg", 8)
+		by.OutputBus(op, by.BypassNetwork(tag, reg, resTags, resVals))
+	}
 	buses = map[string]uint64{
 		"rtag0": 3, "rval0": 0xAA,
 		"rtag1": 5, "rval1": 0x55,
@@ -347,7 +327,7 @@ func TestWakeupCAMAndBypass(t *testing.T) {
 	vals = evalBuses(by, buses, widths, nil)
 	checks := map[string]uint64{"p0op0": 0xAA, "p0op1": 0x22, "p1op0": 0x55, "p1op1": 0xAA}
 	for name, want := range checks {
-		if got := Uint64(vals, outBus(by, name, 8)); got != want {
+		if got := busValue(vals, outBus(by, name, 8)); got != want {
 			t.Fatalf("%s = %#x, want %#x", name, got, want)
 		}
 	}
@@ -362,52 +342,11 @@ func TestRegisterFileRead(t *testing.T) {
 		widths["reg"+itoa(r)] = 4
 	}
 	vals := evalBuses(n, buses, widths, nil)
-	if got := Uint64(vals, outBus(n, "rd0", 4)); got != 4 {
+	if got := busValue(vals, outBus(n, "rd0", 4)); got != 4 {
 		t.Fatalf("rd0 = %d, want 4", got)
 	}
-	if got := Uint64(vals, outBus(n, "rd1", 4)); got != 7 {
+	if got := busValue(vals, outBus(n, "rd1", 4)); got != 7 {
 		t.Fatalf("rd1 = %d, want 7", got)
-	}
-}
-
-func TestSimpleALUOps(t *testing.T) {
-	const w = 16
-	n := BuildSimpleALU(w)
-	y := outBus(n, "y", w)
-	run := func(a, b, op uint64) uint64 {
-		vals := evalBuses(n, map[string]uint64{"a": a, "b": b, "op": op},
-			map[string]int{"a": w, "b": w, "op": 3}, nil)
-		return Uint64(vals, y)
-	}
-	mask := uint64(0xffff)
-	prop := func(x, yv uint16) bool {
-		a, b := uint64(x), uint64(yv)
-		if run(a, b, 0) != (a+b)&mask {
-			return false
-		}
-		if run(a, b, 1) != (a-b)&mask {
-			return false
-		}
-		if run(a, b, 0b010) != a&b {
-			return false
-		}
-		if run(a, b, 0b011) != a|b {
-			return false
-		}
-		if run(a, b, 0b110) != a^b {
-			return false
-		}
-		if run(a, b, 0b100) != (a<<(b&0x1f))&mask && b&0x1f < w {
-			return false
-		}
-		var slt uint64
-		if a < b {
-			slt = 1
-		}
-		return run(a, b, 0b111) == slt
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -418,7 +357,7 @@ func TestComplexALUSelect(t *testing.T) {
 	run := func(a, b, rem uint64, div bool) (uint64, bool) {
 		vals := evalBuses(n, map[string]uint64{"a": a, "b": b, "rem": rem},
 			map[string]int{"a": w, "b": w, "rem": w}, map[string]bool{"is_div": div})
-		return Uint64(vals, y), vals[n.OutName["qbit"]]
+		return busValue(vals, y), vals[n.OutName["qbit"]]
 	}
 	if got, _ := run(12, 5, 0, false); got != 60 {
 		t.Fatalf("mul: %d want 60", got)
@@ -442,27 +381,31 @@ func TestCSAMultiplier(t *testing.T) {
 	prop := func(x, y uint16) bool {
 		xa, ya := uint64(x)&0xfff, uint64(y)&0xfff
 		vals := evalBuses(n, map[string]uint64{"a": xa, "b": ya}, map[string]int{"a": w, "b": w}, nil)
-		return Uint64(vals, p) == xa*ya
+		return busValue(vals, p) == xa*ya
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	// The CSA tree must be much shallower than the ripple array.
-	csa := n.ComputeStats()
-	arr := BuildMultiplier(w).ComputeStats()
-	if csa.Levels >= arr.Levels {
-		t.Fatalf("CSA depth %d should beat array depth %d", csa.Levels, arr.Levels)
+	// The 3:2 tree adds a stage per 1.5x rows and the final 2w-bit CLA
+	// about two levels per operand bit, so doubling the width adds
+	// fewer than 4 levels per bit; a ripple-row array adds about 10.
+	wide := New("csa-wide")
+	wide.OutputBus("p", wide.CSAMultiplier(wide.InputBus("a", 2*w), wide.InputBus("b", 2*w)))
+	_, d1 := depth(n)
+	_, d2 := depth(wide)
+	if d2-d1 >= 4*w {
+		t.Fatalf("CSA depth grows from %d to %d levels over %d more bits", d1, d2, w)
 	}
 }
 
 func TestStatsAndFanouts(t *testing.T) {
-	n := BuildAdder(8)
-	st := n.ComputeStats()
-	if st.Gates < 50 {
-		t.Fatalf("8-bit CLA too small: %d gates", st.Gates)
+	n := claAdder(8)
+	gates, levels := depth(n)
+	if gates < 50 {
+		t.Fatalf("8-bit CLA too small: %d gates", gates)
 	}
-	if st.Levels < 4 {
-		t.Fatalf("8-bit CLA too shallow: %d levels", st.Levels)
+	if levels < 4 {
+		t.Fatalf("8-bit CLA too shallow: %d levels", levels)
 	}
 	fo := n.Fanouts()
 	if len(fo) != len(n.Gates) {
@@ -503,7 +446,7 @@ func TestKoggeStoneAdder(t *testing.T) {
 		want := uint64(x) + uint64(y)
 		vals := evalBuses(n, map[string]uint64{"a": uint64(x), "b": uint64(y)},
 			map[string]int{"a": w, "b": w}, nil)
-		got := Uint64(vals, sum)
+		got := busValue(vals, sum)
 		if vals[cout] {
 			got |= 1 << w
 		}
@@ -519,17 +462,17 @@ func TestKoggeStoneAdder(t *testing.T) {
 	s2, _ := n2.KoggeStoneAdder(a2, b2, n2.Const(true))
 	n2.OutputBus("sum", s2)
 	vals := evalBuses(n2, map[string]uint64{"a": 1, "b": 2}, map[string]int{"a": w, "b": w}, nil)
-	if got := Uint64(vals, s2); got != 4 {
+	if got := busValue(vals, s2); got != 4 {
 		t.Fatalf("1+2+cin = %d, want 4", got)
 	}
 	// Depth: Kogge-Stone must be shallower than the group CLA, at more gates.
-	ks := n.ComputeStats()
-	cla := BuildAdder(w).ComputeStats()
-	if ks.Levels >= cla.Levels {
-		t.Errorf("Kogge-Stone depth %d should beat CLA depth %d", ks.Levels, cla.Levels)
+	ksGates, ksLevels := depth(n)
+	claGates, claLevels := depth(claAdder(w))
+	if ksLevels >= claLevels {
+		t.Errorf("Kogge-Stone depth %d should beat CLA depth %d", ksLevels, claLevels)
 	}
-	if ks.Gates <= cla.Gates*2/3 {
-		t.Errorf("Kogge-Stone should pay area for speed: %d vs %d gates", ks.Gates, cla.Gates)
+	if ksGates <= claGates*2/3 {
+		t.Errorf("Kogge-Stone should pay area for speed: %d vs %d gates", ksGates, claGates)
 	}
 }
 
@@ -553,8 +496,8 @@ func TestSelectPrefixMatchesSerialSelect(t *testing.T) {
 			pv := evalBuses(par, map[string]uint64{"r": mask}, map[string]int{"r": N}, nil)
 			var sAll, pAll uint64
 			for k := 0; k < w; k++ {
-				sg := Uint64(sv, outBus(serial, "g"+itoa(k), N))
-				pg := Uint64(pv, outBus(par, "g"+itoa(k), N))
+				sg := busValue(sv, outBus(serial, "g"+itoa(k), N))
+				pg := busValue(pv, outBus(par, "g"+itoa(k), N))
 				if sg != pg {
 					t.Fatalf("w=%d mask=%b round %d: serial %b vs prefix %b", w, mask, k, sg, pg)
 				}
@@ -578,7 +521,7 @@ func TestReduceOrAOIMatchesReduceOr(t *testing.T) {
 			for i := range in {
 				in[i] = mask&(1<<i) != 0
 			}
-			out := n.EvalOutputs(in)
+			out := evalOutputs(n, in)
 			if out[0] != out[1] {
 				t.Fatalf("k=%d mask=%b: AOI OR diverges", k, mask)
 			}

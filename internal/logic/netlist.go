@@ -263,16 +263,6 @@ func (n *Netlist) Eval(inputs []bool) []bool {
 	return vals
 }
 
-// EvalOutputs evaluates and returns just the primary outputs in order.
-func (n *Netlist) EvalOutputs(inputs []bool) []bool {
-	vals := n.Eval(inputs)
-	out := make([]bool, len(n.Outputs))
-	for i, s := range n.Outputs {
-		out[i] = vals[s]
-	}
-	return out
-}
-
 // Fanouts returns, for each gate, the list of gates it feeds.
 func (n *Netlist) Fanouts() [][]int32 {
 	fo := make([][]int32, len(n.Gates))
@@ -283,47 +273,6 @@ func (n *Netlist) Fanouts() [][]int32 {
 		}
 	}
 	return fo
-}
-
-// Stats summarizes a netlist's composition.
-type Stats struct {
-	ByKind [numKinds]int
-	Gates  int // combinational cells
-	Levels int // logic depth (unit-delay)
-}
-
-// ComputeStats returns cell counts and unit-delay logic depth.
-func (n *Netlist) ComputeStats() Stats {
-	var s Stats
-	depth := make([]int, len(n.Gates))
-	for i, g := range n.Gates {
-		s.ByKind[g.Kind]++
-		if g.Kind.CellName() != "" {
-			s.Gates++
-			d := 0
-			for k := 0; k < g.Kind.Arity(); k++ {
-				if dd := depth[g.In[k]]; dd > d {
-					d = dd
-				}
-			}
-			depth[i] = d + 1
-			if depth[i] > s.Levels {
-				s.Levels = depth[i]
-			}
-		}
-	}
-	return s
-}
-
-// Uint64 packs a bus value (bit 0 = bus[0]) from an evaluation table.
-func Uint64(vals []bool, bus []Sig) uint64 {
-	var v uint64
-	for i, s := range bus {
-		if vals[s] {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
 }
 
 // Log2Ceil returns ceil(log2(v)) for v >= 1.

@@ -79,18 +79,8 @@ func (e *SessionEngine) RunExperiment(ctx context.Context, id string) (*api.Expe
 	if err != nil {
 		return nil, err
 	}
-	r := results[0]
-	out := &api.ExperimentResult{
-		Version: api.Version,
-		ID:      r.Experiment.ID,
-		Title:   r.Experiment.Title,
-		WallMS:  float64(r.Wall.Nanoseconds()) / 1e6,
-		Tables:  make([]api.Table, len(r.Tables)),
-	}
-	for i, t := range r.Tables {
-		out.Tables[i] = api.FromTable(t)
-	}
-	return out, nil
+	out := api.FromExperimentResult(results[0])
+	return &out, nil
 }
 
 // maxSweepBound caps every sweep bound a request may set. Each bound

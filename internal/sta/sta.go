@@ -17,22 +17,16 @@ type Wire struct {
 	ResPerM float64 // ohm/m
 	CapPerM float64 // F/m
 	Pitch   float64 // average placed-cell linear dimension, m
-	// LongFrac scales the block-dimension component of the average net
-	// length (stochastic long-net share).
-	LongFrac float64
 }
 
-// DefaultLongFrac is the long-net share of the average net length.
-const DefaultLongFrac = 0.05
+// longFrac scales the block-dimension component of the average net
+// length (stochastic long-net share).
+const longFrac = 0.05
 
 // NetLength estimates a net's routed length from its fanout and the
 // block dimension.
 func (w Wire) NetLength(fanout int, blockDim float64) float64 {
-	lf := w.LongFrac
-	if lf == 0 {
-		lf = DefaultLongFrac
-	}
-	return w.Pitch*(1+0.5*float64(fanout)) + lf*blockDim
+	return w.Pitch*(1+0.5*float64(fanout)) + longFrac*blockDim
 }
 
 // Flight returns the Elmore RC flight time of a net of length l loaded
@@ -48,39 +42,23 @@ type Options struct {
 	// UseWire enables the wire load and flight model. The paper's
 	// Figure 15 compares runs with and without it.
 	UseWire bool
-	// InputSlew is the assumed transition time at primary inputs;
-	// 0 selects the library INV's fanout-of-2 output slew.
-	InputSlew float64
-	// OutputLoad is the capacitive load on primary outputs; 0 selects
-	// two INV input caps.
-	OutputLoad float64
-	// MaxSlew is the max_transition design rule: propagated slews are
-	// clamped to it, modeling the buffering/upsizing synthesis performs
-	// to meet the rule. 0 selects 1.5x the characterized slew grid.
-	MaxSlew float64
 }
 
-// Result is the outcome of one timing run.
+// Result is the outcome of one timing run. It holds no reference to
+// the analyzed netlist or its mapping, so memoized Results do not keep
+// them alive.
 type Result struct {
-	Design   *synth.Design
 	CritPath float64 // combinational critical path delay, s
-	// MinPeriod adds the flip-flop clk-to-q and setup overheads.
-	MinPeriod float64
 	// Profile is the sequence of per-gate delay contributions along the
 	// critical path, input to output; it sums to CritPath. The pipeline
 	// package partitions it into stages.
-	Profile []float64
-	// RegOverhead is the clk-to-q + setup overhead included in MinPeriod.
-	RegOverhead float64
-	CombArea    float64
-	NumCells    int
-	BlockDim    float64
-	Levels      int // gate count along the critical path
+	Profile  []float64
+	CombArea float64
 }
 
-// scratch is the per-gate working state of one Analyze call. Sweep
-// points analyze the same few netlists thousands of times, so the
-// slices are pooled per worker instead of reallocated per call.
+// scratch is the per-gate working state of one analyze call. A full
+// replicate run makes 122 analyses, so the slices are pooled per worker
+// instead of reallocated per call.
 type scratch struct {
 	pinLoad, wireCap, wireFlt []float64
 	arrival, slew, gateDelay  []float64
@@ -116,37 +94,29 @@ func (s *scratch) resize(n int) {
 	s.pred = s.pred[:n]
 }
 
-// Analyze runs static timing on the design.
-func Analyze(d *synth.Design, w Wire, opt Options) (*Result, error) {
+// analyze runs static timing on the design.
+func analyze(d *synth.Design, w Wire, opt Options) (*Result, error) {
 	nl := d.Netlist
 	lib := d.Lib
 	inv := lib.Cell("INV")
 	if inv == nil {
 		return nil, fmt.Errorf("sta: library %s lacks INV", lib.Name)
 	}
-	dff := lib.Cell("DFF")
-	if dff == nil {
-		return nil, fmt.Errorf("sta: library %s lacks DFF", lib.Name)
-	}
 	blockDim := d.BlockDim()
-	inSlew := opt.InputSlew
-	if inSlew <= 0 {
-		if arc := inv.Arcs["A"]; arc != nil {
-			inSlew = arc.WorstSlew(0, 2*inv.InputCap)
+	// Primary inputs switch with the INV's fanout-of-2 output slew and
+	// primary outputs drive two INV input caps. Propagated slews are
+	// clamped to the max_transition design rule, 1.5x the characterized
+	// slew grid, modeling the buffering/upsizing synthesis performs to
+	// meet it.
+	var inSlew float64
+	maxSlew := math.Inf(1)
+	if arc := inv.Arcs["A"]; arc != nil {
+		inSlew = arc.WorstSlew(0, 2*inv.InputCap)
+		if n := len(arc.SlewRise.Slews); n > 0 {
+			maxSlew = 1.5 * arc.SlewRise.Slews[n-1]
 		}
 	}
-	outLoad := opt.OutputLoad
-	if outLoad <= 0 {
-		outLoad = 2 * inv.InputCap
-	}
-	maxSlew := opt.MaxSlew
-	if maxSlew <= 0 {
-		if arc := inv.Arcs["A"]; arc != nil && len(arc.SlewRise.Slews) > 0 {
-			maxSlew = 1.5 * arc.SlewRise.Slews[len(arc.SlewRise.Slews)-1]
-		} else {
-			maxSlew = math.Inf(1)
-		}
-	}
+	outLoad := 2 * inv.InputCap
 
 	fanouts := nl.Fanouts()
 	// Per-gate output net: pin load + wire load.
@@ -272,19 +242,7 @@ func Analyze(d *synth.Design, w Wire, opt Options) (*Result, error) {
 	for l, r := 0, len(profile)-1; l < r; l, r = l+1, r-1 {
 		profile[l], profile[r] = profile[r], profile[l]
 	}
-	crit := arrival[endpoint]
-	reg := dff.ClkToQ + dff.Setup
-	return &Result{
-		Design:      d,
-		CritPath:    crit,
-		MinPeriod:   crit + reg,
-		Profile:     profile,
-		RegOverhead: reg,
-		CombArea:    d.CombArea,
-		NumCells:    d.NumCells,
-		BlockDim:    blockDim,
-		Levels:      len(profile),
-	}, nil
+	return &Result{CritPath: arrival[endpoint], Profile: profile, CombArea: d.CombArea}, nil
 }
 
 // AnalyzeNetlist maps and analyzes in one step.
@@ -304,20 +262,10 @@ func AnalyzeNetlistCtx(ctx context.Context, nl *logic.Netlist, lib *liberty.Libr
 	if err != nil {
 		return nil, err
 	}
-	res, err := Analyze(d, w, opt)
+	res, err := analyze(d, w, opt)
 	if err == nil {
-		sp.Set("cells", fmt.Sprint(res.NumCells))
-		sp.Set("levels", fmt.Sprint(res.Levels))
+		sp.Set("cells", fmt.Sprint(d.NumCells))
+		sp.Set("levels", fmt.Sprint(len(res.Profile)))
 	}
 	return res, err
-}
-
-// Sanity check that profile sums match the critical path within
-// tolerance (exported for tests).
-func (r *Result) ProfileSum() float64 {
-	var s float64
-	for _, v := range r.Profile {
-		s += v
-	}
-	return s
 }

@@ -2,32 +2,35 @@ package sta
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/liberty"
 	"repro/internal/logic"
 	"repro/internal/synth"
 )
 
+// linLUT is a table of d0 + k*load + ks*slew on a 5-load by 3-slew
+// grid whose largest slew is 5ps. Lookups extrapolate it exactly.
+func linLUT(d0, k, ks float64) *liberty.LUT {
+	loads := []float64{0, 1e-15, 2e-15, 4e-15, 8e-15}
+	slews := []float64{0, 1e-12, 5e-12}
+	v := make([][]float64, len(slews))
+	for i, s := range slews {
+		v[i] = make([]float64, len(loads))
+		for j, l := range loads {
+			v[i][j] = d0 + k*l + ks*s
+		}
+	}
+	return &liberty.LUT{Slews: slews, Loads: loads, Value: v}
+}
+
 // fakeLib builds a deterministic library: every cell has delay
 // d0 + k*load (no slew dependence), output slew 1ps, INV input cap 1 fF.
 func fakeLib() *liberty.Library {
-	mkLUT := func(d0, k float64) *liberty.LUT {
-		loads := []float64{0, 1e-15, 2e-15, 4e-15, 8e-15}
-		slews := []float64{0, 1e-12, 5e-12}
-		v := make([][]float64, len(slews))
-		for i := range v {
-			v[i] = make([]float64, len(loads))
-			for j, l := range loads {
-				v[i][j] = d0 + k*l
-			}
-		}
-		return &liberty.LUT{Slews: slews, Loads: loads, Value: v}
-	}
-	slewLUT := func() *liberty.LUT {
-		l := mkLUT(1e-12, 0)
-		return l
-	}
+	mkLUT := func(d0, k float64) *liberty.LUT { return linLUT(d0, k, 0) }
+	slewLUT := func() *liberty.LUT { return mkLUT(1e-12, 0) }
 	cell := func(name string, inputs []string, d0 float64, cin, area float64) *liberty.Cell {
 		c := &liberty.Cell{
 			Name: name, Inputs: inputs, Output: "Y",
@@ -85,15 +88,20 @@ func TestInvChainTiming(t *testing.T) {
 	if math.Abs(res.CritPath-want) > 1e-15 {
 		t.Fatalf("crit = %g, want %g", res.CritPath, want)
 	}
-	if res.Levels != 10 {
-		t.Fatalf("levels = %d, want 10", res.Levels)
+	if len(res.Profile) != 10 {
+		t.Fatalf("levels = %d, want 10", len(res.Profile))
 	}
-	if math.Abs(res.ProfileSum()-res.CritPath) > 1e-18 {
-		t.Fatalf("profile sum %g != crit %g", res.ProfileSum(), res.CritPath)
+	if math.Abs(profileSum(res)-res.CritPath) > 1e-18 {
+		t.Fatalf("profile sum %g != crit %g", profileSum(res), res.CritPath)
 	}
-	if want := res.CritPath + 50e-12; math.Abs(res.MinPeriod-want) > 1e-18 {
-		t.Fatalf("min period = %g, want %g", res.MinPeriod, want)
+}
+
+func profileSum(r *Result) float64 {
+	var s float64
+	for _, v := range r.Profile {
+		s += v
 	}
+	return s
 }
 
 func TestWireIncreasesDelay(t *testing.T) {
@@ -111,8 +119,8 @@ func TestWireIncreasesDelay(t *testing.T) {
 	if wet.CritPath <= dry.CritPath {
 		t.Fatalf("wire should slow the path: %g vs %g", wet.CritPath, dry.CritPath)
 	}
-	if math.Abs(wet.ProfileSum()-wet.CritPath) > 1e-15*wet.CritPath {
-		t.Fatalf("wet profile sum %g != crit %g", wet.ProfileSum(), wet.CritPath)
+	if math.Abs(profileSum(wet)-wet.CritPath) > 1e-15*wet.CritPath {
+		t.Fatalf("wet profile sum %g != crit %g", profileSum(wet), wet.CritPath)
 	}
 }
 
@@ -136,13 +144,13 @@ func TestHighFanoutBuffering(t *testing.T) {
 	if want := 73e-12; math.Abs(d.CombArea-want) > 1e-18 {
 		t.Fatalf("area = %g, want %g", d.CombArea, want)
 	}
-	res, err := Analyze(d, Wire{}, Options{})
+	res, err := analyze(d, Wire{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Path: root (sees 8 buffer caps + its own buffer level) + leaf.
-	if res.Levels != 2 {
-		t.Fatalf("levels = %d, want 2", res.Levels)
+	if len(res.Profile) != 2 {
+		t.Fatalf("levels = %d, want 2", len(res.Profile))
 	}
 	unbuffered := invChain(2)
 	base, err := AnalyzeNetlist(unbuffered, lib, Wire{}, Options{})
@@ -179,15 +187,51 @@ func TestConstantsHaveNoNet(t *testing.T) {
 }
 
 func TestSlewClamp(t *testing.T) {
+	// Every INV output slews 100ps, far above the max_transition bound
+	// of 1.5 x 5ps = 7.5ps that the slew grid derives, and each ps of
+	// input slew adds 0.1ps of delay.
 	lib := fakeLib()
-	nl := invChain(5)
-	res, err := AnalyzeNetlist(nl, lib, Wire{}, Options{MaxSlew: 0.5e-12})
+	arc := lib.Cells["INV"].Arcs["A"]
+	arc.SlewRise, arc.SlewFall = linLUT(100e-12, 0, 0), linLUT(100e-12, 0, 0)
+	arc.DelayRise, arc.DelayFall = linLUT(10e-12, 1e3, 0.1), linLUT(10e-12, 1e3, 0.1)
+	res, err := AnalyzeNetlist(invChain(5), lib, Wire{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CritPath <= 0 {
-		t.Fatal("clamped analysis must still produce timing")
+	// The primary input switches with the unclamped FO2 slew of 100ps
+	// (10ps + 1ps + 10ps); the four inverters behind it see 7.5ps. The
+	// last one drives the 2 fF output load. Unclamped, the chain would
+	// take 106ps.
+	want := 21e-12 + 3*11.75e-12 + 12.75e-12
+	if math.Abs(res.CritPath-want) > 1e-15*want {
+		t.Fatalf("crit = %g, want %g", res.CritPath, want)
 	}
+}
+
+func TestResultDoesNotRetainNetlist(t *testing.T) {
+	collected := make(chan struct{})
+	res, err := func() (*Result, error) {
+		nl := invChain(10)
+		runtime.SetFinalizer(nl, func(*logic.Netlist) { close(collected) })
+		return AnalyzeNetlist(nl, fakeLib(), Wire{}, Options{})
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for freed := false; !freed; {
+		runtime.GC()
+		select {
+		case <-collected:
+			freed = true
+		default:
+			if time.Now().After(deadline) {
+				t.Fatal("the analyzed netlist is still reachable from its Result")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	runtime.KeepAlive(res)
 }
 
 func TestNetLengthAndFlight(t *testing.T) {
